@@ -380,24 +380,27 @@ def vec_arith(
             out[idx] = res.tolist()
         return out, valid
     out = np.empty(len(ldata), dtype=object)
-    for i in range(len(ldata)):
-        if not valid[i]:
-            out[i] = None
-            continue
-        a, b = ldata[i], rdata[i]
-        try:
-            if op == "+":
-                out[i] = a + b
-            elif op == "-":
-                out[i] = a - b
-            elif op == "*":
-                out[i] = a * b
-            elif op == "/":
-                out[i] = a / b
-            else:
-                out[i] = a % b
-        except TypeError as exc:
-            raise _mdb_errors().SQLTypeError(str(exc)) from exc
+    # NumPy scalars in an object column (np.float64(1) / np.float64(0))
+    # follow the vectorised lane's IEEE semantics — inf/nan, silently.
+    with np.errstate(all="ignore"):
+        for i in range(len(ldata)):
+            if not valid[i]:
+                out[i] = None
+                continue
+            a, b = ldata[i], rdata[i]
+            try:
+                if op == "+":
+                    out[i] = a + b
+                elif op == "-":
+                    out[i] = a - b
+                elif op == "*":
+                    out[i] = a * b
+                elif op == "/":
+                    out[i] = a / b
+                else:
+                    out[i] = a % b
+            except TypeError as exc:
+                raise _mdb_errors().SQLTypeError(str(exc)) from exc
     return out, valid
 
 

@@ -14,9 +14,10 @@ a service layer in front of the stores:
 * :mod:`repro.server.scheduler` — per-tenant FIFO queues drained by a
   deficit round-robin scheduler with queue-depth admission control
   (reject with backpressure instead of queueing without bound).
-* :mod:`repro.server.continuations` — the token codec: pipeline state is
-  serialised to JSON, bound to the store version it was captured
-  against, and base64-encoded into an opaque, self-contained token.
+* :mod:`repro.server.continuations` — the token codec: pipeline state
+  (scan cursors and counters, never rows) is serialised to JSON, bound
+  to the store version it was captured against, and base64-encoded into
+  an opaque, self-contained, size-capped token.
 """
 
 from repro.server.continuations import (

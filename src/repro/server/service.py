@@ -315,18 +315,19 @@ class QueryServer:
     def _execute(self, request: ServerRequest, started: float) -> QueryPage:
         """Build or restore the execution state, then run one slice."""
         if request.payload is not None:  # continuation token
-            query_text, version, state = decode_token(request.payload)
-            if version != self.store.version:
-                obs.counter("server.stale_tokens").inc()
-                raise ContinuationError(
-                    f"continuation built against store version {version}, "
-                    f"store is now at {self.store.version}"
+            with obs.span("server.restore.seconds"):
+                query_text, version, state = decode_token(request.payload)
+                if version != self.store.version:
+                    obs.counter("server.stale_tokens").inc()
+                    raise ContinuationError(
+                        f"continuation built against store version "
+                        f"{version}, store is now at {self.store.version}"
+                    )
+                parsed = self._parse(query_text)
+                pipeline = restore_pipeline(
+                    parsed, self.store, state,
+                    use_spatial_index=self.use_spatial_index,
                 )
-            parsed = self._parse(query_text)
-            pipeline = restore_pipeline(
-                parsed, self.store, state,
-                use_spatial_index=self.use_spatial_index,
-            )
             request.query = query_text
             return self._run_pipeline(request, parsed, pipeline, started)
 
@@ -365,7 +366,14 @@ class QueryServer:
         pipeline,
         started: float,
     ) -> QueryPage:
-        """Pull solutions until the quantum expires or the stream ends."""
+        """Pull solutions until the quantum expires or the stream ends.
+
+        The clock is read only after a pull, so every page advances the
+        query by at least one filter batch (one scan match when there is
+        no FILTER) however short the quantum or slow the restore.  On
+        expiry the rows the operators have already computed are drained
+        into this page; the token then holds positions only.
+        """
         variables = pipeline_variables(parsed)
         budget = (
             None if self.quantum_ms is None else self.quantum_ms / 1000.0
@@ -378,10 +386,14 @@ class QueryServer:
                 break
             rows.append(sol)
             if budget is not None and time.monotonic() - started >= budget:
+                drained = pipeline.drain()
+                rows.extend(drained)
                 token = encode_token(
                     request.query, self.store.version, pipeline.save()
                 )
                 obs.counter("server.suspends").inc()
+                obs.counter("server.drained_rows").inc(len(drained))
+                obs.histogram("server.token.bytes").observe(len(token))
                 break
         obs.counter("server.pages").inc()
         return QueryPage(

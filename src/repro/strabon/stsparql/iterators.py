@@ -7,45 +7,54 @@ would hold the worker for its whole runtime.  This module decomposes
 SELECT evaluation into a pipeline of *pull* iterators (the sage-engine
 model):
 
-    singleton → scan/nested-loop-join (one per triple pattern)
-              → filter (one per FILTER) → projection → distinct → slice
+    nested-loop join (one scan frame per triple pattern)
+        → filter (one per FILTER) → projection → distinct → slice
 
-whose state can be *snapshotted* at any solution boundary and restored
-later, so a query executes in bounded time slices: run for a quantum,
-:meth:`PipelineIterator.save` the state into a JSON-serialisable
-continuation, resume from exactly that point with
+that can be *suspended* at any solution boundary and resumed later, so a
+query executes in bounded time slices: run for a quantum,
+:meth:`PipelineIterator.drain` the rows already computed into the page,
+:meth:`PipelineIterator.save` what is left — a few integers — into a
+continuation, and resume from exactly that point with
 :func:`restore_pipeline`.
 
 Design points:
 
+* **A suspension point costs O(plan size), not O(buffered rows).**  The
+  saved state is one cursor per scan frame, the OFFSET/LIMIT counters
+  and (DISTINCT only) the seen-key set.  No solution is ever written
+  into a continuation: each frame's current solution is re-derived on
+  restore from its parent frame's match list at ``cursor - 1``, and
+  rows a filter has judged but not yet emitted are *drained* into the
+  page being returned instead of being saved.
 * **Batched filters.**  :class:`FilterIterator` pulls child solutions in
   batches and judges each batch through
   :meth:`Evaluator._filter_solutions`, so the envelope prefilter and the
   compiled FILTER kernels of :mod:`repro.kernels` (PR 6) run per batch
   inside the preemptable pipeline instead of being bypassed by it.
-* **Deterministic replay.**  A continuation stores integer cursors into
-  deterministically ordered match lists (store iteration order plus
-  sorted spatial-hint candidates), which is only sound while the store
-  is unchanged; tokens therefore embed
-  :attr:`repro.strabon.StrabonStore.version` and resumption against a
-  mutated store is refused by the serving tier.
-* **Static plan.**  Join order is fixed at build time from the same
+* **Deterministic replay.**  Cursors index deterministically ordered
+  match lists (store iteration order plus n3-sorted spatial-hint
+  candidates), which is only sound while the store is unchanged; tokens
+  therefore embed :attr:`repro.strabon.StrabonStore.version` and
+  resumption against a mutated store is refused by the serving tier.
+* **Static plan, computed once.**  Join order is fixed from the same
   cardinality estimates the recursive evaluator uses dynamically, so a
-  restored pipeline always rebuilds the identical operator tree.
+  restored pipeline always rebuilds the identical operator tree; the
+  plan (flattened conjunction, spatial hints, join order, sorted hint
+  lists) is cached in ``store.plan_cache`` per (query, store version,
+  index flag), so a page pays for it once per query, not once per page.
 * **Partial coverage, explicit fallback.**  :func:`build_select_pipeline`
   returns None for queries using operators with no streaming form here
   (aggregation, ORDER BY, OPTIONAL/UNION/BIND/VALUES, property paths,
-  projection expressions); the serving tier runs those through the
-  one-shot evaluator instead.  Results for supported queries are
-  verified identical to the one-shot evaluator by the differential lane
-  in :mod:`repro.testkit.differential`.
+  projection expressions, an empty basic graph pattern); the serving
+  tier runs those through the one-shot evaluator instead.  Results for
+  supported queries are verified identical to the one-shot evaluator by
+  the differential lane in :mod:`repro.testkit.differential`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.rdf.ntriples import _parse_term
 from repro.rdf.term import RDFTerm, Variable
 from repro.strabon.stsparql import algebra as alg
 from repro.strabon.stsparql.errors import StSPARQLError
@@ -54,7 +63,6 @@ from repro.strabon.stsparql.evaluator import (
     Solution,
     _expr_has_aggregate,
     _expr_vars,
-    _resolve,
     _triple_vars,
 )
 
@@ -63,71 +71,55 @@ __all__ = [
     "FILTER_BATCH_ROWS",
     "PipelineIterator",
     "build_select_pipeline",
-    "decode_solution",
-    "encode_solution",
     "pipeline_variables",
     "restore_pipeline",
     "supports_query",
 ]
 
 #: Child solutions pulled per filter batch — large enough that the
-#: compiled kernel lane and the envelope prefilter amortise, small
-#: enough that a suspended filter's buffered survivors stay cheap to
-#: serialise into a continuation.
+#: compiled kernel lane and the envelope prefilter amortise.  It is also
+#: the most rows a drain can add to a page per stacked filter.
 FILTER_BATCH_ROWS = 256
 
 
 class ContinuationError(StSPARQLError):
-    """A continuation cannot be restored (malformed or stale state)."""
+    """A continuation cannot be minted or restored (malformed, stale or
+    oversized state)."""
 
 
-# -- solution / state codec ----------------------------------------------------
-
-
-def encode_solution(sol: Solution) -> Dict[str, str]:
-    """Bindings as a JSON-serialisable ``{var: n3}`` mapping."""
-    return {name: term.n3() for name, term in sol.items()}
-
-
-def decode_solution(data: Dict[str, str]) -> Solution:
-    """Inverse of :func:`encode_solution`."""
-    out: Solution = {}
-    for name, text in data.items():
-        try:
-            term, _ = _parse_term(text + " ", 0)
-        except Exception as exc:  # noqa: BLE001 — wrapped as continuation error
-            raise ContinuationError(
-                f"unparseable binding {name}={text!r}"
-            ) from exc
-        out[name] = term
-    return out
-
-
-def _state_field(state: Dict[str, Any], key: str) -> Any:
-    try:
-        return state[key]
-    except (KeyError, TypeError) as exc:
+def _state_ints(state: Dict[str, Any], key: str) -> List[int]:
+    """``state[key]`` as a list of non-negative integers, or fail closed
+    (JSON booleans are ints to Python; a continuation never holds one)."""
+    values = state[key]
+    if not isinstance(values, list) or not all(
+        type(v) is int and v >= 0 for v in values
+    ):
         raise ContinuationError(
-            f"continuation state is missing field {key!r}"
-        ) from exc
+            f"continuation field {key!r} is not a list of non-negative "
+            f"integers"
+        )
+    return values
 
 
 # -- iterators -----------------------------------------------------------------
 
 
 class PipelineIterator:
-    """Base class: pull-based, snapshot/restorable solution iterator.
+    """Base class: pull-based, suspendable solution iterator.
 
     ``next()`` returns the next solution or None when exhausted; the
-    stream never resumes after None.  ``save()`` returns a pure-JSON
-    state dict capturing exactly the progress made so far; ``restore``
-    (on a freshly built, structurally identical pipeline) continues from
-    that point.
+    stream never resumes after None.  To suspend, the caller first takes
+    ``drain()`` — every solution the pipeline has already computed and
+    not yet emitted, produced without pulling new input from any scan —
+    and then ``save()``, which merges each stateful operator's entry
+    into one flat JSON dict.  ``restore`` (on a freshly built,
+    structurally identical pipeline) continues from that point.
     """
 
-    kind = "base"
-
     def next(self) -> Optional[Solution]:
+        raise NotImplementedError
+
+    def drain(self) -> List[Solution]:
         raise NotImplementedError
 
     def save(self) -> Dict[str, Any]:
@@ -136,148 +128,139 @@ class PipelineIterator:
     def restore(self, state: Dict[str, Any]) -> None:
         raise NotImplementedError
 
-    def _check_kind(self, state: Dict[str, Any]) -> None:
-        got = _state_field(state, "kind")
-        if got != self.kind:
-            raise ContinuationError(
-                f"continuation mismatch: state is for {got!r}, "
-                f"pipeline stage is {self.kind!r}"
-            )
+
+class _Scan(NamedTuple):
+    """One triple pattern of the static plan, resolved against the join
+    order: which variables earlier patterns have bound is known when the
+    plan is made, so no frame inspects a solution to find out."""
+
+    #: Per position (s, p, o): ``(constant, None)``, or ``(None, name)``
+    #: for a variable bound by an earlier pattern; ``(None, None)`` for a
+    #: variable this pattern binds.
+    lookup: Tuple[Tuple[Optional[RDFTerm], Optional[str]], ...]
+    #: (triple position, variable name) of the variables bound here.
+    binds: Tuple[Tuple[int, str], ...]
+    #: Position pairs that must hold the same term: a variable bound
+    #: here that the pattern repeats (``?x ?p ?x``).
+    repeats: Tuple[Tuple[int, int], ...]
+    #: Spatial-index candidates for the object variable bound here,
+    #: n3-sorted so the match order is the same in every rebuild; None
+    #: when unhinted.
+    hint: Optional[Tuple[RDFTerm, ...]]
 
 
-class SingletonIterator(PipelineIterator):
-    """Root producer: one empty solution, then exhaustion."""
+class JoinIterator(PipelineIterator):
+    """Index nested-loop join over the plan's triple patterns.
 
-    kind = "singleton"
-
-    def __init__(self) -> None:
-        self._done = False
-
-    def next(self) -> Optional[Solution]:
-        if self._done:
-            return None
-        self._done = True
-        return {}
-
-    def save(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "done": self._done}
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        self._check_kind(state)
-        self._done = bool(_state_field(state, "done"))
-
-
-class ScanJoinIterator(PipelineIterator):
-    """Index nested-loop join of the child stream with one triple pattern.
-
-    For each child solution the pattern is instantiated and its matches
-    materialised **in deterministic order** (store iteration order;
-    spatial-hint candidates sorted by n3); an integer cursor over that
-    list is all the scan state a continuation needs.  On restore the
-    match list is re-materialised from the saved child solution — sound
-    because continuations are bound to an immutable store version.
+    An explicit stack of *frames*, one per pattern in join order.  A
+    frame holds the solution it extends, that solution's matches for the
+    frame's pattern **in deterministic order** (store iteration order;
+    spatial-hint candidates in sorted order) and an integer cursor over
+    them.  The cursors of the open frames are all the state a
+    continuation needs: on restore frame 0 re-materialises its matches
+    from the empty solution, and every deeper frame from the solution
+    its parent bound at ``cursor - 1`` — sound because continuations are
+    bound to an immutable store version.
     """
 
-    kind = "scan"
-
-    def __init__(
-        self,
-        child: PipelineIterator,
-        pattern: alg.TriplePattern,
-        store,
-        hint: Optional[Sequence[RDFTerm]] = None,
-    ):
-        self.child = child
-        self.pattern = pattern
+    def __init__(self, scans: Sequence[_Scan], store):
+        self.scans = scans
         self.store = store
-        # Sorted for deterministic match order across build/restore.
-        self.hint = sorted(hint, key=lambda t: t.n3()) if hint is not None else None
-        self._variables = [
-            (i, str(term))
-            for i, term in enumerate((pattern.s, pattern.p, pattern.o))
-            if isinstance(term, Variable)
-        ]
-        self._current: Optional[Solution] = None
-        self._matches: List[Tuple] = []
-        self._cursor = 0
+        # [solution, matches, cursor] per open frame; None until the
+        # first pull, so building a pipeline touches no index.
+        self._frames: Optional[List[list]] = None
 
-    def _materialize(self, sol: Solution) -> List[Tuple]:
-        s = _resolve(self.pattern.s, sol)
-        p = _resolve(self.pattern.p, sol)
-        o = _resolve(self.pattern.o, sol)
-        if (
-            o is None
-            and self.hint is not None
-            and isinstance(self.pattern.o, Variable)
-        ):
-            return [
+    def _open(self, depth: int, sol: Solution) -> list:
+        scan = self.scans[depth]
+        (s, s_var), (p, p_var), (o, o_var) = scan.lookup
+        if s_var is not None:
+            s = sol[s_var]
+        if p_var is not None:
+            p = sol[p_var]
+        if o_var is not None:
+            o = sol[o_var]
+        if scan.hint is not None:
+            matches = [
                 t
-                for cand in self.hint
+                for cand in scan.hint
                 for t in self.store.triples((s, p, cand))
             ]
-        return list(self.store.triples((s, p, o)))
+        else:
+            matches = list(self.store.triples((s, p, o)))
+        return [sol, matches, 0]
 
-    def _bind(self, triple: Tuple) -> Optional[Solution]:
-        sol = self._current
-        assert sol is not None
-        new: Optional[Solution] = None
-        for i, name in self._variables:
-            value = triple[i]
-            current = (sol if new is None else new).get(name)
-            if current is None:
-                if new is None:
-                    new = dict(sol)
-                new[name] = value
-            elif current != value:
+    def _bind(
+        self, depth: int, sol: Solution, triple: Tuple
+    ) -> Optional[Solution]:
+        """``sol`` extended by the variables this frame's pattern binds,
+        None when the triple breaks a repeated variable."""
+        scan = self.scans[depth]
+        for i, j in scan.repeats:
+            if triple[i] != triple[j]:
                 return None
-        return sol if new is None else new
+        if not scan.binds:
+            return sol
+        new = dict(sol)
+        for i, name in scan.binds:
+            new[name] = triple[i]
+        return new
 
     def next(self) -> Optional[Solution]:
-        while True:
-            if self._current is None:
-                self._current = self.child.next()
-                if self._current is None:
-                    return None
-                self._matches = self._materialize(self._current)
-                self._cursor = 0
-            while self._cursor < len(self._matches):
-                triple = self._matches[self._cursor]
-                self._cursor += 1
-                bound = self._bind(triple)
-                if bound is not None:
-                    return bound
-            self._current = None
+        frames = self._frames
+        if frames is None:
+            frames = self._frames = [self._open(0, {})]
+        top = len(self.scans) - 1
+        while frames:
+            frame = frames[-1]
+            sol, matches, cursor = frame
+            if cursor == len(matches):
+                frames.pop()
+                continue
+            frame[2] = cursor + 1
+            depth = len(frames) - 1
+            bound = self._bind(depth, sol, matches[cursor])
+            if bound is None:
+                continue
+            if depth == top:
+                return bound
+            frames.append(self._open(depth + 1, bound))
+        return None
+
+    def drain(self) -> List[Solution]:
+        return []
 
     def save(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "child": self.child.save(),
-            "current": (
-                encode_solution(self._current)
-                if self._current is not None
-                else None
-            ),
-            "cursor": self._cursor,
-        }
+        # A pipeline that never pulled is frame 0 open at cursor 0.
+        frames = self._frames
+        return {"scan": [0] if frames is None else [f[2] for f in frames]}
 
     def restore(self, state: Dict[str, Any]) -> None:
-        self._check_kind(state)
-        self.child.restore(_state_field(state, "child"))
-        current = _state_field(state, "current")
-        if current is None:
-            self._current = None
-            self._matches = []
-            self._cursor = 0
-            return
-        self._current = decode_solution(current)
-        self._matches = self._materialize(self._current)
-        cursor = int(_state_field(state, "cursor"))
-        if not 0 <= cursor <= len(self._matches):
+        cursors = _state_ints(state, "scan")
+        if len(cursors) > len(self.scans):
             raise ContinuationError(
-                f"scan cursor {cursor} outside match list of "
-                f"{len(self._matches)} (store changed under continuation?)"
+                f"continuation has {len(cursors)} scan cursors for a "
+                f"{len(self.scans)}-pattern join"
             )
-        self._cursor = cursor
+        frames: List[list] = []
+        sol: Optional[Solution] = {}
+        for depth, cursor in enumerate(cursors):
+            if sol is None:
+                raise ContinuationError(
+                    f"scan cursor {depth - 1} points at no joinable match"
+                )
+            frame = self._open(depth, sol)
+            matches = frame[1]
+            if cursor > len(matches):
+                raise ContinuationError(
+                    f"scan cursor {cursor} outside match list of "
+                    f"{len(matches)} (store changed under continuation?)"
+                )
+            frame[2] = cursor
+            frames.append(frame)
+            sol = (
+                self._bind(depth, sol, matches[cursor - 1]) if cursor else None
+            )
+        self._frames = frames
 
 
 class FilterIterator(PipelineIterator):
@@ -289,11 +272,9 @@ class FilterIterator(PipelineIterator):
     numeric kernels, and the batched spatial lane (predicate and
     distance comparisons fused over ``PackedEnvelopes``) all run per
     batch inside the preemptable pipeline instead of being bypassed by
-    it.  A suspension between survivors serialises the not-yet-emitted
-    tail of the batch.
+    it.  A suspension between survivors *drains* the not-yet-emitted
+    tail of the batch into the page; a filter saves nothing.
     """
-
-    kind = "filter"
 
     def __init__(
         self,
@@ -326,45 +307,53 @@ class FilterIterator(PipelineIterator):
             self._buffer = self.evaluator._filter_solutions(self.expr, batch)
             self._pos = 0
 
+    def drain(self) -> List[Solution]:
+        # Own survivors first (they entered the pipeline earlier), then
+        # whatever the filters below had buffered, judged here.
+        out = self._buffer[self._pos:]
+        self._buffer = []
+        self._pos = 0
+        below = self.child.drain()
+        if below:
+            out.extend(self.evaluator._filter_solutions(self.expr, below))
+        return out
+
     def save(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "child": self.child.save(),
-            "pending": [
-                encode_solution(sol) for sol in self._buffer[self._pos:]
-            ],
-        }
+        if self._pos < len(self._buffer):
+            raise ContinuationError(
+                "save() before drain(): the filter still holds "
+                f"{len(self._buffer) - self._pos} computed solutions"
+            )
+        return self.child.save()
 
     def restore(self, state: Dict[str, Any]) -> None:
-        self._check_kind(state)
-        self.child.restore(_state_field(state, "child"))
-        self._buffer = [
-            decode_solution(item) for item in _state_field(state, "pending")
-        ]
-        self._pos = 0
+        self.child.restore(state)
 
 
 class ProjectionIterator(PipelineIterator):
     """Keep only the projected variables (stateless passthrough)."""
 
-    kind = "project"
-
     def __init__(self, child: PipelineIterator, names: Sequence[str]):
         self.child = child
         self.names = list(names)
+
+    def _project(self, sol: Solution) -> Solution:
+        return {name: sol[name] for name in self.names if name in sol}
 
     def next(self) -> Optional[Solution]:
         sol = self.child.next()
         if sol is None:
             return None
-        return {name: sol[name] for name in self.names if name in sol}
+        return self._project(sol)
+
+    def drain(self) -> List[Solution]:
+        return [self._project(sol) for sol in self.child.drain()]
 
     def save(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "child": self.child.save()}
+        return self.child.save()
 
     def restore(self, state: Dict[str, Any]) -> None:
-        self._check_kind(state)
-        self.child.restore(_state_field(state, "child"))
+        self.child.restore(state)
 
 
 class DistinctIterator(PipelineIterator):
@@ -372,51 +361,60 @@ class DistinctIterator(PipelineIterator):
 
     The seen-key set (n3 tuples, None for unbound) is part of the
     snapshot: a resumed query must keep suppressing duplicates of
-    solutions emitted in earlier quanta.
+    solutions emitted in earlier quanta.  It is the one part of a
+    continuation that grows with the rows produced; the token codec caps
+    it (see :data:`repro.server.continuations.MAX_TOKEN_BYTES`).
     """
-
-    kind = "distinct"
 
     def __init__(self, child: PipelineIterator, variables: Sequence[str]):
         self.child = child
         self.variables = list(variables)
         self._seen: Set[Tuple[Optional[str], ...]] = set()
 
-    def _key(self, sol: Solution) -> Tuple[Optional[str], ...]:
-        return tuple(
+    def _admit(self, sol: Solution) -> bool:
+        key = tuple(
             sol[v].n3() if sol.get(v) is not None else None
             for v in self.variables
         )
+        if key in self._seen:
+            return False
+        self._seen.add(key)
+        return True
 
     def next(self) -> Optional[Solution]:
         while True:
             sol = self.child.next()
-            if sol is None:
-                return None
-            key = self._key(sol)
-            if key not in self._seen:
-                self._seen.add(key)
+            if sol is None or self._admit(sol):
                 return sol
 
+    def drain(self) -> List[Solution]:
+        return [sol for sol in self.child.drain() if self._admit(sol)]
+
     def save(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "child": self.child.save(),
-            "seen": sorted(
-                list(key) for key in self._seen
-            ),  # sorted → deterministic token bytes
-        }
+        state = self.child.save()
+        # sorted → deterministic token bytes
+        state["seen"] = sorted(list(key) for key in self._seen)
+        return state
 
     def restore(self, state: Dict[str, Any]) -> None:
-        self._check_kind(state)
-        self.child.restore(_state_field(state, "child"))
-        self._seen = {tuple(key) for key in _state_field(state, "seen")}
+        self.child.restore(state)
+        seen = state["seen"]
+        width = len(self.variables)
+        if not isinstance(seen, list) or not all(
+            isinstance(key, list)
+            and len(key) == width
+            and all(x is None or isinstance(x, str) for x in key)
+            for key in seen
+        ):
+            raise ContinuationError(
+                f"continuation field 'seen' is not a list of {width}-column "
+                f"keys"
+            )
+        self._seen = {tuple(key) for key in seen}
 
 
 class SliceIterator(PipelineIterator):
     """OFFSET/LIMIT as skip and emit counters."""
-
-    kind = "slice"
 
     def __init__(
         self,
@@ -443,19 +441,35 @@ class SliceIterator(PipelineIterator):
         self._emitted += 1
         return sol
 
+    def drain(self) -> List[Solution]:
+        # OFFSET and LIMIT may both land inside the drained batch.
+        below = self.child.drain()
+        skip = min(self.offset - self._skipped, len(below))
+        self._skipped += skip
+        out = below[skip:]
+        if self.limit is not None:
+            del out[max(0, self.limit - self._emitted):]
+        self._emitted += len(out)
+        return out
+
     def save(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "child": self.child.save(),
-            "skipped": self._skipped,
-            "emitted": self._emitted,
-        }
+        state = self.child.save()
+        state["slice"] = [self._skipped, self._emitted]
+        return state
 
     def restore(self, state: Dict[str, Any]) -> None:
-        self._check_kind(state)
-        self.child.restore(_state_field(state, "child"))
-        self._skipped = int(_state_field(state, "skipped"))
-        self._emitted = int(_state_field(state, "emitted"))
+        self.child.restore(state)
+        counters = _state_ints(state, "slice")
+        if (
+            len(counters) != 2
+            or counters[0] > self.offset
+            or (self.limit is not None and counters[1] > self.limit)
+        ):
+            raise ContinuationError(
+                f"slice counters {counters} outside OFFSET {self.offset} / "
+                f"LIMIT {self.limit}"
+            )
+        self._skipped, self._emitted = counters
 
 
 # -- plan construction ---------------------------------------------------------
@@ -494,6 +508,8 @@ def supports_query(query: alg.Query) -> bool:
     if collected is None:
         return False
     triples, filters = collected
+    if not triples:  # nothing to scan, nothing to preempt
+        return False
     for pattern in triples:
         if isinstance(pattern.p, alg.Path):
             return False
@@ -563,6 +579,60 @@ def _static_join_order(
     return ordered
 
 
+class _Plan(NamedTuple):
+    """Everything about a pipeline that does not change between pages."""
+
+    scans: Tuple[_Scan, ...]
+    filters: Tuple[alg.Expr, ...]
+    names: Tuple[str, ...]
+
+
+def _plan_select(
+    query: alg.SelectQuery, evaluator: Evaluator
+) -> Optional[_Plan]:
+    if not supports_query(query):
+        return None
+    triples, filters = _collect_conjunction(query.where)
+    hints = (
+        evaluator._spatial_hints(filters)
+        if evaluator.use_spatial_index
+        else {}
+    )
+    scans: List[_Scan] = []
+    bound: Set[str] = set()
+    for pattern in _static_join_order(triples, evaluator._count, hints):
+        lookup = []
+        first_at: Dict[str, int] = {}
+        repeats = []
+        for i, term in enumerate((pattern.s, pattern.p, pattern.o)):
+            if not isinstance(term, Variable):
+                lookup.append((term, None))
+            elif str(term) in bound:
+                lookup.append((None, str(term)))
+            else:
+                lookup.append((None, None))
+                if str(term) in first_at:
+                    repeats.append((first_at[str(term)], i))
+                else:
+                    first_at[str(term)] = i
+        # A hint narrows the scan that binds the variable (the evaluator
+        # applies hints only to unbound objects).
+        hint = (
+            hints.get(str(pattern.o)) if lookup[2] == (None, None) else None
+        )
+        scans.append(_Scan(
+            tuple(lookup),
+            tuple((i, name) for name, i in first_at.items()),
+            tuple(repeats),
+            None if hint is None
+            else tuple(sorted(hint, key=lambda t: t.n3())),
+        ))
+        bound.update(first_at)
+    return _Plan(
+        tuple(scans), tuple(filters), tuple(pipeline_variables(query))
+    )
+
+
 def build_select_pipeline(
     query: alg.SelectQuery,
     store,
@@ -575,35 +645,26 @@ def build_select_pipeline(
     stream (callers fall back to the one-shot evaluator).  The returned
     iterator is positioned at the start; use :func:`restore_pipeline` to
     rebuild one mid-query from a saved continuation.
-    """
-    if not supports_query(query):
-        return None
-    evaluator = Evaluator(store, use_spatial_index=use_spatial_index)
-    triples, filters = _collect_conjunction(query.where)
-    hints = (
-        evaluator._spatial_hints(filters) if use_spatial_index else {}
-    )
-    ordered = _static_join_order(triples, evaluator._count, hints)
 
-    pipe: PipelineIterator = SingletonIterator()
-    consumed_hints: Set[str] = set()
-    for pattern in ordered:
-        hint = None
-        if isinstance(pattern.o, Variable):
-            name = str(pattern.o)
-            # Apply each hint at the first scan that binds the variable
-            # (the evaluator applies hints only to unbound objects).
-            if name in hints and name not in consumed_hints:
-                hint = hints[name]
-                consumed_hints.add(name)
-        pipe = ScanJoinIterator(pipe, pattern, store, hint)
-        consumed_hints |= _triple_vars(pattern)
-    for expr in filters:
+    The static plan is served from ``store.plan_cache``: the parsed
+    algebra is immutable and equal exactly when the query text parses
+    equal, hint candidates and cardinality estimates are functions of
+    the store version, so every page of a query after the first reuses
+    one plan.
+    """
+    evaluator = Evaluator(store, use_spatial_index=use_spatial_index)
+    plan = store.plan_cache.get_or_compute(
+        ("pipeline", query, store.version, use_spatial_index),
+        lambda: _plan_select(query, evaluator),
+    )
+    if plan is None:
+        return None
+    pipe: PipelineIterator = JoinIterator(plan.scans, store)
+    for expr in plan.filters:
         pipe = FilterIterator(pipe, expr, evaluator, batch_rows)
-    names = pipeline_variables(query)
-    pipe = ProjectionIterator(pipe, names)
+    pipe = ProjectionIterator(pipe, plan.names)
     if query.distinct:
-        pipe = DistinctIterator(pipe, names)
+        pipe = DistinctIterator(pipe, plan.names)
     if query.limit is not None or query.offset:
         pipe = SliceIterator(pipe, query.limit, query.offset)
     return pipe
@@ -628,6 +689,13 @@ def restore_pipeline(
     if pipe is None:
         raise ContinuationError(
             "continuation refers to a query the pipeline cannot stream"
+        )
+    # A fresh pipeline saves exactly the fields its operators restore.
+    expected = pipe.save().keys()
+    if not isinstance(state, dict) or state.keys() != expected:
+        raise ContinuationError(
+            f"continuation state does not have the fields "
+            f"{sorted(expected)} this query's pipeline saves"
         )
     pipe.restore(state)
     return pipe

@@ -24,6 +24,7 @@ from repro.mdb import Database
 from repro.server import decode_token, encode_token
 from repro.strabon import StrabonStore
 from repro.strabon.stsparql.iterators import (
+    FILTER_BATCH_ROWS,
     build_select_pipeline,
     restore_pipeline,
 )
@@ -238,19 +239,24 @@ def _pipeline_rows(
     store: StrabonStore,
     query: str,
     variables: Sequence[str],
-    suspend_every_row: bool,
+    suspend_batch_rows: Optional[int],
 ) -> List[Tuple[Optional[str], ...]]:
     """Rows via the preemptable iterator pipeline (repro.server path).
 
-    ``suspend_every_row=False`` is the quantum=∞ shape (one slice runs
-    the query dry); ``True`` is the worst-case preemption shape — after
-    *every* solution the pipeline state makes the full round trip through
-    a continuation token (encode → decode → rebuild → restore), exactly
-    what the serving tier does between quanta.  Both must reproduce the
-    one-shot evaluator's solutions with none lost and none duplicated.
+    ``suspend_batch_rows=None`` is the quantum=∞ shape (one slice runs
+    the query dry).  A number is the worst-case preemption shape — after
+    *every* pulled solution the pipeline is suspended exactly as the
+    serving tier does between quanta: drain the rows already computed,
+    save, and carry the state through a continuation token (encode →
+    decode → rebuild → restore) — with FILTERs judging that many rows
+    per batch: 1 makes every solution a true suspension boundary, 2
+    makes each suspension drain a survivor the filter still held.  All
+    must reproduce the one-shot evaluator's solutions with none lost
+    and none duplicated.
     """
     parsed = parse_query(query)
-    pipe = build_select_pipeline(parsed, store)
+    batch_rows = suspend_batch_rows or FILTER_BATCH_ROWS
+    pipe = build_select_pipeline(parsed, store, batch_rows=batch_rows)
     if pipe is None:  # not streamable: the server falls back to one-shot
         return _store_rows(store, query, variables)
     solutions = []
@@ -259,10 +265,13 @@ def _pipeline_rows(
         if sol is None:
             break
         solutions.append(sol)
-        if suspend_every_row:
+        if suspend_batch_rows:
+            solutions.extend(pipe.drain())
             token = encode_token(query, store.version, pipe.save())
             text, _version, state = decode_token(token)
-            pipe = restore_pipeline(parse_query(text), store, state)
+            pipe = restore_pipeline(
+                parse_query(text), store, state, batch_rows=batch_rows
+            )
     rows = [
         tuple(
             sol[v].n3() if sol.get(v) is not None else None
@@ -367,11 +376,15 @@ def _check_stsparql(spec: Dict[str, Any]) -> Optional[str]:
         ),
         (
             "pipeline-one-quantum",
-            lambda: _pipeline_rows(store, query, variables, False),
+            lambda: _pipeline_rows(store, query, variables, None),
         ),
         (
             "pipeline-suspend-every-row",
-            lambda: _pipeline_rows(store, query, variables, True),
+            lambda: _pipeline_rows(store, query, variables, 1),
+        ),
+        (
+            "pipeline-suspend-and-drain",
+            lambda: _pipeline_rows(store, query, variables, 2),
         ),
     ]
     for label, variant in variants:
@@ -395,7 +408,7 @@ def _check_stsparql(spec: Dict[str, Any]) -> Optional[str]:
             ),
             (
                 "pipeline-suspend-every-row",
-                lambda: _pipeline_rows(store, query, variables, True),
+                lambda: _pipeline_rows(store, query, variables, 1),
             ),
         ]:
             got = _outcome(variant)

@@ -8,6 +8,8 @@ directly, including the object-dtype edge cases that decide whether a
 fast lane may engage at all.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -294,9 +296,11 @@ class TestVectorPrimitives:
         ldata[0] = np.float64(1.0)
         rdata = np.empty(1, dtype=object)
         rdata[0] = np.float64(0.0)
-        data, valid = kernels.vec_arith(
-            "/", ldata, rdata, np.ones(1, dtype=bool)
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # inf, and quietly
+            data, valid = kernels.vec_arith(
+                "/", ldata, rdata, np.ones(1, dtype=bool)
+            )
         assert np.isinf(data[0]) and valid[0]
 
     def test_integer_division_by_zero_masked_null(self):

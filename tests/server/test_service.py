@@ -1,17 +1,23 @@
 """QueryServer: paging, preemption, backpressure, resilience wiring."""
 
 import asyncio
+import math
 
 import pytest
 
-from repro import faults, resilience
+from repro import faults, obs, resilience
 from repro.server import (
     AdmissionError,
     ContinuationError,
     QueryServer,
+    continuations,
+    decode_token,
+    encode_token,
 )
 from repro.server.service import QUANTUM_ENV, env_quantum_ms
 from repro.strabon import StrabonStore
+from repro.strabon.stsparql.iterators import FILTER_BATCH_ROWS
+from tests.server.hotspots import LONG_JOIN, make_hotspot_store
 
 PREFIXES = (
     "PREFIX ex: <http://example.org/>\n"
@@ -99,6 +105,124 @@ def test_tiny_quantum_forces_paging_without_loss():
     ]
     assert sorted(rows) == expected
     assert len(rows) == len(set(rows)) == len(expected)
+
+
+async def _pages(server, tenant, text):
+    pages = [await server.submit(tenant, query=text)]
+    while not pages[-1].done:
+        pages.append(await server.submit(tenant, token=pages[-1].token))
+    return pages
+
+
+def _page_rows(pages):
+    return sorted(
+        tuple(
+            sol[v].n3() if sol.get(v) is not None else None
+            for v in pages[0].variables
+        )
+        for page in pages
+        for sol in page.rows
+    )
+
+
+def test_every_page_advances_by_a_filter_batch():
+    """Progress guarantee: with a quantum no page can meet (1 µs, spent
+    before the restore finishes) the join still completes, one filter
+    batch per page — not one row per page, and not never."""
+    store = make_hotspot_store(40)
+    expected = _n3_rows(store.query(LONG_JOIN))
+    assert len(expected) == 1600
+
+    async def main():
+        server = QueryServer(store, quantum_ms=0.001)
+        try:
+            return await _pages(server, "batch", LONG_JOIN)
+        finally:
+            await server.close()
+
+    pages = run(main())
+    assert _page_rows(pages) == expected
+    assert 1 < len(pages) <= math.ceil(1600 / FILTER_BATCH_ROWS) + 2
+    for page in pages[:-1]:
+        assert len(page.token) < 4096
+    # every page but the one holding the join's last, partial batch (and
+    # the empty page that finds the join exhausted) is one full batch
+    assert [len(page.rows) for page in pages[:6]] == [FILTER_BATCH_ROWS] * 6
+
+
+def test_tampered_cursor_fails_closed():
+    store = make_hotspot_store(40)
+
+    async def main():
+        server = QueryServer(store, quantum_ms=0.001)
+        try:
+            page = await server.submit("batch", query=LONG_JOIN)
+            text, version, state = decode_token(page.token)
+            for bad in ([10**6] * 6, state["scan"] + [1], [1.5] * 6, "x"):
+                forged = encode_token(text, version, {"scan": bad})
+                with pytest.raises(ContinuationError):
+                    await server.submit("batch", token=forged)
+            with pytest.raises(ContinuationError):
+                await server.submit("batch", token=page.token[:-8])
+            # the untouched token still resumes
+            assert (await server.submit("batch", token=page.token)).rows
+        finally:
+            await server.close()
+
+    run(main())
+
+
+def test_distinct_state_over_the_token_cap_ends_with_an_error(monkeypatch):
+    """The one state that grows with the result is refused, with the
+    reason, rather than minted into an unbounded token."""
+    store = make_store(200)
+    text = PREFIXES + "SELECT DISTINCT ?n WHERE { ?s ex:name ?n }"
+    monkeypatch.setattr(continuations, "MAX_TOKEN_BYTES", 2048)
+
+    async def main():
+        server = QueryServer(store, quantum_ms=0.0001)
+        try:
+            with pytest.raises(ContinuationError, match="DISTINCT"):
+                await _pages(server, "alice", text)
+            # bounded queries are untouched by the cap
+            pages = await _pages(server, "alice", text + " LIMIT 20")
+            assert len(_page_rows(pages)) == 20
+        finally:
+            await server.close()
+
+    run(main())
+
+
+def test_suspension_metrics_reach_the_metrics_service():
+    from repro.vo.services import MetricsService
+
+    store = make_hotspot_store(40)
+    registry = obs.get_registry()
+    previous = registry.enabled
+    registry.set_enabled(True)
+    registry.reset()
+
+    async def main():
+        server = QueryServer(store, quantum_ms=0.001)
+        try:
+            return await _pages(server, "batch", LONG_JOIN)
+        finally:
+            await server.close()
+
+    try:
+        pages = run(main())
+        snap = MetricsService().snapshot()
+    finally:
+        registry.reset()
+        registry.set_enabled(previous)
+    suspends = len(pages) - 1
+    assert snap["counters"]["server.suspends"] == suspends
+    # every suspended page pulled one row and drained the rest
+    assert snap["counters"]["server.drained_rows"] == 1600 - suspends
+    tokens = snap["histograms"]["server.token.bytes"]
+    assert tokens["count"] == suspends and tokens["max"] < 4096
+    restores = snap["histograms"]["server.restore.seconds"]
+    assert restores["count"] == suspends and restores["sum"] > 0
 
 
 def test_non_streamable_query_falls_back_to_one_shot():
