@@ -4,18 +4,16 @@ Production failure modes (corrupt acquisitions, slow storage, a store
 tier refusing writes) cannot be waited for in CI; they have to be
 *injected*.  This module plants named injection points at every tier
 boundary — Data Vault payload reads (``vault.fetch``), per-file
-ingestion (``ingest.file``), each NOA chain stage (``chain.ingestion``
-... ``chain.shapefile``), worker-pool task execution
-(``scheduler.task``), Strabon writes (``strabon.bulk``,
-``strabon.update``), serving-tier request quanta
-(``server.request``, fired once per time slice by
-:class:`repro.server.QueryServer`) and the durable storage engine's
-write paths (``storage.wal``, ``storage.segment``,
-``storage.snapshot`` — each fired *before* any byte reaches disk, so a
-``hard`` fault there is an exact crash simulation) — and fires them
-according to a spec
-string, so the whole test suite can run under a fixed failure schedule
-and still pass.
+ingestion (``ingest.file``), each chain stage (``chain.ingestion`` ...
+``chain.shapefile``, ``mining.extract`` ... ``mining.annotate``),
+worker-pool task execution (``scheduler.task``), Strabon updates
+(``strabon.update``), serving-tier request quanta (``server.request``,
+fired once per time slice by :class:`repro.server.QueryServer`) and the
+durable storage engine's write paths (``storage.wal``,
+``storage.segment``, ``storage.snapshot`` — each fired *before* any
+byte reaches disk, so a ``hard`` fault there is an exact crash
+simulation) — and fires them according to a spec string, so the whole
+test suite can run under a fixed failure schedule and still pass.
 
 **Spec syntax** (the ``REPRO_FAULTS`` environment variable)::
 
@@ -44,7 +42,7 @@ the guarded call sites absorb — the system is *expected* to survive it.
 A rule marked ``hard`` raises :class:`PermanentFault` instead, which no
 retry whitelist matches: it surfaces as a per-file
 :class:`~repro.ingest.harvest.IngestFailure`, a per-acquisition
-:class:`~repro.noa.chain.ChainFailure`, or a circuit-breaker trip —
+:class:`~repro.stages.ChainFailure`, or a circuit-breaker trip —
 degradation, not crash.
 
 Injection is a no-op (one global ``None`` check) unless ``REPRO_FAULTS``

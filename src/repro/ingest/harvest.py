@@ -29,7 +29,7 @@ from repro.strabon import StrabonStore
 class IngestFailure:
     """One archive file that failed to ingest inside a directory run.
 
-    Mirrors :class:`repro.noa.chain.ChainFailure`: the failure occupies
+    Mirrors :class:`repro.stages.ChainFailure`: the failure occupies
     the file's slot in the report instead of aborting the run, and the
     original exception is preserved for the caller.
     """

@@ -1,24 +1,19 @@
 """The end-to-end mining pipeline: vault → SciQL features → annotations.
 
-Mirrors the NOA :class:`~repro.noa.chain.ProcessingChain` batch shape
-for the knowledge-discovery pillar: each acquisition runs extract →
+The knowledge-discovery pillar on the shared
+:class:`~repro.stages.StageRunner`: each acquisition runs extract →
 classify → annotate as retried, deadline-checked stages with the
-``mining.extract`` / ``mining.classify`` fault-injection sites, and
-:meth:`MiningPipeline.run_batch` pipelines acquisitions over the worker
-pool with every annotation graph merged into one
+``mining.<stage>`` fault-injection sites, and
+:meth:`MiningPipeline.run_batch` merges every annotation graph into one
 :meth:`StrabonStore.bulk` emit.  Failures degrade per acquisition to
-:class:`~repro.noa.chain.ChainFailure` — a faulted scene contributes
+:class:`~repro.stages.ChainFailure` — a faulted scene contributes
 *zero* annotation triples (no orphans), the rest of the batch lands.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import nullcontext
 from datetime import timedelta
 from typing import (
-    Any,
-    Callable,
     ContextManager,
     Dict,
     List,
@@ -27,14 +22,14 @@ from typing import (
     Tuple,
 )
 
-from repro import faults, obs, parallel, resilience
+from repro import parallel, resilience
 from repro.eo.products import Product
 from repro.ingest.features import PatchGrid
 from repro.mining.annotate import DEFAULT_VALIDITY, SemanticAnnotator
 from repro.mining.classify import Classifier
 from repro.mining.features import extract_patch_grid
 from repro.rdf import Graph
-from repro.noa.chain import ChainFailure
+from repro.stages import ChainFailure, Stages, StageRunner
 
 
 class MiningResult:
@@ -64,7 +59,7 @@ class MiningResult:
         )
 
 
-class MiningPipeline:
+class MiningPipeline(StageRunner):
     """Batchable patch-mining over ingested acquisitions.
 
     ``classifier`` is a *fitted* :class:`Classifier` (train one with
@@ -72,6 +67,9 @@ class MiningPipeline:
     ``PatchGrid.truth_labels``, or load persisted state through
     :class:`repro.mining.models.ModelStore`).
     """
+
+    site = "mining"
+    metric = "mining"
 
     def __init__(
         self,
@@ -83,14 +81,12 @@ class MiningPipeline:
         validity: timedelta = DEFAULT_VALIDITY,
         concept_map: Optional[Dict] = None,
     ):
-        self.ingestor = ingestor
+        super().__init__(ingestor, retry=retry, deadline=deadline)
         self.classifier = classifier
         self.patch_size = patch_size
         self.annotator = SemanticAnnotator(
             classifier, concept_map=concept_map, validity=validity
         )
-        self.retry = retry or resilience.DEFAULT_RETRY
-        self.deadline = deadline
 
     # -- execution -----------------------------------------------------------
 
@@ -108,77 +104,10 @@ class MiningPipeline:
 
         Results come back in ``paths`` order; an acquisition that fails
         (hard fault, bad file) occupies its slot as a
-        :class:`ChainFailure` while the rest of the batch completes and
-        reaches the single bulk emit.  Counters ``mining.batch.ok`` /
-        ``mining.batch.failed`` record the split.
+        :class:`ChainFailure` and contributes no annotations (see
+        :meth:`~repro.stages.StageRunner._run_batch`).
         """
-        paths = list(paths)
-        sched = parallel.get_scheduler(scheduler, workers)
-        with obs.span("mining.run_batch", acquisitions=len(paths)):
-            if sched.workers == 1 or len(paths) <= 1:
-                results: List[MiningResult | ChainFailure] = [
-                    self._guarded(path) for path in paths
-                ]
-            else:
-                store = self.ingestor.store
-                lock = self.ingestor.db.lock
-                with store.bulk():
-                    results = sched.map(
-                        lambda path: self._guarded(
-                            path, emit=False, lock=lock
-                        ),
-                        paths,
-                    )
-                    for result in results:
-                        if isinstance(result, MiningResult):
-                            store.load_graph(result.rdf)
-            ok = sum(1 for r in results if isinstance(r, MiningResult))
-            obs.counter("mining.batch.ok").inc(ok)
-            obs.counter("mining.batch.failed").inc(len(results) - ok)
-        return results
-
-    def _guarded(
-        self,
-        path: str,
-        emit: bool = True,
-        lock: Optional[ContextManager] = None,
-    ) -> "MiningResult | ChainFailure":
-        try:
-            return self._execute(path, emit=emit, lock=lock)
-        except Exception as exc:  # noqa: BLE001 — isolated per acquisition
-            obs.counter("mining.errors").inc()
-            return ChainFailure(path, exc)
-
-    def _stage(
-        self,
-        name: str,
-        timings: Dict[str, float],
-        deadline: Optional[resilience.Deadline],
-        fn: Callable[[], Any],
-        guard: Optional[ContextManager] = None,
-        **tags: Any,
-    ) -> Any:
-        """One pipeline stage under the chain's resilience envelope:
-        deadline checked at the boundary, the ``mining.<name>`` fault
-        site fired per attempt, transient failures retried, and the
-        shared-state guard re-acquired per attempt (backoff sleeps never
-        hold the database lock)."""
-        if deadline is not None:
-            deadline.check(f"mining.{name}")
-        t0 = time.perf_counter()
-
-        def attempt() -> Any:
-            with (guard if guard is not None else nullcontext()):
-                faults.maybe_fail(f"mining.{name}")
-                return fn()
-
-        try:
-            with obs.span(f"mining.stage.{name}", **tags):
-                return resilience.call_with_retry(
-                    attempt, self.retry, label=f"mining.{name}"
-                )
-        finally:
-            timings[name] = time.perf_counter() - t0
+        return self._run_batch(paths, workers, scheduler)
 
     def _execute(
         self,
@@ -186,13 +115,7 @@ class MiningPipeline:
         emit: bool = True,
         lock: Optional[ContextManager] = None,
     ) -> MiningResult:
-        guard: ContextManager = lock if lock is not None else nullcontext()
-        timings: Dict[str, float] = {}
-        deadline = (
-            resilience.Deadline(self.deadline)
-            if self.deadline is not None
-            else resilience.active_deadline()
-        )
+        stage = Stages(self, lock)
 
         # (a) extraction — ingest + patch-grid features through SciQL.
         def extract() -> Tuple[Product, PatchGrid]:
@@ -205,15 +128,13 @@ class MiningPipeline:
             )
             return product, grid
 
-        product, grid = self._stage(
-            "extract", timings, deadline, extract, guard, path=path
-        )
+        product, grid = stage("extract", extract, locked=True, path=path)
         result = MiningResult(product, grid)
 
         # (b) classification — concepts from the fitted model.  Runs
         # unlocked: predict touches only this acquisition's features.
-        result.labels = self._stage(
-            "classify", timings, deadline,
+        result.labels = stage(
+            "classify",
             lambda: self.classifier.predict(grid.feature_matrix()),
             path=path,
         )
@@ -225,8 +146,6 @@ class MiningPipeline:
                 self.ingestor.store.load_graph(rdf)
             return rdf
 
-        result.rdf = self._stage(
-            "annotate", timings, deadline, annotate, guard, path=path
-        )
-        result.timings = timings
+        result.rdf = stage("annotate", annotate, locked=True, path=path)
+        result.timings = stage.timings
         return result

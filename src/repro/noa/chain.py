@@ -14,11 +14,9 @@ shapefile, plus stRDF metadata for the catalog.
 
 from __future__ import annotations
 
+import itertools
 import os
-import time
-from contextlib import nullcontext
 from typing import (
-    Any,
     Callable,
     ContextManager,
     Dict,
@@ -30,8 +28,7 @@ from typing import (
 
 import numpy as np
 
-from repro import faults, obs, parallel, resilience
-
+from repro import parallel, resilience
 from repro.eo.products import ProcessingLevel, Product
 from repro.geometry import Polygon
 from repro.geometry.gridpoly import cells_to_geometry
@@ -45,12 +42,15 @@ from repro.noa.classification import CLASSIFIERS
 from repro.noa.shapefile import Feature, write_shapefile
 from repro.rdf import Graph, Literal, URIRef
 from repro.rdf.namespace import NOA, RDF, XSD
+from repro.stages import ChainFailure, Stages, StageRunner
 from repro.strabon.strdf import geometry_literal
 
 _TYPE = URIRef(str(RDF) + "type")
 
-#: SRID block reserved for per-product sensor grids.
-_GRID_SRID_BASE = 910000
+#: SRIDs of per-product sensor grids, numbered process-wide: the SRS
+#: registry they land in is process-wide too, so a per-chain counter
+#: would let a second chain re-register an earlier product's SRID.
+_GRID_SRIDS = itertools.count(910001)
 
 
 class Hotspot:
@@ -123,33 +123,6 @@ class GeoGrid:
         )
 
 
-class ChainFailure:
-    """One acquisition that failed inside a batch.
-
-    :meth:`ProcessingChain.run_batch` isolates per-acquisition errors:
-    a failure is returned in the acquisition's result slot instead of
-    aborting the whole batch (and with it every other acquisition's RDF
-    emit).  The original exception is preserved for the caller to
-    re-raise or log.
-    """
-
-    __slots__ = ("path", "error")
-
-    def __init__(self, path: str, error: BaseException):
-        self.path = path
-        self.error = error
-
-    @property
-    def ok(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return (
-            f"<ChainFailure {os.path.basename(self.path)!r} "
-            f"{type(self.error).__name__}: {self.error}>"
-        )
-
-
 class ChainResult:
     """Everything a chain run produced, with per-stage timings."""
 
@@ -185,17 +158,19 @@ class ChainResult:
         )
 
 
-class ProcessingChain:
+class ProcessingChain(StageRunner):
     """The five-module NOA chain over the TELEIOS database tier.
 
-    The class doubles as the *generic* application-chain machinery:
-    stages with retry/deadline/fault envelopes, batch pipelining with a
-    single merged RDF emit, and detection vectorisation.  A second
-    NOA-style application (see :class:`repro.noa.burnscar.BurnScarChain`)
+    Stage envelopes and the batch loop come from
+    :class:`~repro.stages.StageRunner`; this class supplies the five
+    stage bodies and detection vectorisation.  A second NOA-style
+    application (see :class:`repro.noa.burnscar.BurnScarChain`)
     subclasses it and overrides only the hooks below — the classifier
     registry, the detection identity, and the confidence model.
     """
 
+    site = "chain"
+    metric = "noa"
     #: Classifier-submodule registry this chain validates against.
     registry: Dict[str, Callable] = CLASSIFIERS
     #: URI segment of emitted detections (``noa:<kind>/<product>/<i>``).
@@ -219,16 +194,10 @@ class ProcessingChain:
                 f"unknown classifier {classifier!r}; "
                 f"have {sorted(self.registry)}"
             )
-        self.ingestor = ingestor
+        super().__init__(ingestor, retry=retry, deadline=deadline)
         self.classifier = classifier
         self.crop_window = crop_window
         self.min_pixels = min_pixels
-        # Resilience: every stage is retried under `retry` on transient
-        # failures (stages are idempotent — see _stage), and `deadline`
-        # (seconds per acquisition) is checked at each stage boundary.
-        self.retry = retry or resilience.DEFAULT_RETRY
-        self.deadline = deadline
-        self._grid_srid_counter = 0
 
     # -- the chain ------------------------------------------------------------
 
@@ -244,112 +213,20 @@ class ProcessingChain:
         output_dir: Optional[str] = None,
         workers: Optional[int] = None,
         scheduler: Optional["parallel.TaskScheduler"] = None,
-    ) -> List[ChainResult]:
+    ) -> List["ChainResult | ChainFailure"]:
         """Execute the chain over a whole acquisition series.
 
-        This is the every-5-minutes batch shape of the NOA service: each
-        acquisition's crop→georeference→classify→vectorize pipeline runs
-        as one task on the shared worker pool, stages touching shared
-        state (vault, catalog, SRS registry, product table) serialise on
-        the database lock, and all stRDF output — product metadata and
-        hotspots alike — is emitted through a single
-        :meth:`StrabonStore.bulk` context, so backend rows batch into
-        one insert and the spatial index is STR-rebuilt once instead of
-        once per acquisition.  With one worker (the ``REPRO_WORKERS``
-        default) this is exactly ``[self.run(p) for p in paths]``.
-
-        Results are returned in ``paths`` order and are identical to
-        sequential :meth:`run` calls (hotspots, confidences, RDF).
-
-        Failures are *isolated*: an acquisition whose chain raises gets
-        a :class:`ChainFailure` in its result slot — the batch is not
-        aborted, the remaining acquisitions' RDF still reaches the bulk
-        emit, and the ``noa.batch.ok`` / ``noa.batch.failed`` counters
-        record the split.  (Single :meth:`run` calls still raise.)
-
-        Safe to call concurrently, including against the *shared*
-        scheduler from threads that are themselves pool workers: the
-        scheduler's producer-helps draining means a full task queue is
-        worked off rather than blocked on (no cross-pool circular wait),
-        and the store's bulk flush is serialised by its own lock, so
-        overlapping batch windows cannot double-emit buffered rows.
+        The every-5-minutes batch shape of the NOA service: one task per
+        acquisition on the shared worker pool and one merged stRDF bulk
+        emit (see :meth:`~repro.stages.StageRunner._run_batch`).
+        Results are in ``paths`` order and identical to sequential
+        :meth:`run` calls (hotspots, confidences, RDF), except that a
+        failing acquisition gets a :class:`ChainFailure` in its slot
+        instead of raising.
         """
-        paths = list(paths)
-        sched = parallel.get_scheduler(scheduler, workers)
-        with obs.span("noa.run_batch", acquisitions=len(paths)):
-            if sched.workers == 1 or len(paths) <= 1:
-                results: List[ChainResult | ChainFailure] = [
-                    self._guarded(path, output_dir) for path in paths
-                ]
-            else:
-                store = self.ingestor.store
-                lock = self.ingestor.db.lock
-                with store.bulk():
-                    results = sched.map(
-                        lambda path: self._guarded(
-                            path, output_dir, emit=False, lock=lock
-                        ),
-                        paths,
-                    )
-                    for result in results:
-                        if isinstance(result, ChainResult):
-                            store.load_graph(result.rdf)
-            ok = sum(1 for r in results if isinstance(r, ChainResult))
-            obs.counter("noa.batch.ok").inc(ok)
-            obs.counter("noa.batch.failed").inc(len(results) - ok)
-        return results
-
-    def _guarded(
-        self,
-        path: str,
-        output_dir: Optional[str] = None,
-        emit: bool = True,
-        lock: Optional[ContextManager] = None,
-    ) -> "ChainResult | ChainFailure":
-        """One batch slot: the chain result, or the captured failure."""
-        try:
-            return self._execute(path, output_dir, emit=emit, lock=lock)
-        except Exception as exc:  # noqa: BLE001 — isolated per acquisition
-            obs.counter("noa.chain.errors").inc()
-            return ChainFailure(path, exc)
-
-    def _stage(
-        self,
-        name: str,
-        timings: Dict[str, float],
-        deadline: Optional[resilience.Deadline],
-        fn: Callable[[], Any],
-        guard: Optional[ContextManager] = None,
-        **tags: Any,
-    ) -> Any:
-        """Run one chain module with the full resilience envelope.
-
-        The deadline is checked at the stage *boundary* (soft timeout:
-        a stage in flight is never interrupted), the ``chain.<name>``
-        fault-injection point fires per attempt, and transient failures
-        are retried under the chain's policy.  Each attempt re-acquires
-        ``guard`` so a backoff sleep never holds the database lock.
-        Stage bodies are idempotent — ingestion upserts, cropping
-        re-registers the crop array, SciQL attribute writes are
-        write-then-swap — so a retried stage recomputes instead of
-        corrupting.
-        """
-        if deadline is not None:
-            deadline.check(f"chain.{name}")
-        t0 = time.perf_counter()
-
-        def attempt() -> Any:
-            with (guard if guard is not None else nullcontext()):
-                faults.maybe_fail(f"chain.{name}")
-                return fn()
-
-        try:
-            with obs.span(f"noa.stage.{name}", **tags):
-                return resilience.call_with_retry(
-                    attempt, self.retry, label=f"chain.{name}"
-                )
-        finally:
-            timings[name] = time.perf_counter() - t0
+        return self._run_batch(
+            paths, workers, scheduler, output_dir=output_dir
+        )
 
     def _execute(
         self,
@@ -360,50 +237,45 @@ class ProcessingChain:
     ) -> ChainResult:
         """One chain execution.  ``lock`` (batch mode) guards the stages
         that mutate shared tiers; ``emit=False`` defers the stRDF load so
-        the batch caller can merge every result into one bulk emit."""
-        guard: ContextManager = lock if lock is not None else nullcontext()
-        timings: Dict[str, float] = {}
-        deadline = (
-            resilience.Deadline(self.deadline)
-            if self.deadline is not None
-            else resilience.active_deadline()
-        )
+        the batch caller can merge every result into one bulk emit.
+        Stage bodies are idempotent — ingestion upserts, cropping
+        re-registers the crop array, SciQL attribute writes are
+        write-then-swap — so a retried stage recomputes."""
+        stage = Stages(self, lock)
 
         # (a) ingestion — vault cataloging + array materialisation.
         def ingest() -> Tuple[Product, SciArray]:
             product = self.ingestor.ingest_file(path, lazy=True)
             return product, self.ingestor.materialize_array(product)
 
-        product, array = self._stage(
-            "ingestion", timings, deadline, ingest, guard, path=path
-        )
+        product, array = stage("ingestion", ingest, locked=True, path=path)
         result = ChainResult(product, self.classifier)
 
         header_window = self._product_window(product)
         full_shape = array.shape
 
         # (b) cropping — SciQL array slicing on the area of interest.
-        array, row_range, col_range = self._stage(
-            "cropping", timings, deadline,
+        array, row_range, col_range = stage(
+            "cropping",
             lambda: self._crop(array, header_window, full_shape),
-            guard, path=path,
+            locked=True, path=path,
         )
 
         # (c) georeference — register the sensor grid CRS.
-        grid = self._stage(
-            "georeference", timings, deadline,
+        grid = stage(
+            "georeference",
             lambda: self._georeference(
                 product, header_window, full_shape, row_range, col_range
             ),
-            guard, path=path,
+            locked=True, path=path,
         )
         result.grid = grid
 
         # (d) classification — the selected submodule fills 'hotspot'.
         # Runs unlocked: submodules own their acquisition's array, and
         # SciQL UPDATEs serialise inside Database.execute.
-        mask = self._stage(
-            "classification", timings, deadline,
+        mask = stage(
+            "classification",
             lambda: self.registry[self.classifier](array, self.ingestor.db),
             path=path, classifier=self.classifier,
         )
@@ -430,9 +302,9 @@ class ProcessingChain:
             if emit:
                 self.ingestor.store.load_graph(result.rdf)
 
-        self._stage("shapefile", timings, deadline, shapefile, path=path)
+        stage("shapefile", shapefile, path=path)
 
-        result.timings = timings
+        result.timings = stage.timings
         return result
 
     # -- modules ------------------------------------------------------------------
@@ -483,8 +355,7 @@ class ProcessingChain:
     ) -> GeoGrid:
         lon0, lat0, lon1, lat1 = window
         h, w = full_shape
-        self._grid_srid_counter += 1
-        srid = _GRID_SRID_BASE + self._grid_srid_counter
+        srid = next(_GRID_SRIDS)
         register_affine_grid(
             srid,
             f"grid-{product.product_id}",

@@ -17,9 +17,8 @@ first-class, *policy-driven* outcome instead:
   work between two checks is the latency floor.  An ambient per-thread
   deadline can be installed with :func:`deadline_scope`.
 * :class:`CircuitBreaker` — the classic closed → open → half-open state
-  machine guarding the StrabonStore bulk emit path and Data Vault
-  payload reads.  After ``failure_threshold`` consecutive recorded
-  failures the circuit opens and callers fail fast with
+  machine guarding Data Vault payload reads.  After
+  ``failure_threshold`` consecutive recorded failures the circuit opens and callers fail fast with
   :class:`CircuitOpenError` (no queue of doomed work piles up on a sick
   backend); after ``recovery_time`` a limited number of half-open probe
   calls test the backend, and one success closes the circuit again.

@@ -1,0 +1,175 @@
+"""The stage runner every application chain shares.
+
+The paper's chains (NOA fire monitoring, burn-scar mapping, image
+mining) all have one shape: an acquisition flows through a list of
+stages and ends as stRDF in Strabon.  :class:`StageRunner` is that
+shape once; a chain supplies only its stage bodies (``_execute``), a
+fault-site prefix (:attr:`StageRunner.site`) and a metric prefix
+(:attr:`StageRunner.metric`).  The runner supplies the rest:
+
+* :class:`Stages` — the per-stage resilience envelope: deadline check
+  at the boundary, the ``<site>.<stage>`` fault point per attempt,
+  retry with the guard re-acquired per attempt, the
+  ``<metric>.stage.<stage>`` span and the stage timing;
+* :meth:`StageRunner._run_batch` — the batch loop: acquisitions mapped
+  over the worker pool inside one :meth:`StrabonStore.bulk`, each
+  failure isolated as a :class:`ChainFailure`, the survivors' RDF
+  loaded in path order, and ``<metric>.batch.ok``/``.failed`` counted.
+"""
+
+from __future__ import annotations
+
+import os
+import time
+from contextlib import nullcontext
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence
+
+from repro import faults, obs, parallel, resilience
+
+
+class ChainFailure:
+    """One acquisition that failed inside a batch.
+
+    :meth:`StageRunner._run_batch` isolates per-acquisition errors: a
+    failure is returned in the acquisition's result slot instead of
+    aborting the whole batch (and with it every other acquisition's RDF
+    emit).  The original exception is preserved for the caller to
+    re-raise or log.
+    """
+
+    __slots__ = ("path", "error")
+
+    def __init__(self, path: str, error: BaseException):
+        self.path = path
+        self.error = error
+
+    @property
+    def ok(self) -> bool:
+        return False
+
+    def __repr__(self) -> str:
+        return (
+            f"<ChainFailure {os.path.basename(self.path)!r} "
+            f"{type(self.error).__name__}: {self.error}>"
+        )
+
+
+class Stages:
+    """One acquisition's pass through a runner: its deadline, its shared
+    state lock and its per-stage timings."""
+
+    def __init__(self, runner: "StageRunner", lock: Optional[ContextManager]):
+        self.runner = runner
+        self.lock = lock
+        self.timings: Dict[str, float] = {}
+        self.deadline = (
+            resilience.Deadline(runner.deadline)
+            if runner.deadline is not None
+            else resilience.active_deadline()
+        )
+
+    def __call__(
+        self,
+        name: str,
+        fn: Callable[[], Any],
+        locked: bool = False,
+        **tags: Any,
+    ) -> Any:
+        """Run one stage with the full resilience envelope.
+
+        The deadline is checked at the stage *boundary* (soft timeout:
+        a stage in flight is never interrupted), the ``<site>.<name>``
+        fault-injection point fires per attempt, and transient failures
+        are retried under the runner's policy.  A ``locked`` stage
+        touches shared tiers and re-acquires the lock per attempt, so a
+        backoff sleep never holds it.  Stage bodies are idempotent, so a
+        retried stage recomputes instead of corrupting.
+        """
+        site = f"{self.runner.site}.{name}"
+        if self.deadline is not None:
+            self.deadline.check(site)
+        guard = self.lock if locked and self.lock else nullcontext()
+        t0 = time.perf_counter()
+
+        def attempt() -> Any:
+            with guard:
+                faults.maybe_fail(site)
+                return fn()
+
+        try:
+            with obs.span(f"{self.runner.metric}.stage.{name}", **tags):
+                return resilience.call_with_retry(
+                    attempt, self.runner.retry, label=site
+                )
+        finally:
+            self.timings[name] = time.perf_counter() - t0
+
+
+class StageRunner:
+    """Resilience envelope and batch loop shared by every chain.
+
+    Subclasses implement ``_execute(path, ..., emit=True, lock=None)``:
+    build a :class:`Stages` from ``lock``, run each stage body through
+    it, load the result's ``rdf`` into the store only when ``emit``, and
+    return a result whose ``ok`` is true.
+    """
+
+    #: Fault-site prefix: stage ``x`` fires ``<site>.x``.
+    site: str
+    #: Metric prefix of the ``<metric>.stage.*`` spans and the
+    #: ``<metric>.batch.*`` counters.
+    metric: str
+
+    def __init__(
+        self,
+        ingestor,
+        retry: Optional[resilience.RetryPolicy] = None,
+        deadline: Optional[float] = None,
+    ):
+        self.ingestor = ingestor
+        # Every stage is retried under `retry` on transient failures, and
+        # `deadline` (seconds per acquisition) is checked at each stage
+        # boundary.
+        self.retry = retry or resilience.DEFAULT_RETRY
+        self.deadline = deadline
+
+    def _run_batch(
+        self,
+        paths: Sequence[str],
+        workers: Optional[int],
+        scheduler: Optional[parallel.TaskScheduler],
+        **options: Any,
+    ) -> List[Any]:
+        """Run ``_execute`` over every path with one merged RDF emit.
+
+        Every acquisition runs as one task on the shared worker pool
+        (serially on the calling thread at one worker); its locked
+        stages serialise on the database lock.  All stRDF output goes
+        through one :meth:`StrabonStore.bulk` context, so the spatial
+        index is STR-rebuilt once per batch at any worker count.
+        Results come back in ``paths`` order; a failing acquisition
+        occupies its slot as a :class:`ChainFailure` and contributes no
+        RDF.
+        """
+        paths = list(paths)
+        sched = parallel.get_scheduler(scheduler, workers)
+        store = self.ingestor.store
+        lock = self.ingestor.db.lock
+
+        def guarded(path: str) -> Any:
+            try:
+                return self._execute(path, emit=False, lock=lock, **options)
+            except Exception as exc:  # noqa: BLE001 — isolated per acquisition
+                obs.counter(f"{self.metric}.errors").inc()
+                return ChainFailure(path, exc)
+
+        with obs.span(f"{self.metric}.run_batch", acquisitions=len(paths)):
+            with store.bulk():
+                results = sched.map(guarded, paths)
+                for result in results:
+                    if result.ok:
+                        store.load_graph(result.rdf)
+            ok = sum(1 for r in results if r.ok)
+            obs.counter(f"{self.metric}.batch.ok").inc(ok)
+            obs.counter(f"{self.metric}.batch.failed").inc(len(results) - ok)
+        return results

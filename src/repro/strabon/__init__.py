@@ -3,10 +3,11 @@
 The reproduction of the system at http://www.strabon.di.uoa.gr — an RDF
 store for *stRDF* (RDF extended with geospatial geometries and valid time)
 queried with *stSPARQL* (SPARQL 1.1 extended with spatial filter functions,
-spatial aggregates and updates).  As in the paper, the store keeps its
-triples in a MonetDB-style relational backend (:mod:`repro.mdb`) with
-dictionary-encoded terms, and accelerates spatial selections with an
-R-tree over geometry literals.
+spatial aggregates and updates).  The store keeps its triples in
+in-memory permutation indexes and accelerates spatial selections with an
+R-tree over geometry literals; storing them in MonetDB-style
+dictionary-encoded id columns, as the paper's Strabon does, is ROADMAP
+item 2(b).
 
 Quick example::
 

@@ -1,10 +1,10 @@
-"""The Strabon store: stRDF storage with a relational (mdb) backend.
+"""The Strabon store: stRDF triples plus a spatial index.
 
-Faithful to the system description in the paper (§3): Strabon stores RDF
-in MonetDB — here, dictionary-encoded terms and an (s, p, o) id table live
-in :mod:`repro.mdb` BATs — while query evaluation runs over in-memory
-permutation indexes (:class:`repro.rdf.Graph`) and an R-tree over the
-envelopes of geometry literals accelerates spatial selections.
+Triples live once, in in-memory permutation indexes
+(:class:`repro.rdf.Graph`), and an R-tree over the envelopes of geometry
+literals accelerates spatial selections.  The paper's Strabon keeps its
+triples in MonetDB; dictionary-encoded id columns as the store itself
+are ROADMAP item 2(b).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 from repro import faults, obs, resilience
 from repro.cache import LRUCache
 from repro.geometry import Envelope, RTree
-from repro.mdb import Database
 from repro.rdf.graph import Graph, Triple
 from repro.rdf.term import Literal, RDFTerm
 from repro.rdf.turtle import parse_turtle, serialize_turtle
@@ -49,16 +48,6 @@ class StrabonStore:
         # tokens (repro.server) embed it so a suspended query can never
         # resume its scan cursors against a store that changed under it.
         self.version = 0
-        # Relational backend (the MonetDB role).
-        self.backend = Database()
-        self.backend.execute(
-            "CREATE TABLE terms (id INT, n3 STRING)"
-        )
-        self.backend.execute(
-            "CREATE TABLE triples (s INT, p INT, o INT)"
-        )
-        self._term_ids: Dict[RDFTerm, int] = {}
-        self._next_id = 0
         # Spatial index over geometry literals.
         self._rtree = RTree(max_entries=16)
         self._geo_envelopes: Dict[RDFTerm, Envelope] = {}
@@ -68,40 +57,16 @@ class StrabonStore:
         # geometry + envelope), both shared across queries.
         self.plan_cache = LRUCache(maxsize=256, name="strabon.plan_cache")
         self.geometries = strdf.GeometryInterner()
-        # Bulk-load state: when > 0, backend rows are buffered and the
-        # R-tree is rebuilt once (STR bulk load) at the end.  The lock
-        # serialises depth changes and flushes: processing chains run
-        # scheduler workers inside a bulk context, and two threads
-        # leaving/retrying a flush concurrently would otherwise emit the
-        # same buffered rows twice.
+        # Bulk-load state: when > 0, R-tree inserts are deferred to one
+        # STR rebuild at the end.  The lock serialises depth changes and
+        # the rebuild: processing chains run scheduler workers inside a
+        # bulk context.
         self._bulk_depth = 0
         self._bulk_lock = threading.RLock()
-        self._bulk_term_rows: List[Tuple[int, str]] = []
-        self._bulk_triple_rows: List[Tuple[int, int, int]] = []
-        # Resilience layer: bulk emits to the backend are retried on
-        # transient failures and guarded by a circuit breaker, so a
-        # persistently failing backend fails fast instead of stalling
-        # every batch behind it.  Buffered rows survive a failed flush
-        # (see flush_pending), so no RDF is lost to an open circuit.
+        # Updates retry a transiently refused write (``strabon.update``).
         self.retry_policy = resilience.DEFAULT_RETRY
-        self.breaker = resilience.CircuitBreaker(
-            "strabon.bulk",
-            record_on=(resilience.TransientError, faults.InjectedFault),
-        )
 
     # -- storage ------------------------------------------------------------
-
-    def _term_id(self, term: RDFTerm) -> int:
-        if term in self._term_ids:
-            return self._term_ids[term]
-        term_id = self._next_id
-        self._next_id += 1
-        self._term_ids[term] = term_id
-        if self._bulk_depth:
-            self._bulk_term_rows.append((term_id, term.n3()))
-        else:
-            self.backend.insert_rows("terms", [(term_id, term.n3())])
-        return term_id
 
     def set_version_floor(self, floor: int) -> None:
         """Raise :attr:`version` to at least ``floor``.
@@ -120,22 +85,16 @@ class StrabonStore:
         if not self._graph.add(triple):
             return False
         self.version += 1
-        s, p, o = triple
-        row = (self._term_id(s), self._term_id(p), self._term_id(o))
-        if self._bulk_depth:
-            self._bulk_triple_rows.append(row)
-        else:
-            self.backend.insert_rows("triples", [row])
+        o = triple[2]
         if strdf.is_geometry_literal(o):
             self._index_geometry(o)
         return True
 
     @contextmanager
     def bulk(self) -> Iterator["StrabonStore"]:
-        """Batch ingestion context: backend rows are buffered into single
-        bulk inserts and the R-tree is rebuilt once with STR packing
-        instead of per-triple incremental inserts.  Nestable; the flush
-        happens when the outermost context exits."""
+        """Batch ingestion context: the R-tree is rebuilt once with STR
+        packing instead of per-triple incremental inserts.  Nestable; the
+        flush happens when the outermost context exits."""
         with self._bulk_lock:
             self._bulk_depth += 1
         try:
@@ -147,50 +106,6 @@ class StrabonStore:
                     self._flush_bulk()
 
     def _flush_bulk(self) -> None:
-        """Emit buffered rows to the backend (retried, breaker-guarded).
-
-        The ``strabon.bulk`` injection point fires per attempt, *before*
-        any row is written, so a retried flush never double-inserts.  On
-        permanent failure the buffered rows are kept (the in-memory
-        graph already holds the triples) and the error propagates; a
-        later :meth:`flush_pending` — or the next bulk context — drains
-        them once the backend recovers.  The R-tree is only rebuilt
-        after a successful emit.
-        """
-
-        def emit() -> None:
-            faults.maybe_fail("strabon.bulk")
-            if self._bulk_term_rows:
-                self.backend.insert_rows("terms", self._bulk_term_rows)
-                self._bulk_term_rows = []
-            if self._bulk_triple_rows:
-                self.backend.insert_rows("triples", self._bulk_triple_rows)
-                self._bulk_triple_rows = []
-
-        with self._bulk_lock:
-            self.breaker.call(
-                lambda: resilience.call_with_retry(
-                    emit, self.retry_policy, label="strabon.bulk"
-                )
-            )
-            self._rebuild_rtree()
-
-    def flush_pending(self) -> bool:
-        """Retry a previously failed bulk emit.
-
-        Returns True when rows were flushed, False when nothing was
-        pending.  Raises like :meth:`bulk` if the backend still fails
-        (or the circuit is still open).
-        """
-        with self._bulk_lock:
-            if not (self._bulk_term_rows or self._bulk_triple_rows):
-                return False
-            if self._bulk_depth:
-                return False  # an enclosing bulk context will flush
-            self._flush_bulk()
-            return True
-
-    def _rebuild_rtree(self) -> None:
         """Rebuild the spatial index from scratch with STR bulk loading."""
         self._rtree = RTree.bulk_load(
             ((env, lit) for lit, env in self._geo_envelopes.items()),
@@ -202,25 +117,9 @@ class StrabonStore:
         victims = list(self._graph.triples(pattern))
         if victims:
             self.version += 1
-        for s, p, o in victims:
-            self._graph.remove((s, p, o))
-            sid = self._term_ids.get(s)
-            pid = self._term_ids.get(p)
-            oid = self._term_ids.get(o)
-            if None not in (sid, pid, oid):
-                if self._bulk_triple_rows:
-                    # The triple may still be buffered (a bulk emit that
-                    # failed, or an enclosing bulk context): drop it from
-                    # the buffer too, or a later flush would resurrect it
-                    # in the backend after this removal.
-                    row = (sid, pid, oid)
-                    self._bulk_triple_rows = [
-                        r for r in self._bulk_triple_rows if r != row
-                    ]
-                self.backend.execute(
-                    f"DELETE FROM triples WHERE s = {sid} AND p = {pid} "
-                    f"AND o = {oid}"
-                )
+        for triple in victims:
+            self._graph.remove(triple)
+            o = triple[2]
             if strdf.is_geometry_literal(o):
                 self._unindex_geometry(o)
         return len(victims)
@@ -301,8 +200,8 @@ class StrabonStore:
     def load_graph(self, graph: Graph) -> int:
         """Bulk-add every triple of ``graph``; returns count added.
 
-        Runs inside :meth:`bulk`: backend rows are inserted in one batch
-        and the R-tree is rebuilt once with STR packing.
+        Runs inside :meth:`bulk`: the R-tree is rebuilt once with STR
+        packing.
         """
         with self.bulk():
             return sum(1 for t in graph if self.add(t))
@@ -316,10 +215,6 @@ class StrabonStore:
         """
         self._graph.clear()
         self.version += 1
-        self.backend.execute("DELETE FROM terms")
-        self.backend.execute("DELETE FROM triples")
-        self._term_ids.clear()
-        self._next_id = 0
         self._rtree = RTree(max_entries=16)
         self._geo_envelopes.clear()
         self._geo_refcount.clear()

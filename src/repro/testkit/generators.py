@@ -473,7 +473,7 @@ def gen_chain_spec(seed: int) -> Dict[str, Any]:
         for _ in range(rng.randint(1, 3))
     ]
     sites = rng.sample(
-        ["chain.*", "scheduler.task", "strabon.bulk", "ingest.file"],
+        ["chain.*", "scheduler.task", "ingest.file"],
         rng.randint(1, 2),
     )
     p = rng.choice([0.02, 0.05, 0.1])

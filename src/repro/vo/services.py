@@ -229,7 +229,7 @@ class ResilienceService:
     @property
     def breakers(self) -> List:
         """Every circuit breaker guarding the observatory's tiers."""
-        return [self.ingestor.vault.breaker, self.ingestor.store.breaker]
+        return [self.ingestor.vault.breaker]
 
     def snapshot(self) -> Dict[str, Any]:
         """Breaker states plus the active fault plan (None when off)."""
@@ -246,10 +246,6 @@ class ResilienceService:
                 moved += 1
             breaker.reset()
         return moved
-
-    def flush_pending(self) -> bool:
-        """Retry a bulk-emit flush that a tripped breaker left buffered."""
-        return self.ingestor.store.flush_pending()
 
 
 class QueryService:

@@ -123,8 +123,10 @@ class TestBatchEquality:
         clf = trained_classifier(scene_paths(tmp_path, count=1))
         assert fresh_pipeline(clf).run_batch([], workers=4) == []
 
-    def test_single_merged_bulk_emit(self, tmp_path, monkeypatch):
-        """A parallel batch reaches the backend in exactly one flush."""
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_single_merged_bulk_emit(self, tmp_path, monkeypatch, workers):
+        """A batch reaches the store in exactly one flush at any worker
+        count."""
         paths = scene_paths(tmp_path)
         clf = trained_classifier(paths)
         pipe = fresh_pipeline(clf)
@@ -136,7 +138,7 @@ class TestBatchEquality:
             "_flush_bulk",
             lambda: (flushes.append(1), orig())[1],
         )
-        results = pipe.run_batch(paths, workers=4)
+        results = pipe.run_batch(paths, workers=workers)
         assert all(isinstance(r, MiningResult) for r in results)
         assert len(flushes) == 1
 

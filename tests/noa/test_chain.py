@@ -206,6 +206,24 @@ class TestChain:
             total, rel=1e-6
         )
 
+    def test_grid_srids_unique_across_chains(self, tmp_path):
+        """The SRS registry is process-wide, so a second chain must not
+        re-register an earlier product's grid SRID with its own grid."""
+        from repro.geometry.srs import transform_coord
+
+        windows = [(20.0, 34.0, 28.0, 42.0), (21.0, 36.0, 25.0, 40.0)]
+        results = []
+        for k, window in enumerate(windows):
+            path = scene_file(
+                tmp_path, make_scene(window=window), f"scene_{k:03d}.nat"
+            )
+            chain = ProcessingChain(Ingestor(Database(), StrabonStore()))
+            results.append(chain.run(path))
+        for result in results:
+            lon0, _, _, lat1 = result.grid.window
+            corner = transform_coord(0, 0, result.grid.srid, 4326)
+            assert corner == pytest.approx((lon0, lat1))
+
 
 class TestConnectedComponents:
     def test_component_split(self):

@@ -108,7 +108,10 @@ class TestMixedBatches:
             clean.store.triples()
         )
 
-    def test_one_bulk_emit_per_chain_batch(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_one_bulk_emit_per_chain_batch(
+        self, tmp_path, monkeypatch, workers
+    ):
         paths = scene_paths(tmp_path)
         ingestor = shared_ingestor()
         store = ingestor.store
@@ -119,7 +122,7 @@ class TestMixedBatches:
             "_flush_bulk",
             lambda: (flushes.append(1), orig())[1],
         )
-        ProcessingChain(ingestor).run_batch(paths, workers=4)
+        ProcessingChain(ingestor).run_batch(paths, workers=workers)
         assert len(flushes) == 1
-        BurnScarChain(ingestor).run_batch(paths, workers=4)
+        BurnScarChain(ingestor).run_batch(paths, workers=workers)
         assert len(flushes) == 2

@@ -2,7 +2,7 @@
 incremental path, and clear() must fully reset the store."""
 
 
-from repro.geometry import Point
+from repro.geometry import Envelope, Point
 from repro.rdf import Literal, Namespace, URIRef
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF
@@ -88,14 +88,18 @@ class TestBulkLoad:
             store.add((EX.b, EX.geom, geometry_literal(Point(31, 31))))
         assert store._bulk_depth == 0
         assert len(store._rtree) == 2
-        assert store.backend.scalar("SELECT COUNT(*) FROM triples") == 2
+        assert len(store) == 2
 
     def test_backend_rows_match_after_bulk(self):
         graph = catalog_graph(30)
         bulk = StrabonStore()
         bulk.load_graph(graph)
-        n = bulk.backend.scalar("SELECT COUNT(*) FROM triples")
-        assert n == len(graph) == len(bulk)
+        assert set(bulk.triples()) == set(graph)
+        assert len(graph) == len(bulk)
+        # Every geometry literal is an R-tree candidate after the flush.
+        geoms = {o for _, p, o in graph if p == EX.geom}
+        probe = Envelope(-1, -1, 101, 101)
+        assert bulk.spatial_candidates(probe) == geoms
 
 
 class TestClear:
@@ -106,8 +110,8 @@ class TestClear:
         store.clear()
         assert len(store) == 0
         assert len(store._rtree) == 0
-        assert store.backend.scalar("SELECT COUNT(*) FROM terms") == 0
-        assert store.backend.scalar("SELECT COUNT(*) FROM triples") == 0
+        assert list(store.triples()) == []
+        assert store.spatial_candidates(Envelope(0, 0, 100, 100)) == set()
         assert rows_set(store, SPATIAL_QUERY) == set()
 
     def test_reload_after_clear_gives_identical_results(self):
@@ -124,6 +128,5 @@ class TestClear:
         store.add((EX.a, EX.p, EX.b))
         store.clear()
         store.add((EX.a, EX.p, EX.b))
-        # One triple, three terms, consistent backend rows.
         assert len(store) == 1
-        assert store.backend.scalar("SELECT COUNT(*) FROM terms") == 3
+        assert list(store.triples()) == [(EX.a, EX.p, EX.b)]

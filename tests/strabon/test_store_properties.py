@@ -1,7 +1,7 @@
 """Property-based invariants of the Strabon store's layered state.
 
-Under arbitrary interleavings of adds/removes, the in-memory graph, the
-relational backend tables and the spatial index must stay consistent.
+Under arbitrary interleavings of adds/removes, the in-memory graph and
+the spatial index must stay consistent.
 """
 
 from hypothesis import given, settings
@@ -41,10 +41,7 @@ class TestStoreInvariants:
                 store.remove((s, p, o))
                 reference.discard((s, p, o))
         assert set(store.triples()) == reference
-        assert (
-            store.backend.scalar("SELECT count(*) FROM triples")
-            == len(reference)
-        )
+        assert len(store) == len(reference)
 
     @settings(max_examples=50, deadline=None)
     @given(ops=operations)

@@ -24,7 +24,7 @@ from repro.strabon import StrabonStore
 N_FILES = 3
 
 #: The injection points a directory ingest can hit.
-SITES = ["ingest.file", "vault.fetch", "strabon.bulk"]
+SITES = ["ingest.file", "vault.fetch"]
 
 
 @st.composite
@@ -116,8 +116,7 @@ class TestIngestUnderArbitraryFaults:
             assert list(
                 ingestor.store.triples((product_uri(product), None, None))
             )
-        # ...and none at all for failed files (compensation wiped it),
-        # neither in the graph nor buffered for the backend.
+        # ...and none at all for failed files (compensation wiped it).
         for failure in report.failures:
             stem = os.path.splitext(os.path.basename(failure.path))[0]
             leaks = [

@@ -80,7 +80,7 @@ class TestSpecParsing:
         assert rule.hard
 
     def test_multiple_rules_and_glob(self):
-        plan = parse_spec("chain.*:p=0.5;strabon.bulk:nth=1;seed=3")
+        plan = parse_spec("chain.*:p=0.5;strabon.update:nth=1;seed=3")
         assert len(plan.rules) == 2
         assert plan.rules[0].matches("chain.cropping")
         assert not plan.rules[0].matches("vault.fetch")
@@ -366,61 +366,6 @@ class TestSchedulerFaults:
 
 
 class TestStrabonFaults:
-    def test_transient_bulk_fault_retried_no_double_insert(self):
-        store = StrabonStore()
-        from repro.rdf import Graph, Literal, URIRef
-
-        g = Graph()
-        g.add(
-            (
-                URIRef("http://ex/s"),
-                URIRef("http://ex/p"),
-                Literal("o"),
-            )
-        )
-        with faults.injected("strabon.bulk:nth=1"):
-            added = store.load_graph(g)
-        assert added == 1
-        assert len(store) == 1
-        assert store.backend.scalar("SELECT count(*) FROM triples") == 1
-
-    def test_bulk_breaker_trip_keeps_rows_then_recovers(self):
-        now = [0.0]
-        store = StrabonStore()
-        store.retry_policy = resilience.RetryPolicy(attempts=1)
-        store.breaker = resilience.CircuitBreaker(
-            "strabon.bulk.test",
-            failure_threshold=1,
-            recovery_time=10.0,
-            record_on=(resilience.TransientError, faults.InjectedFault),
-            clock=lambda: now[0],
-        )
-        from repro.rdf import Graph, Literal, URIRef
-
-        g = Graph()
-        g.add(
-            (
-                URIRef("http://ex/s"),
-                URIRef("http://ex/p"),
-                Literal("o"),
-            )
-        )
-        with faults.injected("strabon.bulk:p=1.0,hard"):
-            with pytest.raises(PermanentFault):
-                store.load_graph(g)
-        assert store.breaker.state == "open"
-        # In-memory graph has the triple; backend rows still buffered.
-        assert len(store) == 1
-        assert store.backend.scalar("SELECT count(*) FROM triples") == 0
-        # Circuit still open: fail fast without touching the backend.
-        with pytest.raises(resilience.CircuitOpenError):
-            store.flush_pending()
-        # Backend recovers, window passes: pending rows drain.
-        now[0] += 10.0
-        assert store.flush_pending() is True
-        assert store.backend.scalar("SELECT count(*) FROM triples") == 1
-        assert store.flush_pending() is False  # nothing left
-
     def test_transient_update_fault_retried(self):
         store = StrabonStore()
         store.load_turtle(
@@ -455,7 +400,6 @@ class TestResilienceService:
         vo = VirtualEarthObservatory(load_linked_data=False)
         snap = vo.resilience.snapshot()
         names = {b["name"] for b in snap["breakers"]}
-        assert names == {"vault.eo-archive", "strabon.bulk"}
+        assert names == {"vault.eo-archive"}
         assert snap["faults"] == faults.describe()  # mirrors the active plan
         assert vo.resilience.reset_breakers() == 0  # all already closed
-        assert vo.resilience.flush_pending() is False

@@ -327,7 +327,8 @@ class TestProducerHelps:
 
 class TestBulkFlushSerialisation:
     def test_concurrent_bulk_windows_do_not_double_emit(self):
-        from repro.strabon import StrabonStore
+        from repro.geometry import Envelope, Point
+        from repro.strabon import StrabonStore, geometry_literal
         from repro.rdf.term import URIRef
 
         store = StrabonStore()
@@ -344,7 +345,13 @@ class TestBulkFlushSerialisation:
                                 URIRef(f"http://example.org/o{k}_{i}"),
                             )
                         )
-                    store.flush_pending()  # racing no-op inside bulk
+                    store.add(
+                        (
+                            URIRef(f"http://example.org/s{k}"),
+                            URIRef("http://example.org/geom"),
+                            geometry_literal(Point(k, k)),
+                        )
+                    )
             except Exception as exc:  # noqa: BLE001 — asserted below
                 errors.append(exc)
 
@@ -357,8 +364,10 @@ class TestBulkFlushSerialisation:
             t.join(timeout=60)
         assert errors == []
         assert all(not t.is_alive() for t in threads)
-        triples = len(store)
-        assert triples == 8 * 40
-        # Exactly one backend row per triple: concurrent flushes did not
-        # double-insert buffered rows.
-        assert store.backend.scalar("SELECT COUNT(*) FROM triples") == triples
+        assert len(store) == len(set(store.triples())) == 8 * 41
+        # The last window out rebuilt the R-tree over every thread's
+        # geometry.
+        assert store._bulk_depth == 0
+        assert store.spatial_candidates(Envelope(0, 0, 7, 7)) == {
+            geometry_literal(Point(k, k)) for k in range(8)
+        }
