@@ -4,7 +4,7 @@ Envelopes are the currency of the R-tree index and of every cheap spatial
 pre-filter in the system: predicates first reject on envelopes before running
 the exact geometry test.  :class:`PackedEnvelopes` stores many envelopes as
 numpy struct-of-arrays so batch workloads (``RTree.query_batch``, the
-stSPARQL vectorised FILTER prefilter) test thousands of envelopes with four
+stSPARQL batched spatial FILTERs) test thousands of envelopes with four
 array comparisons instead of a Python loop.
 """
 
@@ -242,6 +242,13 @@ class PackedEnvelopes:
     def __len__(self) -> int:
         return self.minx.shape[0]
 
+    def take(self, indices: np.ndarray) -> "PackedEnvelopes":
+        """The entries at ``indices``, gathered in that order."""
+        return PackedEnvelopes(
+            self.minx[indices], self.miny[indices],
+            self.maxx[indices], self.maxy[indices],
+        )
+
     def get(self, index: int) -> Envelope:
         """The envelope at ``index`` (unpacked)."""
         return Envelope(
@@ -249,15 +256,29 @@ class PackedEnvelopes:
             self.maxx[index], self.maxy[index],
         )
 
-    def intersects(self, envelope: Envelope) -> np.ndarray:
-        """Boolean mask: which packed envelopes intersect ``envelope``."""
-        if envelope.is_empty or len(self) == 0:
+    def _other(self, other) -> "Envelope | PackedEnvelopes":
+        """Validate the second operand of an elementwise test: one
+        envelope (broadcast) or an equal-length packed set."""
+        if isinstance(other, PackedEnvelopes) and len(other) != len(self):
+            raise ValueError(
+                f"elementwise test of {len(self)} envelopes against "
+                f"{len(other)}"
+            )
+        return other
+
+    def intersects(self, other: "Envelope | PackedEnvelopes") -> np.ndarray:
+        """Boolean mask: which packed envelopes intersect ``other`` — one
+        envelope, or (elementwise) an equal-length packed set."""
+        other = self._other(other)
+        if len(self) == 0 or (
+            isinstance(other, Envelope) and other.is_empty
+        ):
             return np.zeros(len(self), dtype=bool)
         return (
-            (self.minx <= envelope.maxx)
-            & (envelope.minx <= self.maxx)
-            & (self.miny <= envelope.maxy)
-            & (envelope.miny <= self.maxy)
+            (self.minx <= other.maxx)
+            & (other.minx <= self.maxx)
+            & (self.miny <= other.maxy)
+            & (other.miny <= self.maxy)
         )
 
     def intersecting(self, envelope: Envelope) -> np.ndarray:
@@ -265,25 +286,30 @@ class PackedEnvelopes:
         ``envelope``."""
         return np.flatnonzero(self.intersects(envelope))
 
-    def distance(self, envelope: Envelope) -> np.ndarray:
-        """Per-entry minimum Euclidean distance to ``envelope``.
+    def distance(self, other: "Envelope | PackedEnvelopes") -> np.ndarray:
+        """Per-entry minimum Euclidean distance to ``other`` — one
+        envelope, or (elementwise) an equal-length packed set.
 
         Same edge semantics as :meth:`Envelope.distance` — an empty
-        probe, and empty packed entries, yield ``inf`` — but the batch
-        uses ``np.hypot``, which may differ from the scalar
-        ``math.hypot`` in the last ulp.  Callers treating the result as
-        a strict lower bound (batch spatial FILTERs) must shave a
-        relative margin before comparing.
+        operand on either side yields ``inf`` — but the batch uses
+        ``np.hypot``, which may differ from the scalar ``math.hypot`` in
+        the last ulp.  Callers treating the result as a strict lower
+        bound (batch spatial FILTERs) must shave a relative margin
+        before comparing.
         """
+        other = self._other(other)
         n = len(self)
-        if envelope.is_empty or n == 0:
+        if n == 0 or (isinstance(other, Envelope) and other.is_empty):
             return np.full(n, np.inf, dtype=np.float64)
-        dx = np.maximum(envelope.minx - self.maxx, self.minx - envelope.maxx)
-        np.maximum(dx, 0.0, out=dx)
-        dy = np.maximum(envelope.miny - self.maxy, self.miny - envelope.maxy)
-        np.maximum(dy, 0.0, out=dy)
-        out = np.hypot(dx, dy)
+        with np.errstate(invalid="ignore"):
+            dx = np.maximum(other.minx - self.maxx, self.minx - other.maxx)
+            np.maximum(dx, 0.0, out=dx)
+            dy = np.maximum(other.miny - self.maxy, self.miny - other.maxy)
+            np.maximum(dy, 0.0, out=dy)
+            out = np.hypot(dx, dy)
         empty = self.minx > self.maxx
+        if isinstance(other, PackedEnvelopes):
+            empty |= other.minx > other.maxx
         if empty.any():
             out[empty] = np.inf
         return out

@@ -32,12 +32,13 @@ ASTs into fused numpy kernels:
   solutions whose bindings fall outside the kernel's type contract are
   routed individually through the caller's exact fallback.
   :func:`compile_spatial_filter` lowers *spatial* FILTERs — indexable
-  predicate calls and ``strdf:distance`` comparisons over one variable
-  and one constant geometry — into one
-  :class:`~repro.geometry.envelope.PackedEnvelopes` pass that fuses the
-  evaluator's envelope prefilter with the verdict: envelope-disjoint
-  rows fail (or far rows decide a distance comparison) vectorised, and
-  only envelope survivors take the exact geometry test.
+  predicate calls, negated or not, and ``strdf:distance`` comparisons
+  over a variable and a constant geometry or over two variables (the
+  fire map's spatial joins) — into one
+  :class:`~repro.geometry.envelope.PackedEnvelopes` pass:
+  envelope-disjoint rows decide a predicate (or far rows a distance
+  comparison) vectorised, and only undecided rows take the exact
+  geometry test.
 * **Adaptive tiling** — :class:`AdaptiveTiler` replaces the static
   ``PARALLEL_MIN_CELLS`` floor: row-band tiling engages only when the
   observed cells/sec rate predicts the serial pass is long enough to
@@ -60,7 +61,16 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -114,12 +124,6 @@ def _sql_executor():
     from repro.mdb.sql import executor
 
     return executor
-
-
-def _stsparql_evaluator():
-    from repro.strabon.stsparql import evaluator
-
-    return evaluator
 
 
 __all__ = [
@@ -1414,19 +1418,25 @@ def run_filter(
 # ---------------------------------------------------------------------------
 
 
+class SpatialOperand(NamedTuple):
+    """One argument of a compiled spatial call: a variable (a column of
+    per-row geometries) or a constant geometry, parsed at compile time
+    to its SRID and envelope."""
+
+    variable: Optional[str] = None
+    srid: int = 0
+    envelope: Any = None
+
+
 @dataclass
 class SpatialFilterPlan:
-    """A compiled spatial FILTER: one variable against one constant
-    geometry, prefiltered (or decided outright) through packed
-    envelopes."""
+    """A compiled spatial FILTER over two operands, at least one a
+    variable, decided through packed envelopes where that is sound."""
 
-    variable: str
-    const: Any  # the constant geometry literal term
-    geom: Any  # its parsed geometry
-    envelope: Any  # its envelope
-    srid: int
+    operands: Tuple[SpatialOperand, SpatialOperand]
     kind: str  # "predicate" | "distance"
-    op: str = ""  # normalised: distance(var, const) OP bound
+    negated: bool = False  # ``!pred(...)``
+    op: str = ""  # normalised: distance(a, b) OP bound
     bound: float = 0.0
 
 
@@ -1438,15 +1448,18 @@ _DISTANCE_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 def compile_spatial_filter(expr: alg.Expr) -> Optional[SpatialFilterPlan]:
     """Compile one spatial FILTER over packed envelopes, or None.
 
-    Two shapes lower:
+    Each operand is a variable or a constant geometry literal, with at
+    least one variable and never the same variable twice.  Three shapes
+    lower:
 
     * an **indexable predicate call** (``strdf:intersects(?g, CONST)``,
-      either argument order) — every such predicate implies envelope
-      intersection, so envelope-disjoint rows fail vectorised (the same
-      reasoning as the evaluator's prefilter) and only envelope
-      survivors run the exact geometry test;
+      ``strdf:intersects(?hg, ?ag)``) — every such predicate implies
+      envelope intersection, so envelope-disjoint rows fail vectorised
+      and only envelope survivors run the exact geometry test;
+    * a **negated** predicate call (``!strdf:intersects(?g, LAND)``) —
+      envelope-disjoint rows pass vectorised;
     * a **distance comparison** against a numeric bound
-      (``strdf:distance(?g, CONST) < 10``, call on either side) — the
+      (``strdf:distance(?hg, ?tg) < 0.15``, call on either side) — the
       envelope distance lower-bounds the geometry distance, so rows
       whose envelope distance already exceeds the bound are decided
       without the exact geometry pass.
@@ -1468,31 +1481,56 @@ def compile_spatial_filter(expr: alg.Expr) -> Optional[SpatialFilterPlan]:
     return plan
 
 
-def _const_geometry(term: Any) -> Tuple[Any, Any]:
-    """Parse a constant geometry literal at compile time, or refuse."""
+def _spatial_operands(call: Any) -> Tuple[SpatialOperand, SpatialOperand]:
+    """The two operands of a spatial call, or refuse."""
+    alg = _algebra()
     strdf = _strdf()
-    try:
-        geom = strdf.literal_geometry(term)
-    except strdf.StRDFError:
-        raise Unsupported("unparseable constant geometry") from None
-    envelope = geom.envelope
-    if envelope.is_empty:
-        # Envelope reasoning says nothing about an empty probe; let the
-        # exact filter judge every solution.
-        raise Unsupported("empty probe envelope")
-    return geom, envelope
+    if len(call.args) != 2:
+        raise Unsupported("spatial call arity")
+    operands = []
+    for arg in call.args:
+        if isinstance(arg, alg.EVar):
+            operands.append(SpatialOperand(variable=arg.name))
+        elif isinstance(arg, alg.ETerm) and strdf.is_geometry_literal(
+            arg.term
+        ):
+            try:
+                geom = strdf.literal_geometry(arg.term)
+            except strdf.StRDFError:
+                raise Unsupported("unparseable constant geometry") from None
+            if geom.envelope.is_empty:
+                # Envelope reasoning says nothing about an empty
+                # constant; let the exact filter judge every solution.
+                raise Unsupported("empty constant envelope")
+            operands.append(SpatialOperand(None, geom.srid, geom.envelope))
+        else:
+            raise Unsupported("spatial call argument")
+    a, b = operands
+    if a.variable is None and b.variable is None:
+        raise Unsupported("no variable operand")
+    if a.variable == b.variable:
+        raise Unsupported("same variable on both sides")
+    return a, b
 
 
 def _lower_spatial(expr: alg.Expr) -> SpatialFilterPlan:
     alg = _algebra()
-    spec = _stsparql_evaluator()._indexable_call_spec(expr)
-    if spec is not None:
-        var, const = spec
-        geom, envelope = _const_geometry(const)
+    functions = _stsparql_functions()
+    negated = isinstance(expr, alg.EUnary) and expr.op == "!"
+    if negated:
+        expr = expr.operand
+    if (
+        isinstance(expr, alg.ECall)
+        and expr.name in functions.INDEXABLE_PREDICATES
+    ):
         return SpatialFilterPlan(
-            var, const, geom, envelope, geom.srid, "predicate"
+            _spatial_operands(expr), "predicate", negated
         )
-    if not isinstance(expr, alg.EBinary) or expr.op not in _DISTANCE_FLIP:
+    if (
+        negated
+        or not isinstance(expr, alg.EBinary)
+        or expr.op not in _DISTANCE_FLIP
+    ):
         raise Unsupported("not a spatial filter")
     if isinstance(expr.left, alg.ECall):
         call, bound_side, flipped = expr.left, expr.right, False
@@ -1500,22 +1538,9 @@ def _lower_spatial(expr: alg.Expr) -> SpatialFilterPlan:
         call, bound_side, flipped = expr.right, expr.left, True
     else:
         raise Unsupported("not a spatial filter")
-    if (
-        call.name not in _stsparql_functions().DISTANCE_FUNCTIONS
-        or len(call.args) != 2
-    ):
+    if call.name not in functions.DISTANCE_FUNCTIONS:
         raise Unsupported("not a distance call")
-    strdf = _strdf()
-    var, const = None, None
-    for arg in call.args:
-        if isinstance(arg, alg.EVar):
-            var = arg.name
-        elif isinstance(arg, alg.ETerm) and strdf.is_geometry_literal(
-            arg.term
-        ):
-            const = arg.term
-    if var is None or const is None:
-        raise Unsupported("distance arguments")
+    operands = _spatial_operands(call)
     if not isinstance(bound_side, alg.ETerm) or not isinstance(
         bound_side.term, Literal
     ):
@@ -1526,10 +1551,61 @@ def _lower_spatial(expr: alg.Expr) -> SpatialFilterPlan:
     if kind != "num":
         raise Unsupported("boolean bound")
     op = _DISTANCE_FLIP[expr.op] if flipped else expr.op
-    geom, envelope = _const_geometry(const)
-    return SpatialFilterPlan(
-        var, const, geom, envelope, geom.srid, "distance", op, float(bound)
+    return SpatialFilterPlan(operands, "distance", False, op, float(bound))
+
+
+class _Column(NamedTuple):
+    """One operand over a batch: which rows it admits to the envelope
+    lane, their SRIDs and their envelopes — per row for a variable, one
+    scalar each for a constant."""
+
+    ok: Any
+    srid: Any
+    envelopes: Any  # PackedEnvelopes, or the constant's Envelope
+
+
+def _operand_column(
+    operand: SpatialOperand,
+    solutions: List[Dict[str, Any]],
+    geometry: Callable[[Any], Any],
+) -> _Column:
+    """Resolve an operand over a batch.  A variable's distinct bound
+    terms are resolved to (SRID, envelope) once each — hotspots and
+    linked-data features repeat across the pairs of a spatial join —
+    keyed by object identity, since every row holds its terms alive.
+    A missing or non-geometry binding, a parse error and an empty
+    envelope leave the row outside the lane."""
+    from repro.geometry.envelope import Envelope, PackedEnvelopes
+
+    if operand.variable is None:
+        return _Column(True, operand.srid, operand.envelope)
+    strdf = _strdf()
+    slot_of: Dict[int, int] = {}
+    geoms: List[Any] = []
+    slots = np.empty(len(solutions), dtype=np.intp)
+    for i, sol in enumerate(solutions):
+        term = sol.get(operand.variable)
+        slot = slot_of.get(id(term))
+        if slot is None:
+            slot = slot_of[id(term)] = len(geoms)
+            geom = None
+            if term is not None and strdf.is_geometry_literal(term):
+                try:
+                    geom = geometry(term)
+                except strdf.StRDFError:
+                    pass
+            if geom is not None and geom.envelope.is_empty:
+                geom = None
+            geoms.append(geom)
+        slots[i] = slot
+    ok = np.array([g is not None for g in geoms], dtype=bool)
+    srid = np.array(
+        [-1 if g is None else g.srid for g in geoms], dtype=np.int64
     )
+    packed = PackedEnvelopes.pack(
+        [Envelope.empty() if g is None else g.envelope for g in geoms]
+    )
+    return _Column(ok[slots], srid[slots], packed.take(slots))
 
 
 def run_spatial_filter(
@@ -1540,70 +1616,55 @@ def run_spatial_filter(
 ) -> List[Dict[str, Any]]:
     """Apply a compiled spatial FILTER over candidate solutions.
 
-    Rows whose binding is a parseable geometry literal in the
-    constant's SRID are packed into one
-    :class:`~repro.geometry.envelope.PackedEnvelopes` pass:
+    A row enters the envelope lane when both operands are non-empty
+    geometries in one SRID; one vectorised pass over the lane then
+    decides:
 
-    * predicate plans: envelope-disjoint rows fail vectorised;
-      envelope survivors run the exact geometry test via ``fallback``;
+    * predicate plans: envelope-disjoint rows — the predicate is False,
+      so the row fails (passes under ``!``);
     * distance plans: rows whose envelope distance (a lower bound on
-      the geometry distance) strictly exceeds the bound are decided
-      vectorised — True for ``>``/``>=`` plans, False for ``<``/``<=``
-      — and only the near rows run exact.
+      the geometry distance) strictly exceeds the bound — True for
+      ``>``/``>=`` plans, False for ``<``/``<=``.
 
-    Rows outside the lane (missing binding, non-geometry term, parse
-    error, SRID mismatch) are judged individually by ``fallback``, so
-    the exact path keeps its verdict on them; solution order is
-    preserved either way.
+    Every other row — a missing or non-geometry binding, operands in
+    different SRIDs, a row the envelopes leave undecided — is judged
+    individually by ``fallback``, the exact per-row path; solution
+    order is preserved either way.
     """
     from repro.geometry.envelope import PackedEnvelopes
 
-    strdf = _strdf()
     n = len(solutions)
-    lane_idx: List[int] = []
-    envelopes = []
-    for i, sol in enumerate(solutions):
-        term = sol.get(plan.variable)
-        if term is None or not strdf.is_geometry_literal(term):
-            continue
-        try:
-            geom = geometry(term)
-        except strdf.StRDFError:
-            continue
-        if geom.srid != plan.srid:
-            continue
-        lane_idx.append(i)
-        envelopes.append(geom.envelope)
-    decided = np.zeros(n, dtype=bool)
-    verdicts = np.zeros(n, dtype=bool)
-    if lane_idx:
-        packed = PackedEnvelopes.pack(envelopes)
-        idx = np.asarray(lane_idx, dtype=int)
-        if plan.kind == "predicate":
-            hit = packed.intersects(plan.envelope)
-            decided[idx[~hit]] = True  # env-disjoint ⇒ predicate False
-        else:
-            env_dist = packed.distance(plan.envelope)
-            # np.hypot can land an ulp above the correctly-rounded
-            # scalar distance, so shave a relative margin off the lower
-            # bound before deciding; rows inside the margin go to the
-            # exact fallback instead of risking a mis-decided verdict.
-            far = env_dist * (1.0 - 1e-12) > plan.bound
-            decided[idx[far]] = True
-            if plan.op in (">", ">="):
-                verdicts[idx[far]] = True
+    a, b = (
+        _operand_column(operand, solutions, geometry)
+        for operand in plan.operands
+    )
+    lane = a.ok & b.ok & (a.srid == b.srid)
+    # Both envelope tests are symmetric; put a per-row column first.
+    if not isinstance(a.envelopes, PackedEnvelopes):
+        a, b = b, a
+    if plan.kind == "predicate":
+        decided = lane & ~a.envelopes.intersects(b.envelopes)
+        passes = plan.negated
+    else:
+        # np.hypot can land an ulp above the correctly-rounded scalar
+        # distance, so shave a relative margin off the lower bound
+        # before deciding; rows inside the margin go to the exact
+        # fallback instead of risking a mis-decided verdict.
+        far = a.envelopes.distance(b.envelopes) * (1.0 - 1e-12) > plan.bound
+        decided = lane & far
+        passes = plan.op in (">", ">=")
     out: List[Dict[str, Any]] = []
     exact_rows = 0
-    for i, sol in enumerate(solutions):
-        if decided[i]:
-            if verdicts[i]:
+    for sol, is_decided in zip(solutions, decided.tolist()):
+        if is_decided:
+            if passes:
                 out.append(sol)
             continue
         exact_rows += 1
         if fallback(sol):
             out.append(sol)
     obs.counter("stsparql.spatial.batch_rows").inc(n)
-    obs.counter("stsparql.spatial.env_decided").inc(int(decided.sum()))
+    obs.counter("stsparql.spatial.env_decided").inc(n - exact_rows)
     if exact_rows:
         obs.counter("stsparql.spatial.exact_rows").inc(exact_rows)
     return out

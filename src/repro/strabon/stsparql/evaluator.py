@@ -8,17 +8,16 @@ back to boundness when no estimator is available.  Solutions are extended
 copy-on-bind: a pattern that adds no new binding reuses the incoming
 dict instead of copying it.  FILTER expressions are pushed down into the
 BGP loop and evaluated as soon as no remaining pattern can bind any of
-their variables.  Spatial FILTERs whose arguments are one variable and
-one constant geometry are additionally pushed into the matching phase as
-R-tree candidate restrictions (benchmark A1 measures exactly this
-optimisation against the unindexed evaluation); the R-tree probes of a
-query's filters are answered in one batch against the index's packed
-leaf snapshot.  When an indexable spatial FILTER ultimately applies
-across many solutions, a vectorised envelope prefilter packs the bound
-geometries' envelopes into numpy arrays and discards
-envelope-disjoint solutions in one comparison pass before the exact
-per-solution geometry test runs (envelope intersection is a necessary
-condition for every indexable predicate, so results are unchanged).
+their variables.  A spatial FILTER that asserts an indexable predicate
+between one variable and one constant geometry — the FILTER itself or an
+operand of its top-level ``&&``, never a call under ``!`` or ``||`` — is
+additionally pushed into the matching phase as an R-tree candidate
+restriction (benchmark A1 measures exactly this optimisation against
+the unindexed evaluation); the R-tree probes of a query's filters are
+answered in one batch against the index's packed leaf snapshot.
+Spatial FILTERs that apply across many solutions — including the
+variable–variable joins of the fire map and negated predicates — run
+through the batched envelope lane of :mod:`repro.kernels`.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import kernels, obs
 from repro.geometry import Geometry
-from repro.geometry.envelope import Envelope, PackedEnvelopes
+from repro.geometry.envelope import Envelope
 from repro.rdf.term import BNode, Literal, RDFTerm, URIRef, Variable
 from repro.strabon import strdf
 from repro.strabon.stsparql import algebra as alg
@@ -48,10 +47,6 @@ from repro.strabon.stsparql.results import (
 )
 
 Solution = Dict[str, RDFTerm]
-
-#: Minimum solution count before the vectorised envelope prefilter is
-#: worth packing arrays for.
-PREFILTER_MIN_SOLUTIONS = 16
 
 
 class _ExprError(StSPARQLError):
@@ -316,21 +311,16 @@ class Evaluator:
     def _filter_solutions(
         self, expr: alg.Expr, solutions: List[Solution]
     ) -> List[Solution]:
-        """Apply one FILTER, with the vectorised envelope prefilter in
-        front when the expression is a single indexable spatial call
-        running over many solutions, and — for numeric expressions —
-        one compiled kernel call over packed binding columns instead of
-        N interpreter walks (``REPRO_KERNELS``; solutions outside the
-        kernel's type contract are judged by the interpreter).
-
-        Spatial expressions — indexable predicate calls and
-        ``strdf:distance`` comparisons over one variable and one
-        constant geometry — take a third lane
-        (:func:`repro.kernels.run_spatial_filter`): one batched
-        ``PackedEnvelopes`` pass fusing the envelope prefilter with the
-        verdict, where envelope-disjoint rows fail (and far rows decide
-        a distance comparison) vectorised and only envelope survivors
-        run the exact geometry test."""
+        """Apply one FILTER.  With ``REPRO_KERNELS`` on, a spatial
+        expression — an indexable predicate call, negated or not, or a
+        ``strdf:distance`` comparison, over a variable and a constant
+        geometry or over two variables — takes the batched spatial lane
+        (:func:`repro.kernels.run_spatial_filter`): one
+        ``PackedEnvelopes`` pass decides every row the envelopes soundly
+        can, and only the rest run the exact geometry test.  A numeric
+        expression runs as one compiled kernel call over packed binding
+        columns instead of N interpreter walks.  Rows outside either
+        lane's contract are judged by the interpreter."""
         with obs.span("stsparql.filter"):
             if (
                 kernels.enabled()
@@ -344,9 +334,6 @@ class Evaluator:
                         self._term_geometry,
                         lambda sol: self._filter_passes(expr, sol),
                     )
-            prefiltered = self._envelope_prefilter(expr, solutions)
-            if prefiltered is not None:
-                solutions = prefiltered
             if (
                 kernels.enabled()
                 and len(solutions) >= kernels.FILTER_BATCH_MIN_SOLUTIONS
@@ -362,70 +349,6 @@ class Evaluator:
                 sol for sol in solutions if self._filter_passes(expr, sol)
             ]
 
-    def _envelope_prefilter(
-        self, expr: alg.Expr, solutions: List[Solution]
-    ) -> Optional[List[Solution]]:
-        """Drop solutions that cannot satisfy an indexable spatial FILTER.
-
-        Applies when ``expr`` is exactly one indexable predicate call
-        over one variable and one constant geometry: every such predicate
-        implies envelope intersection, so a solution whose bound geometry
-        envelope is disjoint from the constant's envelope is discarded
-        without the exact test.  Solutions whose binding is missing or
-        not a parseable geometry pass through untouched — the exact
-        filter keeps its verdict on them.  Returns None when the
-        prefilter does not apply.
-        """
-        if len(solutions) < PREFILTER_MIN_SOLUTIONS:
-            return None
-        spec = _indexable_call_spec(expr)
-        if spec is None:
-            return None
-        var, const = spec
-        try:
-            probe = self._term_envelope(const)
-        except strdf.StRDFError:
-            return None
-        if probe.is_empty:
-            # Degenerate probe: envelope reasoning says nothing, so let
-            # the exact filter judge every solution.
-            return None
-        testable: List[int] = []
-        envelopes: List[Envelope] = []
-        for i, sol in enumerate(solutions):
-            term = sol.get(var)
-            if term is None or not strdf.is_geometry_literal(term):
-                continue
-            try:
-                envelopes.append(self._term_envelope(term))
-            except strdf.StRDFError:
-                continue
-            testable.append(i)
-        if not testable:
-            return solutions
-        mask = PackedEnvelopes.pack(envelopes).intersects(probe)
-        dropped = {
-            index
-            for index, hit in zip(testable, mask.tolist())
-            if not hit
-        }
-        # Prefilter effectiveness: tested vs dropped gives the hit rate
-        # of the envelope pass (dropped solutions skip the exact test).
-        obs.counter("stsparql.prefilter.tested").inc(len(testable))
-        obs.counter("stsparql.prefilter.dropped").inc(len(dropped))
-        if not dropped:
-            return solutions
-        return [
-            sol for i, sol in enumerate(solutions) if i not in dropped
-        ]
-
-    def _term_envelope(self, term) -> Envelope:
-        """Envelope of a geometry literal via the store's interner."""
-        interner = getattr(self.store, "geometries", None)
-        if interner is not None:
-            return interner.envelope(term)
-        return self.ctx.geometry(term).envelope
-
     def _term_geometry(self, term):
         """Parsed geometry of a literal via the store's interner."""
         interner = getattr(self.store, "geometries", None)
@@ -436,9 +359,12 @@ class Evaluator:
     def _spatial_hints(
         self, filters: Sequence[alg.Expr]
     ) -> Dict[str, Set[RDFTerm]]:
+        """R-tree candidate sets for the variables that indexable
+        predicates in positive conjunctive position constrain against a
+        constant geometry (see :func:`_positive_conjuncts`)."""
         probes: List[Tuple[str, Envelope]] = []
         for expr in filters:
-            for call in _walk_calls(expr):
+            for call in _positive_conjuncts(expr):
                 spec = _indexable_call_spec(call)
                 if spec is None:
                     continue
@@ -1136,6 +1062,19 @@ def _walk_calls(expr: alg.Expr):
         yield from _walk_calls(expr.right)
     elif isinstance(expr, alg.EUnary):
         yield from _walk_calls(expr.operand)
+
+
+def _positive_conjuncts(expr: alg.Expr):
+    """The sub-expressions a FILTER asserts true of every solution it
+    keeps: the expression itself or, recursively, an operand of ``&&``.
+    Nothing under ``!``, ``||`` or a function argument qualifies, so an
+    R-tree hint never narrows a variable the FILTER may keep outside
+    the probe."""
+    if isinstance(expr, alg.EBinary) and expr.op == "&&":
+        yield from _positive_conjuncts(expr.left)
+        yield from _positive_conjuncts(expr.right)
+    else:
+        yield expr
 
 
 def _indexable_call_spec(

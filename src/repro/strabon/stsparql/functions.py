@@ -435,8 +435,6 @@ EXTENSIONS[str(STRDF) + "below"] = _directional(
 )
 
 
-#: Spatial predicate IRIs usable for R-tree pre-filtering: envelope
-#: intersection is a necessary condition for all of these.
 #: Full IRIs of the planar distance function (``strdf:distance`` plus
 #: its ``geof`` aliases).  Comparisons over these calls batch through
 #: the spatial FILTER kernel (:func:`repro.kernels.compile_spatial_filter`):
@@ -449,6 +447,9 @@ DISTANCE_FUNCTIONS = {
     str(GEO) + "distance",
 }
 
+#: Spatial predicate IRIs usable for R-tree pre-filtering and the
+#: batched spatial FILTER lane: envelope intersection is a necessary
+#: condition for all of these.
 INDEXABLE_PREDICATES = {
     str(STRDF) + name
     for name in (

@@ -28,8 +28,8 @@ Design points:
   page being returned instead of being saved.
 * **Batched filters.**  :class:`FilterIterator` pulls child solutions in
   batches and judges each batch through
-  :meth:`Evaluator._filter_solutions`, so the envelope prefilter and the
-  compiled FILTER kernels of :mod:`repro.kernels` (PR 6) run per batch
+  :meth:`Evaluator._filter_solutions`, so the compiled FILTER kernels
+  and the batched spatial lane of :mod:`repro.kernels` run per batch
   inside the preemptable pipeline instead of being bypassed by it.
 * **Deterministic replay.**  Cursors index deterministically ordered
   match lists (store iteration order plus n3-sorted spatial-hint
@@ -77,7 +77,7 @@ __all__ = [
 ]
 
 #: Child solutions pulled per filter batch — large enough that the
-#: compiled kernel lane and the envelope prefilter amortise.  It is also
+#: compiled kernel lane and the batched spatial lane amortise.  It is also
 #: the most rows a drain can add to a page per stacked filter.
 FILTER_BATCH_ROWS = 256
 
@@ -268,9 +268,9 @@ class FilterIterator(PipelineIterator):
 
     Pulls up to :data:`FILTER_BATCH_ROWS` child solutions and runs the
     whole batch through :meth:`Evaluator._filter_solutions` — the exact
-    code path of the one-shot evaluator: envelope prefilter, compiled
-    numeric kernels, and the batched spatial lane (predicate and
-    distance comparisons fused over ``PackedEnvelopes``) all run per
+    code path of the one-shot evaluator: compiled numeric kernels and
+    the batched spatial lane (predicates, negated predicates and
+    distance comparisons decided over ``PackedEnvelopes``) run per
     batch inside the preemptable pipeline instead of being bypassed by
     it.  A suspension between survivors *drains* the not-yet-emitted
     tail of the batch into the page; a filter saves nothing.

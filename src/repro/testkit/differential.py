@@ -174,6 +174,31 @@ def _render_term(term: Sequence[Any]) -> str:
     raise ValueError(f"unknown term tag {tag!r}")
 
 
+def _render_condition(filter_spec: Dict[str, Any]) -> str:
+    """One FILTER condition: a comparison, a spatial predicate call
+    (possibly negated) or a distance comparison; the second spatial
+    operand is a constant (``wkt``) or a variable (``other``)."""
+    var = f"?{filter_spec['var']}"
+    if filter_spec["kind"] == "cmp":
+        return f"{var} {filter_spec['op']} {filter_spec['value']}"
+    if "other" in filter_spec:
+        other = f"?{filter_spec['other']}"
+    else:
+        other = f'"{filter_spec["wkt"]}"^^strdf:WKT'
+    if filter_spec["kind"] == "dist":
+        call = f"strdf:distance({var}, {other})"
+        op, bound = filter_spec["op"], filter_spec["bound"]
+        if filter_spec.get("flip"):
+            # Mirror the comparison (bound on the left) without
+            # changing its meaning.
+            mirrored = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+            return f"{bound} {mirrored[op]} {call}"
+        return f"{call} {op} {bound}"
+    args = f"{other}, {var}" if filter_spec.get("flip") else f"{var}, {other}"
+    call = f"strdf:{filter_spec['pred']}({args})"
+    return f"!{call}" if filter_spec.get("negate") else call
+
+
 def render_query(spec: Dict[str, Any]) -> Tuple[str, List[str]]:
     """The stSPARQL text of a query spec and its projected variables."""
     variables = sorted(
@@ -190,29 +215,10 @@ def render_query(spec: Dict[str, Any]) -> Tuple[str, List[str]]:
     )
     filter_spec = spec.get("filter")
     if filter_spec:
-        if filter_spec["kind"] == "cmp":
-            body += (
-                f" . FILTER(?{filter_spec['var']} {filter_spec['op']} "
-                f"{filter_spec['value']})"
-            )
-        elif filter_spec["kind"] == "dist":
-            const = f'"{filter_spec["wkt"]}"^^strdf:WKT'
-            call = f"strdf:distance(?{filter_spec['var']}, {const})"
-            op, bound = filter_spec["op"], filter_spec["bound"]
-            if filter_spec.get("flip"):
-                # Mirror the comparison (bound on the left) without
-                # changing its meaning.
-                mirrored = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-                body += f" . FILTER({bound} {mirrored[op]} {call})"
-            else:
-                body += f" . FILTER({call} {op} {bound})"
-        else:
-            const = f'"{filter_spec["wkt"]}"^^strdf:WKT'
-            var = f"?{filter_spec['var']}"
-            args = f"{const}, {var}" if filter_spec.get("flip") else (
-                f"{var}, {const}"
-            )
-            body += f" . FILTER(strdf:{filter_spec['pred']}({args}))"
+        condition = _render_condition(filter_spec)
+        if filter_spec.get("or"):
+            condition += " || " + _render_condition(filter_spec["or"])
+        body += f" . FILTER({condition})"
     select = "SELECT DISTINCT" if spec["distinct"] else "SELECT"
     projection = " ".join(f"?{name}" for name in variables)
     return (

@@ -292,6 +292,8 @@ def gen_stsparql_spec(seed: int) -> Dict[str, Any]:
             "op": rng.choice(_CMP_OPS),
             "value": rng.randint(0, 20),
         }
+    if filter_spec is not None and filter_spec["kind"] != "cmp":
+        _vary_spatial_filter(rng, filter_spec, patterns)
     return {
         "triples": triples,
         "extra_triples": extra,
@@ -299,6 +301,43 @@ def gen_stsparql_spec(seed: int) -> Dict[str, Any]:
         "filter": filter_spec,
         "distinct": rng.random() < 0.3,
     }
+
+
+def _vary_spatial_filter(
+    rng: random.Random,
+    filter_spec: Dict[str, Any],
+    patterns: List[List[Any]],
+) -> None:
+    """Turn some spatial FILTERs into the shapes an R-tree hint must not
+    narrow, and some into spatial joins, in place:
+
+    * ``negate`` — ``!strdf:pred(...)``;
+    * ``or`` — ``strdf:pred(...) || ?n OP v`` (the pattern binding ``?n``
+      is added, so the right operand can rescue a row);
+    * ``other`` — the second operand is the geometry variable of a
+      second pattern ``?t ex:geom ?h`` instead of a constant, in either
+      argument order.
+    """
+    roll = rng.random()
+    if filter_spec["kind"] == "spatial":
+        if roll < 0.25:
+            filter_spec["negate"] = True
+        elif roll < 0.4:
+            filter_spec["or"] = {
+                "kind": "cmp",
+                "var": "n",
+                "op": rng.choice(_CMP_OPS),
+                "value": rng.randint(0, 20),
+            }
+            value_pattern = [["v", "s"], ["u", "value"], ["v", "n"]]
+            if value_pattern not in patterns:
+                patterns.append(value_pattern)
+    if rng.random() < 0.3:
+        del filter_spec["wkt"]
+        filter_spec["var"], filter_spec["other"] = rng.choice(
+            (("g", "h"), ("h", "g"))
+        )
+        patterns.append([["v", "t"], ["u", "geom"], ["v", "h"]])
 
 
 # -- SciQL (tiled kernels vs pure-python cell loop) ----------------------------

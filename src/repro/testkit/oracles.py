@@ -100,9 +100,20 @@ def _cmp_value(term: Any) -> Any:
 def _filter_passes(
     filter_spec: Optional[Dict[str, Any]], binding: Dict[str, RDFTerm]
 ) -> bool:
-    """Replicates evaluator FILTER semantics: any error → excluded."""
+    """Replicates evaluator FILTER semantics: any error → excluded.  A
+    disjunct (``or``) rescues a row whose first operand failed or
+    errored — SPARQL's ``||`` forgives one erroring side."""
     if filter_spec is None:
         return True
+    alternative = filter_spec.get("or")
+    return _condition_passes(filter_spec, binding) or (
+        alternative is not None and _condition_passes(alternative, binding)
+    )
+
+
+def _condition_passes(
+    filter_spec: Dict[str, Any], binding: Dict[str, RDFTerm]
+) -> bool:
     term = binding.get(filter_spec["var"])
     if term is None:
         return False
@@ -126,23 +137,29 @@ def _filter_passes(
             return left >= value
         except TypeError:
             return False
-    # Spatial predicate / distance comparison.  Parse failures and
-    # ValueErrors exclude the row (the evaluator's extension-call
-    # wrapper turns StRDFError / ValueError into a failed FILTER);
-    # anything else — e.g. a TypeError from an unsupported operand
-    # combination — propagates, exactly as it escapes the optimised
-    # evaluator.
+    # Spatial predicate / distance comparison.  Unbound operands, parse
+    # failures and ValueErrors exclude the row (the evaluator's
+    # extension-call wrapper turns StRDFError / ValueError into a failed
+    # FILTER, and ``!`` of an error is still an error); anything else —
+    # e.g. a TypeError from an unsupported operand combination —
+    # propagates, exactly as it escapes the optimised evaluator.
     try:
         geom = strdf.literal_geometry(term)
+        if "other" in filter_spec:
+            other_term = binding.get(filter_spec["other"])
+            if other_term is None:
+                return False
+            other = strdf.literal_geometry(other_term)
+        else:
+            other = from_wkt(filter_spec["wkt"])
     except strdf.StRDFError:
         return False
-    const = from_wkt(filter_spec["wkt"])
     if filter_spec["kind"] == "dist":
         # ``flip`` only mirrors the rendered comparison; the canonical
-        # op here carries the meaning.  Distance is symmetric within
-        # one SRID, so the argument order never matters.
+        # op here carries the meaning.  The call's argument order is
+        # (var, other), as rendered.
         try:
-            d = geom.distance(const)
+            d = geom.distance(other)
         except ValueError:
             return False
         op = filter_spec["op"]
@@ -154,11 +171,12 @@ def _filter_passes(
         if op == ">":
             return d > bound
         return d >= bound
-    a, b = (const, geom) if filter_spec.get("flip") else (geom, const)
+    a, b = (other, geom) if filter_spec.get("flip") else (geom, other)
     try:
-        return bool(getattr(a, filter_spec["pred"])(b))
+        verdict = bool(getattr(a, filter_spec["pred"])(b))
     except ValueError:
         return False
+    return not verdict if filter_spec.get("negate") else verdict
 
 
 def naive_bgp_rows(

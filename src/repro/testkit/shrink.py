@@ -105,8 +105,13 @@ def _stsparql_candidates(
         kept = patterns[:k] + patterns[k + 1:]
         if any(term[0] == "v" for p in kept for term in p):
             yield _with(spec, patterns=kept)
-    if spec.get("filter") is not None:
+    filter_spec = spec.get("filter")
+    if filter_spec is not None:
         yield _with(spec, filter=None)
+        for key in ("negate", "or"):
+            if key in filter_spec:
+                simpler = {k: v for k, v in filter_spec.items() if k != key}
+                yield _with(spec, filter=simpler)
     if spec["distinct"]:
         yield _with(spec, distinct=False)
     for i, triple in enumerate(triples):

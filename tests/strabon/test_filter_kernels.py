@@ -158,9 +158,11 @@ SPATIAL_PREFIXES = (
 REGION = '"POLYGON ((0 0, 8 0, 8 8, 0 8, 0 0))"^^strdf:WKT'
 PROBE = '"POINT (5 5)"^^strdf:WKT'
 
-#: Spatial FILTER shapes the compiler lowers: indexable predicates and
-#: strdf:distance comparisons with the variable/constant on either
-#: side, in both orders, with every comparison operator.
+#: Spatial FILTER shapes the compiler lowers: indexable predicates
+#: (negated or not) and strdf:distance comparisons with the
+#: variable/constant on either side, in both orders, with every
+#: comparison operator — and the same over two geometry variables
+#: bound by different patterns (the fire map's spatial joins).
 SPATIAL_QUERIES = [
     f"SELECT ?s WHERE {{ ?s ex:geom ?g . "
     f"FILTER(strdf:intersects(?g, {REGION})) }}",
@@ -182,10 +184,28 @@ SPATIAL_QUERIES = [
     f"FILTER(6.0 > strdf:distance(?g, {PROBE})) }}",
     f"SELECT ?s WHERE {{ ?s ex:geom ?g . "
     f"FILTER(geof:distance({PROBE}, ?g) < 4.25) }}",
+    f"SELECT ?s WHERE {{ ?s ex:geom ?g . "
+    f"FILTER(!strdf:intersects(?g, {REGION})) }}",
+    f"SELECT ?s WHERE {{ ?s ex:geom ?g . "
+    f"FILTER(!strdf:within({REGION}, ?g)) }}",
+    "SELECT ?s ?z WHERE { ?s ex:geom ?g . ?z ex:zone ?h . "
+    "FILTER(strdf:intersects(?g, ?h)) }",
+    "SELECT ?s ?z WHERE { ?s ex:geom ?g . ?z ex:zone ?h . "
+    "FILTER(strdf:contains(?h, ?g)) }",
+    "SELECT ?s ?z WHERE { ?s ex:geom ?g . ?z ex:zone ?h . "
+    "FILTER(!strdf:intersects(?h, ?g)) }",
+    "SELECT ?s ?z WHERE { ?s ex:geom ?g . ?z ex:zone ?h . "
+    "FILTER(strdf:distance(?g, ?h) < 2.5) }",
+    "SELECT ?s ?z WHERE { ?s ex:geom ?g . ?z ex:zone ?h . "
+    "FILTER(3.0 <= strdf:distance(?h, ?g)) }",
+    "SELECT ?s ?z WHERE { ?s ex:geom ?g . ?z ex:zone ?h . "
+    "FILTER(strdf:distance(?g, ?h) > 6.0) }",
 ]
 
 
-def spatial_store(seed=11, n=120):
+def spatial_store(seed=11, n=120, zones=8):
+    """``n`` features under ``ex:geom`` (every seventh a unit square,
+    the rest points) and ``zones`` rectangles under ``ex:zone``."""
     import random as _random
 
     from repro.geometry import Point, Polygon
@@ -202,52 +222,88 @@ def spatial_store(seed=11, n=120):
         else:
             geom = Point(x, y)
         store.add((EX[f"f{i}"], EX.geom, geometry_literal(geom)))
+    rng = _random.Random(seed + 1)
+    for j in range(zones):
+        x, y = rng.uniform(-10, 15), rng.uniform(-10, 15)
+        w, h = rng.uniform(1, 5), rng.uniform(1, 5)
+        zone = Polygon([(x, y), (x + w, y), (x + w, y + h), (x, y + h)])
+        store.add((EX[f"z{j}"], EX.zone, geometry_literal(zone)))
     return store
+
+
+def spatial_counters(monkeypatch, store, query):
+    """Rows of ``query`` with kernels on, and the spatial lane's
+    counter deltas."""
+    from repro import obs
+
+    monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
+    kernels.clear_caches()
+    before = obs.snapshot()["counters"]
+    rows = sorted(store.query(SPATIAL_PREFIXES + query).rows())
+    after = obs.snapshot()["counters"]
+    deltas = {
+        name: after.get(f"stsparql.spatial.{name}", 0)
+        - before.get(f"stsparql.spatial.{name}", 0)
+        for name in ("batch_rows", "env_decided", "exact_rows")
+    }
+    return rows, deltas
+
+
+def rows_both_ways(monkeypatch, make_store, query):
+    """Rows of ``query`` with kernels on and off, each on a fresh store."""
+    results = {}
+    for on in (True, False):
+        kernels.clear_caches()
+        if on:
+            monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(kernels.KERNELS_ENV, "0")
+        results[on] = sorted(
+            make_store().query(SPATIAL_PREFIXES + query).rows()
+        )
+    return results[True], results[False]
 
 
 class TestSpatialBatch:
     @pytest.mark.parametrize("query", SPATIAL_QUERIES)
     def test_batched_rows_match_interpreter(self, monkeypatch, query):
-        results = {}
-        for on in (True, False):
-            kernels.clear_caches()
-            if on:
-                monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
-            else:
-                monkeypatch.setenv(kernels.KERNELS_ENV, "0")
-            store = spatial_store()
-            results[on] = sorted(
-                store.query(SPATIAL_PREFIXES + query).rows()
-            )
-        assert results[True] == results[False]
+        on, off = rows_both_ways(monkeypatch, spatial_store, query)
+        assert on == off
 
     def test_batch_lane_engages_and_decides_rows(self, monkeypatch):
-        from repro import obs
-
-        monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
-        kernels.clear_caches()
-        store = spatial_store()
-        before = obs.snapshot()["counters"]
-        store.query(
-            SPATIAL_PREFIXES
-            + "SELECT ?s WHERE { ?s ex:geom ?g . "
-            f"FILTER(strdf:distance(?g, {PROBE}) > 10.0) }}"
+        _, deltas = spatial_counters(
+            monkeypatch,
+            spatial_store(),
+            "SELECT ?s WHERE { ?s ex:geom ?g . "
+            f"FILTER(strdf:distance(?g, {PROBE}) > 10.0) }}",
         )
-        after = obs.snapshot()["counters"]
-
-        def delta(name):
-            return after.get(name, 0) - before.get(name, 0)
-
-        assert delta("stsparql.spatial.batch_rows") == 120
+        assert deltas["batch_rows"] == 120
         # Most rows are far from the probe: the envelope lower bound
         # must decide them without running the exact geometry distance.
-        assert delta("stsparql.spatial.env_decided") > 60
+        assert deltas["env_decided"] > 60
+
+    def test_var_var_distance_takes_the_lane(self, monkeypatch):
+        # A spatial join: every (feature, zone) pair is one row of the
+        # batch, and most pairs are far apart.
+        _, deltas = spatial_counters(
+            monkeypatch,
+            spatial_store(),
+            "SELECT ?s ?z WHERE { ?s ex:geom ?g . ?z ex:zone ?h . "
+            "FILTER(strdf:distance(?g, ?h) < 2.5) }",
+        )
+        assert deltas["batch_rows"] == 120 * 8
+        assert deltas["env_decided"] > 120 * 8 / 2
+        assert (
+            deltas["env_decided"] + deltas["exact_rows"]
+            == deltas["batch_rows"]
+        )
 
     def test_envelope_decisions_match_all_pairs_oracle(self, monkeypatch):
         # The batched envelope pass must agree with the quadratic
-        # oracle: for every (geometry, constant) pair, env-disjoint
-        # implies the predicate is False, and the envelope distance
-        # never exceeds the geometry distance (it is a lower bound).
+        # oracle: for every (geometry, constant) pair and every
+        # (geometry, zone) pair, env-disjoint implies the predicate is
+        # False, and the envelope distance never exceeds the geometry
+        # distance (it is a lower bound).
         from repro.geometry import Envelope
         from repro.geometry.envelope import PackedEnvelopes
         from repro.strabon import literal_geometry
@@ -268,6 +324,20 @@ class TestSpatialBatch:
             assert hit[i] == envs[i].intersects(probe)
             # strict lower bound modulo the documented 1-ulp slack
             assert dist[i] * (1.0 - 1e-12) <= envs[i].distance(probe)
+        zones = [
+            literal_geometry(o)
+            for _, _, o in store.triples((None, EX.zone, None))
+        ]
+        pairs = [(g, z) for g in geoms for z in zones]
+        left = PackedEnvelopes.pack([g.envelope for g, _ in pairs])
+        right = PackedEnvelopes.pack([z.envelope for _, z in pairs])
+        hit = left.intersects(right)
+        dist = left.distance(right)
+        for k, (geom, zone) in enumerate(pairs):
+            assert hit[k] == geom.envelope.intersects(zone.envelope)
+            if not hit[k]:
+                assert not geom.intersects(zone)
+            assert dist[k] * (1.0 - 1e-12) <= geom.distance(zone)
 
     def test_mixed_srid_rows_fall_back_per_row(self, monkeypatch):
         # A geometry in a different SRID is outside the lane's
@@ -276,18 +346,7 @@ class TestSpatialBatch:
         from repro.geometry import Point
         from repro.strabon import geometry_literal
 
-        query = (
-            SPATIAL_PREFIXES
-            + "SELECT ?s WHERE { ?s ex:geom ?g . "
-            f"FILTER(strdf:distance(?g, {PROBE}) < 6.0) }}"
-        )
-        results = {}
-        for on in (True, False):
-            kernels.clear_caches()
-            if on:
-                monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
-            else:
-                monkeypatch.setenv(kernels.KERNELS_ENV, "0")
+        def make_store():
             store = spatial_store(n=40)
             store.add(
                 (
@@ -296,8 +355,121 @@ class TestSpatialBatch:
                     geometry_literal(Point(5.1, 5.1, srid=3857)),
                 )
             )
-            results[on] = sorted(store.query(query).rows())
-        assert results[True] == results[False]
+            return store
+
+        query = (
+            "SELECT ?s WHERE { ?s ex:geom ?g . "
+            f"FILTER(strdf:distance(?g, {PROBE}) < 6.0) }}"
+        )
+        on, off = rows_both_ways(monkeypatch, make_store, query)
+        assert on == off
+
+    def test_var_var_mixed_srid_rows_fall_back_per_row(self, monkeypatch):
+        # A zone in another SRID: each of its pairs takes the exact path
+        # (which re-projects), the other pairs stay in the lane.
+        from repro.geometry import Polygon
+        from repro.strabon import geometry_literal
+
+        def make_store():
+            store = spatial_store(n=40, zones=4)
+            square = [(0, 0), (9e5, 0), (9e5, 9e5), (0, 9e5)]
+            store.add(
+                (
+                    EX.far,
+                    EX.zone,
+                    geometry_literal(Polygon(square, srid=3857)),
+                )
+            )
+            return store
+
+        query = (
+            "SELECT ?s ?z WHERE { ?s ex:geom ?g . ?z ex:zone ?h . "
+            "FILTER(!strdf:intersects(?g, ?h)) }"
+        )
+        on, off = rows_both_ways(monkeypatch, make_store, query)
+        assert on == off
+        _, deltas = spatial_counters(monkeypatch, make_store(), query)
+        assert deltas["batch_rows"] == 40 * 5
+        assert deltas["exact_rows"] >= 40
+
+    def test_unbound_second_operand_falls_back_per_row(self, monkeypatch):
+        # OPTIONAL leaves ?h unbound for most features: those rows error
+        # out of the FILTER (also under `!`) on the exact path.
+        from repro.geometry import Polygon
+        from repro.strabon import geometry_literal
+
+        def make_store():
+            store = spatial_store(n=40)
+            for k in range(0, 40, 8):
+                store.add(
+                    (
+                        EX[f"f{k}"],
+                        EX.near,
+                        geometry_literal(
+                            Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
+                        ),
+                    )
+                )
+            return store
+
+        query = (
+            "SELECT ?s WHERE { ?s ex:geom ?g . "
+            "OPTIONAL { ?s ex:near ?h } "
+            "FILTER(!strdf:intersects(?g, ?h)) }"
+        )
+        on, off = rows_both_ways(monkeypatch, make_store, query)
+        assert on == off
+        assert 0 < len(on) <= 5
+
+    def test_malformed_literal_under_negation_is_excluded(
+        self, monkeypatch
+    ):
+        # A literal that does not parse makes the predicate an error,
+        # and `!error` is still an error: the row must not pass.
+        from repro.rdf.term import Literal
+        from repro.strabon import strdf
+
+        def make_store():
+            store = spatial_store(n=40, zones=3)
+            store.add(
+                (
+                    EX.broken,
+                    EX.geom,
+                    Literal("POLYGON oops", datatype=strdf.WKT_DATATYPE),
+                )
+            )
+            return store
+
+        query = (
+            "SELECT ?s ?z WHERE { ?s ex:geom ?g . ?z ex:zone ?h . "
+            "FILTER(!strdf:intersects(?g, ?h)) }"
+        )
+        on, off = rows_both_ways(monkeypatch, make_store, query)
+        assert on == off
+        assert not any(row[0] == EX.broken for row in on)
+        assert on
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            "strdf:intersects(?g, ?g)",
+            "strdf:distance(?g, ?g) < 1",
+            'strdf:distance(?g, ?h) < "near"',
+            "strdf:distance(?g, ?h) < ?r",
+            "!(strdf:distance(?g, ?h) < 1)",
+            "strdf:intersects(?g, ex:z0)",
+        ],
+    )
+    def test_other_shapes_are_refused(self, condition):
+        from repro.strabon.stsparql.parser import parse_query
+
+        kernels.clear_caches()
+        expr = parse_query(
+            SPATIAL_PREFIXES
+            + "SELECT ?s WHERE { ?s ex:geom ?g . ?z ex:zone ?h . "
+            f"FILTER({condition}) }}"
+        ).where.filters[0]
+        assert kernels.compile_spatial_filter(expr) is None
 
     def test_spatial_plan_cached_on_repeat(self, monkeypatch):
         monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)

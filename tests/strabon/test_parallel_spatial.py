@@ -1,4 +1,4 @@
-"""Vectorised spatial fast paths: envelope prefilter and batched probes."""
+"""Vectorised spatial fast paths: R-tree hints and batched probes."""
 
 import random
 
@@ -7,7 +7,6 @@ import pytest
 from repro.geometry import Envelope, Point
 from repro.rdf import Namespace
 from repro.strabon import StrabonStore, geometry_literal
-from repro.strabon.stsparql import evaluator as ev
 
 EX = Namespace("http://example.org/")
 
@@ -20,7 +19,7 @@ REGION = '"POLYGON ((10 10, 40 10, 40 40, 10 40, 10 10))"^^strdf:WKT'
 
 
 def build_store(n=120, seed=23, use_spatial_index=True):
-    """Many point sites, enough to clear PREFILTER_MIN_SOLUTIONS."""
+    """Many point sites, with two bindings no geometry test can use."""
     rng = random.Random(seed)
     store = StrabonStore(use_spatial_index=use_spatial_index)
     with store.bulk():
@@ -30,7 +29,7 @@ def build_store(n=120, seed=23, use_spatial_index=True):
                 (EX[f"site{k}"], EX.geom, geometry_literal(Point(x, y)))
             )
         # A non-geometry binding and a malformed geometry literal: both
-        # must pass through the prefilter to the exact filter untouched.
+        # must reach the exact filter untouched.
         from repro.rdf.term import Literal
         from repro.strabon import strdf
 
@@ -64,10 +63,27 @@ QUERIES = [
         + "SELECT ?s WHERE { ?s ex:geom ?g . "
         f"FILTER(strdf:contains({REGION}, ?g)) }}",
     ),
+    # Neither FILTER below asserts the predicate of every kept row, so
+    # neither may narrow ?g to the region's R-tree candidates.
+    (
+        "negated",
+        PREFIXES
+        + "SELECT ?s WHERE { ?s ex:geom ?g . "
+        f"FILTER(!strdf:intersects(?g, {REGION})) }}",
+    ),
+    (
+        "disjunction",
+        PREFIXES
+        + "SELECT ?s WHERE { ?s ex:geom ?g . "
+        f"FILTER(strdf:intersects(?g, {REGION}) || "
+        'strstarts(str(?s), "http://example.org/site1")) }',
+    ),
 ]
 
 
 class TestEnvelopePrefilter:
+    """The same spatial FILTER with the R-tree index on and off."""
+
     @pytest.mark.parametrize("name,query", QUERIES)
     def test_indexed_equals_unindexed(self, name, query):
         # Index hints may reorder BGP candidates, so compare as sets.
@@ -75,57 +91,6 @@ class TestEnvelopePrefilter:
         plain = build_store(use_spatial_index=False).query(query)
         assert set(indexed.column("s")) == set(plain.column("s"))
         assert len(indexed) == len(plain) > 0
-
-    def test_prefilter_drops_only_disjoint(self):
-        store = build_store()
-        evaluator = ev.Evaluator(store, use_spatial_index=True)
-        from repro.strabon.stsparql.parser import parse_query
-
-        expr = parse_query(QUERIES[1][1]).where.filters[0]
-        solutions = [
-            {"s": s, "g": g}
-            for s, _, g in store.triples((None, EX.geom, None))
-        ]
-        assert len(solutions) >= ev.PREFILTER_MIN_SOLUTIONS
-        pre = evaluator._envelope_prefilter(expr, solutions)
-        assert pre is not None
-        probe = Envelope(10, 10, 40, 40)
-        kept = {id(sol) for sol in pre}
-        for sol in solutions:
-            try:
-                env = evaluator._term_envelope(sol["g"])
-            except Exception:
-                assert id(sol) in kept  # untestable bindings pass through
-                continue
-            if env.intersects(probe):
-                assert id(sol) in kept
-            else:
-                assert id(sol) not in kept
-
-    def test_prefilter_skipped_below_threshold(self):
-        store = build_store(n=4)
-        evaluator = ev.Evaluator(store, use_spatial_index=True)
-        from repro.strabon.stsparql.parser import parse_query
-
-        expr = parse_query(QUERIES[1][1]).where.filters[0]
-        solutions = [
-            {"s": s, "g": g}
-            for s, _, g in store.triples((None, EX.geom, None))
-        ]
-        assert evaluator._envelope_prefilter(expr, solutions) is None
-
-    def test_prefilter_ignores_non_spatial_filters(self):
-        store = build_store()
-        evaluator = ev.Evaluator(store, use_spatial_index=True)
-        from repro.strabon.stsparql.parser import parse_query
-
-        query = (
-            PREFIXES
-            + "SELECT ?s WHERE { ?s ex:geom ?g . FILTER(?s != ex:site0) }"
-        )
-        expr = parse_query(query).where.filters[0]
-        solutions = [{"s": EX[f"site{k}"]} for k in range(40)]
-        assert evaluator._envelope_prefilter(expr, solutions) is None
 
 
 class TestBatchCandidates:
@@ -167,7 +132,7 @@ class TestBatchCandidates:
 
 class TestGeometryLiteralsStillExact:
     def test_boundary_point_semantics_preserved(self):
-        # Envelope prefilter must not change OGC boundary semantics.
+        # Envelope decisions must not change OGC boundary semantics.
         store = StrabonStore()
         with store.bulk():
             for k in range(20):

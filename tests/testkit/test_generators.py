@@ -73,6 +73,27 @@ class TestSpecShapes:
             term[0] == "v" for p in spec["patterns"] for term in p
         )
 
+    def test_stsparql_emits_hint_sensitive_filter_shapes(self):
+        # Negated and or-ed spatial FILTERs are where an R-tree hint
+        # must not be taken; a second geometry variable makes a join.
+        from repro.strabon.stsparql.parser import parse_query
+        from repro.testkit.differential import render_query
+
+        seen = set()
+        for seed in range(400):
+            spec = gen_spec("stsparql", seed)
+            filter_spec = spec["filter"] or {}
+            seen.update(
+                key for key in ("negate", "or", "other") if key in filter_spec
+            )
+            if "other" in filter_spec:
+                bound = {
+                    t[1] for p in spec["patterns"] for t in p if t[0] == "v"
+                }
+                assert {filter_spec["var"], filter_spec["other"]} <= bound
+            parse_query(render_query(spec)[0])
+        assert seen == {"negate", "or", "other"}
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sciql_spec_cells_match_shape(self, seed):
         spec = gen_spec("sciql", seed)

@@ -143,6 +143,59 @@ class TestBGPOracle:
         )
         assert rows == [("<http://example.org/a>",)]
 
+    REGION = "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))"
+    SHAPES_TRIPLES = (
+        [["u", "a"], ["u", "g"], ["w", "POINT (1 1)"]],
+        [["u", "b"], ["u", "g"], ["w", "POINT (9 9)"]],
+        [["u", "c"], ["u", "g"], ["i", 3]],
+        [["u", "b"], ["u", "v"], ["i", 7]],
+        [["u", "c"], ["u", "v"], ["i", 8]],
+        [["u", "z"], ["u", "g"], ["w", REGION]],
+    )
+
+    def _subjects(self, filter_spec, *patterns):
+        rows = oracles.naive_bgp_rows(
+            _triples(*self.SHAPES_TRIPLES),
+            _patterns([["v", "s"], ["u", "g"], ["v", "geo"]], *patterns),
+            filter_spec,
+            ["s"],
+            True,
+        )
+        return {row[0].rsplit("/", 1)[1].rstrip(">") for row in rows}
+
+    def test_negated_spatial_filter_keeps_errors_out(self):
+        # !within: b is outside the region, a and z are within it; the
+        # integer bound to ?geo for c is an error, and !error is too.
+        negated = {
+            "kind": "spatial", "pred": "within", "var": "geo",
+            "wkt": self.REGION, "negate": True,
+        }
+        assert self._subjects(negated) == {"b"}
+
+    def test_disjunct_rescues_failed_and_erroring_rows(self):
+        either = {
+            "kind": "spatial", "pred": "within", "var": "geo",
+            "wkt": self.REGION,
+            "or": {"kind": "cmp", "var": "n", "op": ">", "value": 5},
+        }
+        pattern = [["v", "s"], ["u", "v"], ["v", "n"]]
+        # c's spatial side errors and its ?n = 8 rescues it; b fails
+        # spatially and ?n = 7 rescues it.
+        assert self._subjects(either, pattern) == {"b", "c"}
+
+    def test_second_geometry_variable(self):
+        join = {
+            "kind": "spatial", "pred": "within", "var": "geo",
+            "other": "h",
+        }
+        pattern = [["u", "z"], ["u", "g"], ["v", "h"]]
+        assert self._subjects(join, pattern) == {"a", "z"}
+        near = {
+            "kind": "dist", "var": "h", "other": "geo", "op": "<=",
+            "bound": 0.0,
+        }
+        assert self._subjects(near, pattern) == {"a", "z"}
+
 
 class TestSciQLOracle:
     def test_map_and_count(self):
