@@ -1567,54 +1567,57 @@ class _Column(NamedTuple):
 def _operand_column(
     operand: SpatialOperand,
     solutions: List[Dict[str, Any]],
-    geometry: Callable[[Any], Any],
+    entry: Callable[[Any], Any],
 ) -> _Column:
     """Resolve an operand over a batch.  A variable's distinct bound
-    terms are resolved to (SRID, envelope) once each — hotspots and
-    linked-data features repeat across the pairs of a spatial join —
-    keyed by object identity, since every row holds its terms alive.
-    A missing or non-geometry binding, a parse error and an empty
-    envelope leave the row outside the lane."""
+    terms are resolved once each — hotspots and linked-data features
+    repeat across the pairs of a spatial join — keyed by object
+    identity, since every row holds its terms alive, through ``entry``:
+    the interner's cached ``(geometry, envelope)`` pair, so no envelope
+    is recomputed.  A missing or non-geometry binding, a parse error and
+    an empty envelope leave the row outside the lane."""
     from repro.geometry.envelope import Envelope, PackedEnvelopes
 
     if operand.variable is None:
         return _Column(True, operand.srid, operand.envelope)
     strdf = _strdf()
     slot_of: Dict[int, int] = {}
-    geoms: List[Any] = []
+    ok: List[bool] = []
+    srids: List[int] = []
+    envelopes: List[Any] = []
     slots = np.empty(len(solutions), dtype=np.intp)
     for i, sol in enumerate(solutions):
         term = sol.get(operand.variable)
         slot = slot_of.get(id(term))
         if slot is None:
-            slot = slot_of[id(term)] = len(geoms)
-            geom = None
+            slot = slot_of[id(term)] = len(ok)
+            geom, env = None, None
             if term is not None and strdf.is_geometry_literal(term):
                 try:
-                    geom = geometry(term)
+                    geom, env = entry(term)
                 except strdf.StRDFError:
                     pass
-            if geom is not None and geom.envelope.is_empty:
-                geom = None
-            geoms.append(geom)
+            usable = env is not None and not env.is_empty
+            ok.append(usable)
+            srids.append(geom.srid if usable else -1)
+            envelopes.append(env if usable else Envelope.empty())
         slots[i] = slot
-    ok = np.array([g is not None for g in geoms], dtype=bool)
-    srid = np.array(
-        [-1 if g is None else g.srid for g in geoms], dtype=np.int64
+    packed = PackedEnvelopes.pack(envelopes)
+    return _Column(
+        np.array(ok, dtype=bool)[slots],
+        np.array(srids, dtype=np.int64)[slots],
+        packed.take(slots),
     )
-    packed = PackedEnvelopes.pack(
-        [Envelope.empty() if g is None else g.envelope for g in geoms]
-    )
-    return _Column(ok[slots], srid[slots], packed.take(slots))
 
 
 def run_spatial_filter(
     plan: SpatialFilterPlan,
     solutions: List[Dict[str, Any]],
-    geometry: Callable[[Any], Any],
+    entry: Callable[[Any], Any],
     fallback: Callable[[Dict[str, Any]], bool],
 ) -> List[Dict[str, Any]]:
-    """Apply a compiled spatial FILTER over candidate solutions.
+    """Apply a compiled spatial FILTER over candidate solutions;
+    ``entry(term)`` is a literal's cached ``(geometry, envelope)``.
 
     A row enters the envelope lane when both operands are non-empty
     geometries in one SRID; one vectorised pass over the lane then
@@ -1635,7 +1638,7 @@ def run_spatial_filter(
 
     n = len(solutions)
     a, b = (
-        _operand_column(operand, solutions, geometry)
+        _operand_column(operand, solutions, entry)
         for operand in plan.operands
     )
     lane = a.ok & b.ok & (a.srid == b.srid)

@@ -6,11 +6,11 @@ state was captured against — JSON-serialised and base64-encoded.  The
 server is therefore stateless between quanta: any process holding the
 same store (at the same version) can resume any token.
 
-The pipeline state is positions, never rows: one cursor per triple
-pattern, the OFFSET/LIMIT counters, and for DISTINCT queries the keys
-already emitted.  Only the last grows with the result, so tokens are
-capped at :data:`MAX_TOKEN_BYTES` on both sides — the codec refuses to
-mint a larger one and refuses to look inside a larger one.
+The pipeline state is positions, never rows: a block start and a cursor
+per open join frame, the OFFSET/LIMIT counters, and for DISTINCT queries
+the keys already emitted.  Only the last grows with the result, so
+tokens are capped at :data:`MAX_TOKEN_BYTES` on both sides — the codec
+refuses to mint a larger one and refuses to look inside a larger one.
 
 Versioning makes staleness explicit instead of silently wrong: scan
 cursors index into deterministically ordered match lists, which only
@@ -37,9 +37,9 @@ __all__ = [
 ]
 
 #: Token format marker, bumped on incompatible state-layout changes so
-#: an old token fails loudly instead of half-restoring.  2: flat
-#: cursor-only state (format 1 carried buffered solutions as n3 text).
-_FORMAT = 2
+#: an old token fails loudly instead of half-restoring.  3: a block start
+#: and a cursor per join frame (2: a cursor per frame; 1: buffered rows).
+_FORMAT = 3
 
 #: Largest token the codec mints or decodes, in ASCII characters.
 MAX_TOKEN_BYTES = 1 << 20

@@ -332,13 +332,11 @@ class QueryServer:
             return self._run_pipeline(request, parsed, pipeline, started)
 
         parsed = self._parse(request.query)
-        if isinstance(parsed, alg.SelectQuery):
-            pipeline = build_select_pipeline(
-                parsed, self.store,
-                use_spatial_index=self.use_spatial_index,
-            )
-            if pipeline is not None:
-                return self._run_pipeline(request, parsed, pipeline, started)
+        pipeline = build_select_pipeline(
+            parsed, self.store, use_spatial_index=self.use_spatial_index
+        )
+        if pipeline is not None:
+            return self._run_pipeline(request, parsed, pipeline, started)
         # Non-streamable: one-shot evaluation, complete in this slice.
         obs.counter("server.oneshot").inc()
         result = self.store.query(request.query)
@@ -366,13 +364,12 @@ class QueryServer:
         pipeline,
         started: float,
     ) -> QueryPage:
-        """Pull solutions until the quantum expires or the stream ends.
+        """Pull join blocks until the quantum expires or the stream ends.
 
-        The clock is read only after a pull, so every page advances the
-        query by at least one filter batch (one scan match when there is
-        no FILTER) however short the quantum or slow the restore.  On
-        expiry the rows the operators have already computed are drained
-        into this page; the token then holds positions only.
+        Each pull takes one row and drains the rest of the join's top
+        block into the page; the clock is read only after that, so every
+        page advances the query by at least one block however short the
+        quantum or slow the restore, and the token holds positions only.
         """
         variables = pipeline_variables(parsed)
         budget = (
@@ -385,14 +382,14 @@ class QueryServer:
             if sol is None:
                 break
             rows.append(sol)
+            drained = pipeline.drain()
+            rows.extend(drained)
+            obs.counter("server.drained_rows").inc(len(drained))
             if budget is not None and time.monotonic() - started >= budget:
-                drained = pipeline.drain()
-                rows.extend(drained)
                 token = encode_token(
                     request.query, self.store.version, pipeline.save()
                 )
                 obs.counter("server.suspends").inc()
-                obs.counter("server.drained_rows").inc(len(drained))
                 obs.histogram("server.token.bytes").observe(len(token))
                 break
         obs.counter("server.pages").inc()

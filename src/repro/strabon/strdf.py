@@ -111,13 +111,15 @@ class GeometryInterner:
 
     def geometry(self, term: RDFTerm) -> Geometry:
         """Parsed geometry of a WKT literal (cached)."""
-        return self._entry(term)[0]
+        return self.entry(term)[0]
 
     def envelope(self, term: RDFTerm) -> Envelope:
         """Envelope of a WKT literal's geometry (cached)."""
-        return self._entry(term)[1]
+        return self.entry(term)[1]
 
-    def _entry(self, term: RDFTerm) -> Tuple[Geometry, Envelope]:
+    def entry(self, term: RDFTerm) -> Tuple[Geometry, Envelope]:
+        """``(geometry, envelope)`` of a WKT literal, both computed once
+        (a polygon's ``envelope`` property walks every vertex)."""
         try:
             entry = self._cache.get(term)
         except TypeError:  # unhashable — parse without caching

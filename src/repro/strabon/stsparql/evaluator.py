@@ -1,32 +1,24 @@
 """stSPARQL evaluation over a Strabon store.
 
-Solutions are dictionaries ``{var_name: RDFTerm}``.  BGP matching performs
-index nested-loop joins, greedily picking the cheapest remaining triple
-pattern at each step using true cardinality estimates from the graph's
-permutation indexes (:meth:`repro.rdf.Graph.count_estimate`), falling
-back to boundness when no estimator is available.  Solutions are extended
-copy-on-bind: a pattern that adds no new binding reuses the incoming
-dict instead of copying it.  FILTER expressions are pushed down into the
-BGP loop and evaluated as soon as no remaining pattern can bind any of
-their variables.  A spatial FILTER that asserts an indexable predicate
-between one variable and one constant geometry — the FILTER itself or an
-operand of its top-level ``&&``, never a call under ``!`` or ``||`` — is
-additionally pushed into the matching phase as an R-tree candidate
-restriction (benchmark A1 measures exactly this optimisation against
-the unindexed evaluation); the R-tree probes of a query's filters are
-answered in one batch against the index's packed leaf snapshot.
-Spatial FILTERs that apply across many solutions — including the
-variable–variable joins of the fire map and negated predicates — run
-through the batched envelope lane of :mod:`repro.kernels`.
+Solutions are dictionaries ``{var_name: RDFTerm}``.  Every basic graph
+pattern runs through the join of :mod:`repro.strabon.stsparql.iterators`
+— its planner orders the patterns, places each FILTER on the scan that
+binds its last variable and narrows indexable spatial FILTERs to R-tree
+candidates — seeded with the solutions of the group so far.  This module
+evaluates what has no streaming form around it: OPTIONAL, UNION, BIND,
+VALUES, property paths, aggregates, ORDER BY, CONSTRUCT/ASK/DESCRIBE and
+update templates, and every expression.  A FILTER over many solutions
+runs through :mod:`repro.kernels` — the batched envelope lane for
+spatial predicates and distance comparisons, compiled numeric kernels
+for the rest.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro import kernels, obs
 from repro.geometry import Geometry
-from repro.geometry.envelope import Envelope
 from repro.rdf.term import BNode, Literal, RDFTerm, URIRef, Variable
 from repro.strabon import strdf
 from repro.strabon.stsparql import algebra as alg
@@ -34,19 +26,26 @@ from repro.strabon.stsparql.errors import StSPARQLError
 from repro.strabon.stsparql.functions import (
     BUILTINS,
     EXTENSIONS,
-    EvalContext,
-    INDEXABLE_PREDICATES,
     ebv,
     is_aggregate_name,
     term_value,
+)
+from repro.strabon.stsparql.iterators import (
+    RowsIterator,
+    Solution,
+    _expr_has_aggregate,
+    _expr_vars,
+    _triple_vars,
+    build_select_pipeline,
+    join_solutions,
+    pipeline_variables,
+    solution_modifiers,
 )
 from repro.strabon.stsparql.results import (
     AskResult,
     ConstructResult,
     SelectResult,
 )
-
-Solution = Dict[str, RDFTerm]
 
 
 class _ExprError(StSPARQLError):
@@ -59,15 +58,19 @@ class Evaluator:
     def __init__(self, store, use_spatial_index: bool = True):
         self.store = store
         self.use_spatial_index = use_spatial_index
-        self.ctx = EvalContext(
-            interner=getattr(store, "geometries", None)
-        )
-        graph = getattr(store, "graph", store)
-        self._count = getattr(graph, "count_estimate", None)
+        self.ctx = store.geometries
+        self._count = store.graph.count_estimate
 
     # -- public entry points -------------------------------------------------
 
     def select(self, query: alg.SelectQuery) -> SelectResult:
+        """A streamable SELECT runs on the serving tier's pipeline with
+        no quantum; the rest through the operators here."""
+        pipe = build_select_pipeline(
+            query, self.store, self.use_spatial_index
+        )
+        if pipe is not None:
+            return SelectResult(pipeline_variables(query), pipe.run())
         solutions = self._pattern(query.where, [dict()])
         aggregated = bool(query.group_by) or any(
             p.expr is not None and _expr_has_aggregate(p.expr)
@@ -95,16 +98,10 @@ class Evaluator:
                         if var not in seen:
                             seen.append(var)
                 variables = sorted(seen)
-        solutions = self._order(query.order_by, solutions)
-        if query.projections:
-            names = [p.var for p in query.projections]
-            solutions = [
-                {v: sol[v] for v in names if v in sol} for sol in solutions
-            ]
-        if query.distinct:
-            solutions = _distinct(solutions, variables)
-        solutions = _slice(solutions, query.limit, query.offset)
-        return SelectResult(variables, solutions)
+        rows = RowsIterator(self._order(query.order_by, solutions))
+        return SelectResult(
+            variables, solution_modifiers(rows, query, variables).run()
+        )
 
     def ask(self, query: alg.AskQuery) -> AskResult:
         solutions = self._pattern(query.where, [dict()])
@@ -200,7 +197,7 @@ class Evaluator:
         self, pattern: alg.Pattern, solutions: List[Solution]
     ) -> List[Solution]:
         if isinstance(pattern, alg.BGP):
-            return self._bgp(pattern.triples, solutions, {})
+            return self._group(alg.GroupPattern((pattern,)), solutions)
         if isinstance(pattern, alg.GroupPattern):
             return self._group(pattern, solutions)
         if isinstance(pattern, alg.OptionalPattern):
@@ -250,55 +247,29 @@ class Evaluator:
     def _group(
         self, group: alg.GroupPattern, solutions: List[Solution]
     ) -> List[Solution]:
-        # Spatial-filter pushdown: compute R-tree candidate sets for
-        # variables constrained by indexable FILTERs against constants.
-        with obs.span("stsparql.plan"):
-            hints = (
-                self._spatial_hints(group.filters)
-                if self.use_spatial_index
-                else {}
-            )
-        # General filter pushdown: a FILTER may run as soon as no later
-        # part (or remaining BGP pattern) can bind any of its variables —
-        # at that point its verdict can no longer change.
+        """Join the parts in order.  A FILTER runs as soon as no later
+        part can bind any of its variables — its verdict can no longer
+        change: inside a BGP part's join, on the scan that binds its last
+        variable, or after any other part."""
         pending = [(expr, _expr_vars(expr)) for expr in group.filters]
         binds = [_pattern_binds(part) for part in group.parts]
         for i, part in enumerate(group.parts):
-            later: Set[str] = set()
-            for later_binds in binds[i + 1:]:
-                later |= later_binds
+            later = set().union(*binds[i + 1:])
             if isinstance(part, alg.BGP):
-                solutions = self._bgp(
-                    part.triples, solutions, hints, pending, later
+                # Property paths run after the join of the exact patterns.
+                paths = [t for t in part.triples if isinstance(t.p, alg.Path)]
+                exact = tuple(t for t in part.triples if t not in paths)
+                bound_later = later.union(*map(_triple_vars, paths))
+                solutions = join_solutions(
+                    self, exact, _take_ready(pending, bound_later), solutions
                 )
+                for pattern in paths:
+                    solutions = self._match_path_pattern(pattern, solutions)
             else:
                 solutions = self._pattern(part, solutions)
-                solutions = self._apply_ready_filters(
-                    pending, (), later, solutions
-                )
+            for expr in _take_ready(pending, later):
+                solutions = self._filter_solutions(expr, solutions)
         for expr, _ in pending:
-            solutions = self._filter_solutions(expr, solutions)
-        return solutions
-
-    def _apply_ready_filters(
-        self,
-        pending: List[Tuple[alg.Expr, frozenset]],
-        remaining: Sequence[alg.TriplePattern],
-        outer_later: Set[str],
-        solutions: List[Solution],
-    ) -> List[Solution]:
-        """Run (and retire) every pending filter whose variables can no
-        longer gain bindings from ``remaining`` patterns or later parts."""
-        later = set(outer_later)
-        for pat in remaining:
-            later |= _triple_vars(pat)
-        i = 0
-        while i < len(pending):
-            expr, variables = pending[i]
-            if variables & later:
-                i += 1
-                continue
-            pending.pop(i)
             solutions = self._filter_solutions(expr, solutions)
         return solutions
 
@@ -331,13 +302,9 @@ class Evaluator:
                     return kernels.run_spatial_filter(
                         splan,
                         solutions,
-                        self._term_geometry,
+                        self.store.geometries.entry,
                         lambda sol: self._filter_passes(expr, sol),
                     )
-            if (
-                kernels.enabled()
-                and len(solutions) >= kernels.FILTER_BATCH_MIN_SOLUTIONS
-            ):
                 plan = kernels.compile_filter(expr)
                 if plan is not None:
                     return kernels.run_filter(
@@ -348,176 +315,6 @@ class Evaluator:
             return [
                 sol for sol in solutions if self._filter_passes(expr, sol)
             ]
-
-    def _term_geometry(self, term):
-        """Parsed geometry of a literal via the store's interner."""
-        interner = getattr(self.store, "geometries", None)
-        if interner is not None:
-            return interner.geometry(term)
-        return self.ctx.geometry(term)
-
-    def _spatial_hints(
-        self, filters: Sequence[alg.Expr]
-    ) -> Dict[str, Set[RDFTerm]]:
-        """R-tree candidate sets for the variables that indexable
-        predicates in positive conjunctive position constrain against a
-        constant geometry (see :func:`_positive_conjuncts`)."""
-        probes: List[Tuple[str, Envelope]] = []
-        for expr in filters:
-            for call in _positive_conjuncts(expr):
-                spec = _indexable_call_spec(call)
-                if spec is None:
-                    continue
-                var, const = spec
-                try:
-                    probe = self.ctx.geometry(const)
-                except strdf.StRDFError:
-                    continue
-                probes.append((var, probe.envelope))
-        hints: Dict[str, Set[RDFTerm]] = {}
-        if not probes:
-            return hints
-        # One packed-snapshot pass answers every probe of the query.
-        batch = getattr(self.store, "spatial_candidates_batch", None)
-        if batch is not None:
-            candidate_sets = batch([env for _, env in probes])
-            if candidate_sets is None:
-                return hints
-        else:
-            candidate_sets = [
-                self.store.spatial_candidates(env) for _, env in probes
-            ]
-        for (var, _), candidates in zip(probes, candidate_sets):
-            if candidates is None:
-                continue
-            if var in hints:
-                hints[var] &= candidates
-            else:
-                hints[var] = set(candidates)
-        return hints
-
-    def _bgp(
-        self,
-        patterns: Sequence[alg.TriplePattern],
-        solutions: List[Solution],
-        hints: Dict[str, Set[RDFTerm]],
-        pending: Optional[List[Tuple[alg.Expr, frozenset]]] = None,
-        outer_later: Set[str] = frozenset(),
-    ) -> List[Solution]:
-        remaining = list(patterns)
-        if pending:
-            solutions = self._apply_ready_filters(
-                pending, remaining, outer_later, solutions
-            )
-        with obs.span("stsparql.bgp", patterns=len(remaining)):
-            return self._bgp_join(
-                remaining, solutions, hints, pending, outer_later
-            )
-
-    def _bgp_join(
-        self,
-        remaining: List[alg.TriplePattern],
-        solutions: List[Solution],
-        hints: Dict[str, Set[RDFTerm]],
-        pending: Optional[List[Tuple[alg.Expr, frozenset]]],
-        outer_later: Set[str],
-    ) -> List[Solution]:
-        while remaining and solutions:
-            # Greedy: pick the cheapest remaining pattern under the first
-            # current solution (estimated matches, then boundness).
-            probe = solutions[0]
-            best_index = min(
-                range(len(remaining)),
-                key=lambda i: self._pattern_cost(
-                    remaining[i], probe, hints
-                ),
-            )
-            pattern = remaining.pop(best_index)
-            solutions = self._match_pattern(pattern, solutions, hints)
-            if pending:
-                solutions = self._apply_ready_filters(
-                    pending, remaining, outer_later, solutions
-                )
-        return solutions
-
-    def _pattern_cost(
-        self,
-        pattern: alg.TriplePattern,
-        solution: Solution,
-        hints: Dict[str, Set[RDFTerm]],
-    ) -> Tuple:
-        """Ordering key for BGP patterns: lower sorts (and runs) first."""
-        if isinstance(pattern.p, alg.Path):
-            # Paths have no cardinality estimate; run them after exact
-            # patterns have narrowed the solutions.
-            return (float("inf"), 0, 0)
-        score, hinted = _boundness(pattern, solution, hints)
-        if self._count is None:
-            return (0, -score, -hinted)
-        s = _resolve(pattern.s, solution)
-        p = _resolve(pattern.p, solution)
-        o = _resolve(pattern.o, solution)
-        estimate = self._count((s, p, o))
-        if (
-            o is None
-            and isinstance(pattern.o, Variable)
-            and str(pattern.o) in hints
-        ):
-            estimate = min(estimate, len(hints[str(pattern.o)]))
-        return (estimate, -score, -hinted)
-
-    def _match_pattern(
-        self,
-        pattern: alg.TriplePattern,
-        solutions: List[Solution],
-        hints: Dict[str, Set[RDFTerm]],
-    ) -> List[Solution]:
-        if isinstance(pattern.p, alg.Path):
-            return self._match_path_pattern(pattern, solutions)
-        # Variable positions, computed once; matching binds copy-on-bind:
-        # the incoming solution is only copied when a genuinely new
-        # binding is added, so fully-bound existence checks are copy-free.
-        variables = [
-            (i, str(term))
-            for i, term in enumerate((pattern.s, pattern.p, pattern.o))
-            if isinstance(term, Variable)
-        ]
-        out: List[Solution] = []
-        for sol in solutions:
-            s = _resolve(pattern.s, sol)
-            p = _resolve(pattern.p, sol)
-            o = _resolve(pattern.o, sol)
-            o_candidates = None
-            if (
-                o is None
-                and isinstance(pattern.o, Variable)
-                and str(pattern.o) in hints
-            ):
-                o_candidates = hints[str(pattern.o)]
-            if o_candidates is not None:
-                matches: Iterable = (
-                    t
-                    for cand in o_candidates
-                    for t in self.store.triples((s, p, cand))
-                )
-            else:
-                matches = self.store.triples((s, p, o))
-            for triple in matches:
-                new: Optional[Solution] = None
-                ok = True
-                for i, name in variables:
-                    value = triple[i]
-                    current = (sol if new is None else new).get(name)
-                    if current is None:
-                        if new is None:
-                            new = dict(sol)
-                        new[name] = value
-                    elif current != value:
-                        ok = False
-                        break
-                if ok:
-                    out.append(sol if new is None else new)
-        return out
 
     # -- property paths ------------------------------------------------------------
 
@@ -950,48 +747,6 @@ class _AggShim:
 # ---------------------------------------------------------------------------
 
 
-def _boundness(
-    pattern: alg.TriplePattern, solution: Solution, hints
-) -> Tuple[int, int]:
-    score = 0
-    hinted = 0
-    for term in (pattern.s, pattern.p, pattern.o):
-        if isinstance(term, Variable):
-            if str(term) in solution:
-                score += 1
-            elif str(term) in hints:
-                hinted += 1
-        else:
-            score += 1
-    return (score, hinted)
-
-
-def _expr_vars(expr: alg.Expr) -> frozenset:
-    """Every variable name appearing anywhere in an expression."""
-    out: Set[str] = set()
-    stack: List[alg.Expr] = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, alg.EVar):
-            out.add(e.name)
-        elif isinstance(e, alg.EUnary):
-            stack.append(e.operand)
-        elif isinstance(e, alg.EBinary):
-            stack.append(e.left)
-            stack.append(e.right)
-        elif isinstance(e, alg.ECall):
-            stack.extend(e.args)
-    return frozenset(out)
-
-
-def _triple_vars(pattern: alg.TriplePattern) -> Set[str]:
-    out: Set[str] = set()
-    for term in (pattern.s, pattern.p, pattern.o):
-        if isinstance(term, Variable):
-            out.add(str(term))
-    return out
-
-
 def _pattern_binds(part: alg.Pattern) -> Set[str]:
     """Variables a pattern may bind (an over-approximation is safe: it
     only delays a pushed-down filter, never changes its verdict)."""
@@ -1014,6 +769,16 @@ def _pattern_binds(part: alg.Pattern) -> Set[str]:
     if isinstance(part, alg.ValuesPattern):
         return {part.var}
     return set()
+
+
+def _take_ready(
+    pending: List[Tuple[alg.Expr, frozenset]], later: Set[str]
+) -> Tuple[alg.Expr, ...]:
+    """Remove and return the pending FILTERs none of whose variables
+    ``later`` parts can bind."""
+    ready = tuple(expr for expr, names in pending if not names & later)
+    pending[:] = [(e, names) for e, names in pending if names & later]
+    return ready
 
 
 def _resolve(term, sol: Solution):
@@ -1050,61 +815,6 @@ def _instantiate_all(pattern, sol, bnode_map, counter):
     if s is None or p is None or o is None:
         return None
     return (s, p, o)
-
-
-def _walk_calls(expr: alg.Expr):
-    if isinstance(expr, alg.ECall):
-        yield expr
-        for arg in expr.args:
-            yield from _walk_calls(arg)
-    elif isinstance(expr, alg.EBinary):
-        yield from _walk_calls(expr.left)
-        yield from _walk_calls(expr.right)
-    elif isinstance(expr, alg.EUnary):
-        yield from _walk_calls(expr.operand)
-
-
-def _positive_conjuncts(expr: alg.Expr):
-    """The sub-expressions a FILTER asserts true of every solution it
-    keeps: the expression itself or, recursively, an operand of ``&&``.
-    Nothing under ``!``, ``||`` or a function argument qualifies, so an
-    R-tree hint never narrows a variable the FILTER may keep outside
-    the probe."""
-    if isinstance(expr, alg.EBinary) and expr.op == "&&":
-        yield from _positive_conjuncts(expr.left)
-        yield from _positive_conjuncts(expr.right)
-    else:
-        yield expr
-
-
-def _indexable_call_spec(
-    expr: alg.Expr,
-) -> Optional[Tuple[str, RDFTerm]]:
-    """``(variable, constant geometry)`` when ``expr`` is an indexable
-    spatial predicate call over one variable and one geometry literal,
-    else None."""
-    if not isinstance(expr, alg.ECall):
-        return None
-    if expr.name not in INDEXABLE_PREDICATES or len(expr.args) != 2:
-        return None
-    var, const = None, None
-    for arg in expr.args:
-        if isinstance(arg, alg.EVar):
-            var = arg.name
-        elif isinstance(arg, alg.ETerm) and strdf.is_geometry_literal(
-            arg.term
-        ):
-            const = arg.term
-    if var is None or const is None:
-        return None
-    return var, const
-
-
-def _expr_has_aggregate(expr: alg.Expr) -> bool:
-    for call in _walk_calls(expr):
-        if is_aggregate_name(call.name):
-            return True
-    return False
 
 
 def _as_term(value: Any) -> RDFTerm:
@@ -1168,29 +878,3 @@ class _SortKey:
 
     def __eq__(self, other):
         return self.value == other.value
-
-
-def _distinct(
-    solutions: List[Solution], variables: List[str]
-) -> List[Solution]:
-    seen = set()
-    out = []
-    for sol in solutions:
-        key = tuple(
-            (sol.get(v).n3() if sol.get(v) is not None else None)
-            for v in variables
-        )
-        if key not in seen:
-            seen.add(key)
-            out.append(sol)
-    return out
-
-
-def _slice(
-    solutions: List[Solution],
-    limit: Optional[int],
-    offset: Optional[int],
-) -> List[Solution]:
-    start = offset or 0
-    stop = start + limit if limit is not None else None
-    return solutions[start:stop]

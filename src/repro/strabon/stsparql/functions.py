@@ -9,8 +9,9 @@ Two registries:
   GeoSPARQL ``geof:*`` aliases.
 
 Functions operate on RDF terms and return RDF terms (or Python bool/num
-which the evaluator wraps).  Geometry literals are parsed through a cache
-owned by the evaluation context.
+which the evaluator wraps).  Their ``ctx`` argument is the store's
+:class:`repro.strabon.strdf.GeometryInterner`, so a geometry literal is
+parsed once per store.
 """
 
 from __future__ import annotations
@@ -25,32 +26,6 @@ from repro.rdf.namespace import GEO, STRDF, XSD
 from repro.rdf.term import BNode, Literal, URIRef
 from repro.strabon import strdf
 from repro.strabon.stsparql.errors import StSPARQLError
-
-
-class EvalContext:
-    """Shared evaluation state: the geometry parse cache.
-
-    When an ``interner`` (a :class:`repro.strabon.strdf.GeometryInterner`,
-    typically owned by the store) is supplied, parsed geometries are
-    shared across queries; otherwise a private per-context dict gives the
-    old per-query memoisation.
-    """
-
-    def __init__(self, interner=None):
-        self._interner = interner
-        self._geometry_cache: Dict[Any, Geometry] = {}
-
-    def geometry(self, term) -> Geometry:
-        if self._interner is not None:
-            return self._interner.geometry(term)
-        try:
-            return self._geometry_cache[term]
-        except KeyError:
-            geom = strdf.literal_geometry(term)
-            self._geometry_cache[term] = geom
-            return geom
-        except TypeError:  # unhashable — parse without caching
-            return strdf.literal_geometry(term)
 
 
 def term_value(term) -> Any:
@@ -176,7 +151,7 @@ BUILTINS: Dict[str, Callable] = {
 # ---------------------------------------------------------------------------
 
 
-def _geom(ctx: EvalContext, term) -> Geometry:
+def _geom(ctx: strdf.GeometryInterner, term) -> Geometry:
     return ctx.geometry(term)
 
 

@@ -24,7 +24,6 @@ from repro.mdb import Database
 from repro.server import decode_token, encode_token
 from repro.strabon import StrabonStore
 from repro.strabon.stsparql.iterators import (
-    FILTER_BATCH_ROWS,
     build_select_pipeline,
     restore_pipeline,
 )
@@ -201,10 +200,11 @@ def _render_condition(filter_spec: Dict[str, Any]) -> str:
 
 def render_query(spec: Dict[str, Any]) -> Tuple[str, List[str]]:
     """The stSPARQL text of a query spec and its projected variables."""
+    optional = spec.get("optional")
     variables = sorted(
         {
             term[1]
-            for pattern in spec["patterns"]
+            for pattern in spec["patterns"] + ([optional] if optional else [])
             for term in pattern
             if term[0] == "v"
         }
@@ -219,6 +219,12 @@ def render_query(spec: Dict[str, Any]) -> Tuple[str, List[str]]:
         if filter_spec.get("or"):
             condition += " || " + _render_condition(filter_spec["or"])
         body += f" . FILTER({condition})"
+    if optional:
+        body += (
+            " OPTIONAL { "
+            + " ".join(_render_term(term) for term in optional)
+            + " }"
+        )
     select = "SELECT DISTINCT" if spec["distinct"] else "SELECT"
     projection = " ".join(f"?{name}" for name in variables)
     return (
@@ -245,24 +251,21 @@ def _pipeline_rows(
     store: StrabonStore,
     query: str,
     variables: Sequence[str],
-    suspend_batch_rows: Optional[int],
+    block_rows: int,
 ) -> List[Tuple[Optional[str], ...]]:
-    """Rows via the preemptable iterator pipeline (repro.server path).
-
-    ``suspend_batch_rows=None`` is the quantum=∞ shape (one slice runs
-    the query dry).  A number is the worst-case preemption shape — after
-    *every* pulled solution the pipeline is suspended exactly as the
-    serving tier does between quanta: drain the rows already computed,
-    save, and carry the state through a continuation token (encode →
-    decode → rebuild → restore) — with FILTERs judging that many rows
-    per batch: 1 makes every solution a true suspension boundary, 2
-    makes each suspension drain a survivor the filter still held.  All
-    must reproduce the one-shot evaluator's solutions with none lost
+    """Rows via the preemptable pipeline (repro.server path) in its
+    worst-case preemption shape: the join's blocks aim at ``block_rows``
+    rows, and after *every* pulled solution the pipeline is suspended
+    exactly as the serving tier does between quanta — drain the rest of
+    the top block, save, and carry the state through a continuation
+    token (encode → decode → rebuild → restore).  A 1-row block makes
+    every solution a true suspension boundary; a 2-row block suspends
+    inside a block, so each suspension drains a row the join already
+    judged.  Both must reproduce the one-shot solutions with none lost
     and none duplicated.
     """
     parsed = parse_query(query)
-    batch_rows = suspend_batch_rows or FILTER_BATCH_ROWS
-    pipe = build_select_pipeline(parsed, store, batch_rows=batch_rows)
+    pipe = build_select_pipeline(parsed, store, batch_rows=block_rows)
     if pipe is None:  # not streamable: the server falls back to one-shot
         return _store_rows(store, query, variables)
     solutions = []
@@ -271,13 +274,12 @@ def _pipeline_rows(
         if sol is None:
             break
         solutions.append(sol)
-        if suspend_batch_rows:
-            solutions.extend(pipe.drain())
-            token = encode_token(query, store.version, pipe.save())
-            text, _version, state = decode_token(token)
-            pipe = restore_pipeline(
-                parse_query(text), store, state, batch_rows=batch_rows
-            )
+        solutions.extend(pipe.drain())
+        token = encode_token(query, store.version, pipe.save())
+        text, _version, state = decode_token(token)
+        pipe = restore_pipeline(
+            parse_query(text), store, state, batch_rows=block_rows
+        )
     rows = [
         tuple(
             sol[v].n3() if sol.get(v) is not None else None
@@ -313,6 +315,11 @@ def _check_stsparql(spec: Dict[str, Any]) -> Optional[str]:
                 spec.get("filter"),
                 variables,
                 spec["distinct"],
+                optional=(
+                    tuple(map(oracles.term_from_json, spec["optional"]))
+                    if spec.get("optional")
+                    else None
+                ),
             )
         )
 
@@ -379,10 +386,6 @@ def _check_stsparql(spec: Dict[str, Any]) -> Optional[str]:
                 "0",
                 lambda: _store_rows(store, query, variables),
             ),
-        ),
-        (
-            "pipeline-one-quantum",
-            lambda: _pipeline_rows(store, query, variables, None),
         ),
         (
             "pipeline-suspend-every-row",

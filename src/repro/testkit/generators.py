@@ -225,7 +225,8 @@ _SPATIAL_PREDS = (
 
 
 def gen_stsparql_spec(seed: int) -> Dict[str, Any]:
-    """A small stRDF graph plus one BGP/FILTER query.
+    """A small stRDF graph plus one BGP/FILTER query, sometimes with an
+    ``OPTIONAL { one pattern }`` tail.
 
     ``extra_triples`` are added *after* a first query round so the
     incremental index-maintenance path is differentially exercised too.
@@ -294,12 +295,25 @@ def gen_stsparql_spec(seed: int) -> Dict[str, Any]:
         }
     if filter_spec is not None and filter_spec["kind"] != "cmp":
         _vary_spatial_filter(rng, filter_spec, patterns)
+    distinct = rng.random() < 0.3
+    # An OPTIONAL tail joins one pattern onto each solution with the
+    # solution's variables bound: the seeded join, under every variant.
+    optional = None
+    if rng.random() < 0.4:
+        optional = rng.choice(
+            templates
+            + [
+                [["v", "o"], ["u", "kind"], ["v", "k"]],
+                [["v", "s"], ["u", "geom"], ["v", "og"]],
+            ]
+        )
     return {
         "triples": triples,
         "extra_triples": extra,
         "patterns": patterns,
         "filter": filter_spec,
-        "distinct": rng.random() < 0.3,
+        "distinct": distinct,
+        "optional": optional,
     }
 
 

@@ -185,10 +185,13 @@ def naive_bgp_rows(
     filter_spec: Optional[Dict[str, Any]],
     variables: Sequence[str],
     distinct: bool,
+    optional: Optional[Tuple[Any, Any, Any]] = None,
 ) -> List[Tuple[Optional[str], ...]]:
-    """Nested-loop BGP evaluation in pattern order, filter applied at
-    the end; rows rendered to n3 over ``variables``.  Returns the sorted
-    multiset (list) of rows, deduplicated only under ``distinct``."""
+    """Nested-loop BGP evaluation in pattern order, then the
+    ``optional`` pattern as a left join (a solution it cannot extend is
+    kept as it is), filter applied at the end; rows rendered to n3 over
+    ``variables``.  Returns the sorted multiset (list) of rows,
+    deduplicated only under ``distinct``."""
     solutions: List[Dict[str, RDFTerm]] = [{}]
     for pattern in patterns:
         solutions = [
@@ -198,6 +201,17 @@ def naive_bgp_rows(
             for extended in (_unify(pattern, triple, binding),)
             if extended is not None
         ]
+    if optional is not None:
+        joined: List[Dict[str, RDFTerm]] = []
+        for binding in solutions:
+            extensions = [
+                extended
+                for triple in triples
+                for extended in (_unify(optional, triple, binding),)
+                if extended is not None
+            ]
+            joined.extend(extensions or [binding])
+        solutions = joined
     rows = [
         tuple(
             sol[name].n3() if name in sol else None for name in variables

@@ -114,6 +114,8 @@ def _stsparql_candidates(
                 yield _with(spec, filter=simpler)
     if spec["distinct"]:
         yield _with(spec, distinct=False)
+    if spec.get("optional"):
+        yield _with(spec, optional=None)
     for i, triple in enumerate(triples):
         if triple[2][0] == "w" and not triple[2][1].startswith("POINT"):
             simplified = [list(t) for t in triples]

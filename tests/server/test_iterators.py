@@ -1,12 +1,13 @@
-"""Resumable pipeline: identical results to the one-shot evaluator,
-exact resume from any suspension point, constant-size continuations."""
+"""Resumable pipeline: identical results to the one-shot path, exact
+resume from any suspension point, constant-size continuations, and the
+plan every stSPARQL join runs on."""
 
 import pytest
 
 from repro.server import decode_token, encode_token
 from repro.strabon import StrabonStore
 from repro.strabon.stsparql.iterators import (
-    FILTER_BATCH_ROWS,
+    BLOCK_ROWS,
     ContinuationError,
     build_select_pipeline,
     pipeline_variables,
@@ -155,9 +156,9 @@ def _keyed(sols, variables):
     ]
 
 
-# batch_rows=1 is a true every-row boundary (nothing to drain);
-# the default batch makes each suspension drain a filter's survivors.
-@pytest.mark.parametrize("batch_rows", [1, 2, FILTER_BATCH_ROWS])
+# A 1-row block is a true every-row boundary (nothing to drain); larger
+# blocks make each suspension drain the rest of the top block.
+@pytest.mark.parametrize("batch_rows", [1, 2, BLOCK_ROWS])
 @pytest.mark.parametrize("text", QUERIES)
 def test_suspend_every_row_resumes_exactly(store, text, batch_rows):
     """Pull one row, drain, save, encode, decode, rebuild, restore: no
@@ -178,28 +179,26 @@ def test_suspend_every_row_resumes_exactly(store, text, batch_rows):
     assert _keyed(resumed, variables) == _keyed(uninterrupted, variables)
 
 
-def test_drain_pulls_no_new_scan_input(store):
-    """A drain returns the filter's judged survivors and leaves every
-    scan cursor where it was."""
+def test_drain_pulls_no_new_scan_input(store, monkeypatch):
+    """A drain returns the rest of the top block, judged by its FILTER,
+    without scanning the store; the frames beneath keep their blocks."""
     text = QUERIES[8]  # Fire sizes 4, 9, 7, 4 → survivors 9 and 7
     parsed = parse_query(text)
     pipe = build_select_pipeline(parsed, store)
     first = pipe.next()
     with pytest.raises(ContinuationError):
         pipe.save()  # a computed row would be lost
-    cursors_before = [frame[2] for frame in _join(pipe)._frames]
+    scans = []
+    triples = store.triples
+    monkeypatch.setattr(
+        store, "triples", lambda pattern: scans.append(pattern) or triples(pattern)
+    )
     drained = pipe.drain()
-    assert [frame[2] for frame in _join(pipe)._frames] == cursors_before
+    assert scans == []
     assert len([first] + drained) == 2
     assert pipe.drain() == []
-    assert set(pipe.save()) == {"scan"}
+    assert pipe.save() == {"scan": []}  # both frames had nothing left
     assert pipe.next() is None
-
-
-def _join(pipe):
-    while hasattr(pipe, "child"):
-        pipe = pipe.child
-    return pipe
 
 
 def test_save_at_start_and_at_exhaustion(store):
@@ -252,12 +251,14 @@ def test_restore_rejects_mismatched_state(store):
     sliced = parse_query(QUERIES[3])
     pipe = build_select_pipeline(plain, store)
     pipe.next()
+    pipe.drain()
     state = pipe.save()
     for other in (distinct, sliced):
         with pytest.raises(ContinuationError):
             restore_pipeline(other, store, state)  # field missing
     pipe = build_select_pipeline(sliced, store)
     pipe.next()
+    pipe.drain()
     with pytest.raises(ContinuationError):
         restore_pipeline(plain, store, pipe.save())  # field unexpected
     for junk in (None, [], "scan", {"kind": "scan"}):
@@ -271,10 +272,10 @@ JOIN = PREFIXES + "SELECT ?s WHERE { ?s ex:type ex:Fire . ?s ex:size ?z }"
 @pytest.mark.parametrize(
     "cursors",
     [
-        [10_000, 1],  # outside the match list
-        [1, 10_000],
-        [1, 1, 1],  # more cursors than patterns
-        [0, 1],  # a deeper frame under a parent that bound nothing
+        [10_000, 1],  # a block past the one seed
+        [0, 10_000],  # a cursor outside the block
+        [0, 4, 0, 1, 0, 1],  # more frames than patterns
+        [0, 1, 0, 1],  # a block that does not end at its parent's cursor
         [-1],
         [1.0, 1],
         [True, 1],
@@ -287,40 +288,40 @@ JOIN = PREFIXES + "SELECT ?s WHERE { ?s ex:type ex:Fire . ?s ex:size ?z }"
 )
 def test_restore_rejects_bad_cursor_vector(store, cursors):
     parsed = parse_query(JOIN)
-    pipe = build_select_pipeline(parsed, store)
-    pipe.next()
-    good = pipe.save()
-    assert good == {"scan": [1, 1]}
-    restore_pipeline(parsed, store, good)
+    # Frame 0's four fires form frame 1's one block, one row emitted.
+    good = {"scan": [0, 4, 0, 1]}
+    assert len(restore_pipeline(parsed, store, good).run()) == 3
     with pytest.raises(ContinuationError):
         restore_pipeline(parsed, store, {"scan": cursors})
 
 
 def test_restore_rejects_cursor_at_unjoinable_match(store):
-    """A deeper frame cannot hang under a match its parent rejected
-    (``?x ?p ?x`` drops most triples it scans)."""
+    """A frame's rows are the matches its pattern kept (``?x ?p ?x``
+    keeps two of the triples it scans): a cursor past them, or a child
+    block cut anywhere but at that cursor, is refused."""
     text = PREFIXES + "SELECT ?x ?y WHERE { ?x ?p ?x . ?y ?q ?y }"
     parsed = parse_query(text)
     assert len(_run_suspending(text, store, 1)) == 2 * 2
-    # The first triple in store order is ex:a ex:type ex:Fire.
-    with pytest.raises(ContinuationError):
-        restore_pipeline(parsed, store, {"scan": [1, 0]})
+    restore_pipeline(parsed, store, {"scan": [0, 1]})
+    for bad in ([0, 3], [0, 1, 0, 0], [0, 2, 2, 0]):
+        with pytest.raises(ContinuationError):
+            restore_pipeline(parsed, store, {"scan": bad})
 
 
 @pytest.mark.parametrize(
     "state",
     [
-        {"scan": [1], "slice": [0]},
-        {"scan": [1], "slice": [0, 1, 2]},
-        {"scan": [1], "slice": [2, 0]},  # skipped more than OFFSET
-        {"scan": [1], "slice": [0, 4]},  # emitted more than LIMIT
-        {"scan": [1], "slice": [0, -1]},
-        {"scan": [1], "slice": "01"},
+        {"scan": [0, 1], "slice": [0]},
+        {"scan": [0, 1], "slice": [0, 1, 2]},
+        {"scan": [0, 1], "slice": [2, 0]},  # skipped more than OFFSET
+        {"scan": [0, 1], "slice": [0, 4]},  # emitted more than LIMIT
+        {"scan": [0, 1], "slice": [0, -1]},
+        {"scan": [0, 1], "slice": "01"},
     ],
 )
 def test_restore_rejects_bad_slice_counters(store, state):
     parsed = parse_query(QUERIES[4])  # OFFSET 1 LIMIT 3
-    restore_pipeline(parsed, store, {"scan": [1], "slice": [1, 0]})
+    restore_pipeline(parsed, store, {"scan": [0, 1], "slice": [1, 0]})
     with pytest.raises(ContinuationError):
         restore_pipeline(parsed, store, state)
 
@@ -337,9 +338,9 @@ def test_restore_rejects_bad_slice_counters(store, state):
 )
 def test_restore_rejects_bad_distinct_keys(store, seen):
     parsed = parse_query(QUERIES[2])
-    restore_pipeline(parsed, store, {"scan": [1], "seen": [['"alpha"']]})
+    restore_pipeline(parsed, store, {"scan": [0, 1], "seen": [['"alpha"']]})
     with pytest.raises(ContinuationError):
-        restore_pipeline(parsed, store, {"scan": [1], "seen": seen})
+        restore_pipeline(parsed, store, {"scan": [0, 1], "seen": seen})
 
 
 def test_distinct_suppression_survives_resume(store):
@@ -350,7 +351,7 @@ def test_distinct_suppression_survives_resume(store):
     assert sorted((n,) for n in seen) == expected
 
 
-@pytest.mark.parametrize("batch_rows", [1, FILTER_BATCH_ROWS])
+@pytest.mark.parametrize("batch_rows", [1, BLOCK_ROWS])
 def test_limit_not_exceeded_across_resumes(store, batch_rows):
     text = PREFIXES + (
         "SELECT ?s ?n WHERE { ?s ex:name ?n . ?s ex:size ?z . "
@@ -361,30 +362,61 @@ def test_limit_not_exceeded_across_resumes(store, batch_rows):
 
 def test_token_is_small_and_does_not_grow_with_rows_produced():
     """The serve_mixed shape: six patterns, a polygon in every row, a
-    filter that passes them all.  A token is the query text plus one
-    integer per pattern and the LIMIT counters, whether it is minted
-    after 1 row or after 1 500."""
+    filter that passes them all.  A token is the query text plus two
+    integers per open join frame and the LIMIT counters, whether it is
+    minted after one block or after the last."""
     store = make_hotspot_store(40)
     text = LONG_JOIN + " LIMIT 100000"
     parsed = parse_query(text)
-    pipe = build_select_pipeline(parsed, store)
     sizes, rows = [], 0
-    while True:
-        sol = pipe.next()
-        if sol is None:
-            break
-        rows += 1
-        assert "POLYGON" in sol["ga"].n3()
-        rows += len(pipe.drain())
-        token = encode_token(text, store.version, pipe.save())
-        _text, _version, state = decode_token(token)
-        assert set(state) == {"scan", "slice"}
-        if state["scan"]:  # empty once the last batch drained the join
-            assert len(state["scan"]) == 6
+    for block_rows in (BLOCK_ROWS, 40, 7):
+        pipe = build_select_pipeline(parsed, store, batch_rows=block_rows)
+        while True:
+            sol = pipe.next()
+            if sol is None:
+                break
+            rows += 1
+            assert "POLYGON" in sol["ga"].n3()
+            rows += len(pipe.drain())
+            token = encode_token(text, store.version, pipe.save())
+            _text, _version, state = decode_token(token)
+            assert set(state) == {"scan", "slice"}
+            assert len(state["scan"]) % 2 == 0
+            assert len(state["scan"]) <= 2 * 6
             sizes.append(len(token))
-        pipe = restore_pipeline(parsed, store, state)
-    assert rows == 40 * 40
-    assert len(sizes) == rows // FILTER_BATCH_ROWS
+            pipe = restore_pipeline(
+                parsed, store, state, batch_rows=block_rows
+            )
+    assert rows == 3 * 40 * 40
+    assert len(sizes) > 40 * 40 // 7
     assert max(sizes) < 4096
-    # Cursor and counter digits are all that varies.
-    assert max(sizes) - min(sizes) <= 16
+    # Frame count, cursor and counter digits are all that varies.
+    assert max(sizes) - min(sizes) <= 48
+
+
+def test_paged_join_equals_one_shot_at_every_block_target():
+    """Suspended after every row, with block targets 1, 2 and the
+    default, the long join returns the one-shot multiset; every token
+    holds two integers per open frame."""
+    store = make_hotspot_store(12)
+    parsed = parse_query(LONG_JOIN)
+    variables = pipeline_variables(parsed)
+    expected = sorted(_keyed(store.query(LONG_JOIN).bindings, variables))
+    assert len(expected) == 12 * 12
+    for block_rows in (1, 2, BLOCK_ROWS):
+        pipe = build_select_pipeline(parsed, store, batch_rows=block_rows)
+        out = []
+        while True:
+            sol = pipe.next()
+            if sol is None:
+                break
+            out.append(sol)
+            drained, pipe = _suspend(
+                LONG_JOIN, parsed, store, pipe, block_rows
+            )
+            out.extend(drained)
+            join = pipe.child
+            assert pipe.save()["scan"] == [
+                v for frame in join._frames[1:] for v in (frame[0], frame[2])
+            ]
+        assert sorted(_keyed(out, variables)) == expected

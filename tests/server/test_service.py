@@ -16,7 +16,7 @@ from repro.server import (
 )
 from repro.server.service import QUANTUM_ENV, env_quantum_ms
 from repro.strabon import StrabonStore
-from repro.strabon.stsparql.iterators import FILTER_BATCH_ROWS
+from repro.strabon.stsparql.iterators import BLOCK_ROWS
 from tests.server.hotspots import LONG_JOIN, make_hotspot_store
 
 PREFIXES = (
@@ -127,8 +127,8 @@ def _page_rows(pages):
 
 def test_every_page_advances_by_a_filter_batch():
     """Progress guarantee: with a quantum no page can meet (1 µs, spent
-    before the restore finishes) the join still completes, one filter
-    batch per page — not one row per page, and not never."""
+    before the restore finishes) the join still completes, one join
+    block per page — not one row per page, and not never."""
     store = make_hotspot_store(40)
     expected = _n3_rows(store.query(LONG_JOIN))
     assert len(expected) == 1600
@@ -142,12 +142,14 @@ def test_every_page_advances_by_a_filter_batch():
 
     pages = run(main())
     assert _page_rows(pages) == expected
-    assert 1 < len(pages) <= math.ceil(1600 / FILTER_BATCH_ROWS) + 2
+    # a block of ?b bindings (40 per parent, so under 2 * BLOCK_ROWS)
+    # feeds at most two top blocks; the last page finds the join done
+    assert 1 < len(pages) <= 2 * math.ceil(1600 / BLOCK_ROWS) + 1
     for page in pages[:-1]:
-        assert len(page.token) < 4096
-    # every page but the one holding the join's last, partial batch (and
-    # the empty page that finds the join exhausted) is one full batch
-    assert [len(page.rows) for page in pages[:6]] == [FILTER_BATCH_ROWS] * 6
+        assert page.rows and len(page.token) < 4096
+    assert not pages[-1].rows
+    # the top scan matches once per parent: the first block is full
+    assert len(pages[0].rows) == BLOCK_ROWS
 
 
 def test_tampered_cursor_fails_closed():

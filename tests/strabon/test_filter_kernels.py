@@ -339,6 +339,43 @@ class TestSpatialBatch:
                 assert not geom.intersects(zone)
             assert dist[k] * (1.0 - 1e-12) <= geom.distance(zone)
 
+    def test_interned_geometries_compute_no_envelope(self, monkeypatch):
+        # N rows over k distinct interned polygons: the lane takes each
+        # envelope from the interner's entry instead of walking the
+        # polygon's vertices again per batch.
+        from repro.geometry import Envelope, Polygon
+        from repro.strabon import geometry_literal, strdf
+        from repro.strabon.stsparql.parser import parse_query
+
+        interner = strdf.GeometryInterner()
+        polygons = [
+            geometry_literal(
+                Polygon([(20 + k, 0), (21 + k, 0), (21 + k, 1), (20 + k, 1)])
+            )
+            for k in range(4)
+        ]
+        for literal in polygons:
+            interner.entry(literal)
+        expr = parse_query(
+            SPATIAL_PREFIXES
+            + "SELECT ?s WHERE { ?s ex:geom ?g . "
+            f"FILTER(!strdf:intersects(?g, {REGION})) }}"
+        ).where.filters[0]
+        plan = kernels.compile_spatial_filter(expr)
+        walks = []
+        of_coords = Envelope.of_coords
+        monkeypatch.setattr(
+            Envelope,
+            "of_coords",
+            classmethod(lambda cls, coords: walks.append(1) or of_coords(coords)),
+        )
+        rows = [{"g": polygons[i % 4]} for i in range(200)]
+        kept = kernels.run_spatial_filter(
+            plan, rows, interner.entry, lambda sol: pytest.fail("exact path")
+        )
+        assert len(kept) == 200  # every envelope is disjoint from REGION
+        assert walks == []
+
     def test_mixed_srid_rows_fall_back_per_row(self, monkeypatch):
         # A geometry in a different SRID is outside the lane's
         # contract: it must take the exact per-row path, and the

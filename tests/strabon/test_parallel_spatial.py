@@ -34,6 +34,8 @@ def build_store(n=120, seed=23, use_spatial_index=True):
         from repro.strabon import strdf
 
         store.add((EX.odd, EX.geom, Literal("not a geometry")))
+        for k in range(0, n, 10):
+            store.add((EX[f"site{k}"], EX.kind, EX.Marked))
         store.add(
             (
                 EX.broken,
@@ -77,6 +79,15 @@ QUERIES = [
         + "SELECT ?s WHERE { ?s ex:geom ?g . "
         f"FILTER(strdf:intersects(?g, {REGION}) || "
         'strstarts(str(?s), "http://example.org/site1")) }',
+    ),
+    # Fewer marked sites than hint candidates: the join binds ?s first,
+    # so the hinted ?g scan runs under a bound subject.
+    (
+        "bound-subject",
+        PREFIXES
+        + "SELECT ?s WHERE { ?s ex:kind ex:Marked . ?s ex:geom ?g . "
+        'FILTER(strdf:intersects(?g, "POLYGON ((0 0, 60 0, 60 60, 0 60, '
+        '0 0))"^^strdf:WKT)) }',
     ),
 ]
 

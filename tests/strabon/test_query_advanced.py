@@ -76,6 +76,24 @@ class TestNestedPatterns:
         assert rows["b"][1] == EX.c and rows["b"][2] is None
         assert rows["c"][1] is None and rows["c"][2] is None
 
+    def test_pattern_after_optional_joins_on_maybe_bound_variable(
+        self, store
+    ):
+        # The OPTIONAL binds ?next for a and b only: the join after it
+        # looks ?next up where a seed holds it and binds it where not.
+        r = store.query(
+            P
+            + "SELECT ?n ?next WHERE { ?n a ex:Node . "
+            "OPTIONAL { ?n ex:next ?next } ?next ex:score ?s . "
+            "FILTER(?s > 4) }"
+        )
+        pairs = sorted(
+            tuple(str(t).rsplit("/", 1)[-1] for t in row) for row in r.rows()
+        )
+        assert pairs == [
+            ("a", "b"), ("b", "c"), ("c", "b"), ("c", "c"), ("c", "d"),
+        ]
+
     def test_union_of_unions(self, store):
         r = store.query(
             P

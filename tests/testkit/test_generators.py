@@ -75,7 +75,8 @@ class TestSpecShapes:
 
     def test_stsparql_emits_hint_sensitive_filter_shapes(self):
         # Negated and or-ed spatial FILTERs are where an R-tree hint
-        # must not be taken; a second geometry variable makes a join.
+        # must not be taken; a second geometry variable makes a join; an
+        # OPTIONAL tail runs the join seeded with bound variables.
         from repro.strabon.stsparql.parser import parse_query
         from repro.testkit.differential import render_query
 
@@ -86,13 +87,15 @@ class TestSpecShapes:
             seen.update(
                 key for key in ("negate", "or", "other") if key in filter_spec
             )
+            if spec["optional"]:
+                seen.add("optional")
             if "other" in filter_spec:
                 bound = {
                     t[1] for p in spec["patterns"] for t in p if t[0] == "v"
                 }
                 assert {filter_spec["var"], filter_spec["other"]} <= bound
             parse_query(render_query(spec)[0])
-        assert seen == {"negate", "or", "other"}
+        assert seen == {"negate", "or", "other", "optional"}
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sciql_spec_cells_match_shape(self, seed):

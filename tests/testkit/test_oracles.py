@@ -196,6 +196,24 @@ class TestBGPOracle:
         }
         assert self._subjects(near, pattern) == {"a", "z"}
 
+    def test_optional_tail_keeps_unextended_solutions(self):
+        # b and c have a ?n, extended once each; a and z keep their row
+        # with ?n unbound.
+        rows = oracles.naive_bgp_rows(
+            _triples(*self.SHAPES_TRIPLES),
+            _patterns([["v", "s"], ["u", "g"], ["v", "geo"]]),
+            None,
+            ["n", "s"],
+            False,
+            optional=_patterns([["v", "s"], ["u", "v"], ["v", "n"]])[0],
+        )
+        assert sorted((s.rsplit("/", 1)[1], n) for n, s in rows) == [
+            ("a>", None),
+            ("b>", '"7"^^<http://www.w3.org/2001/XMLSchema#integer>'),
+            ("c>", '"8"^^<http://www.w3.org/2001/XMLSchema#integer>'),
+            ("z>", None),
+        ]
+
 
 class TestSciQLOracle:
     def test_map_and_count(self):

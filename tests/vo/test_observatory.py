@@ -140,6 +140,48 @@ class TestCatalogTier:
         q2 = vo.new_query().near_town("Mytilini", 0.05)
         assert vo.search(q2) == []
 
+    def test_near_town_plan_stays_connected(self, vo_with_archive):
+        """The join plan of the near-town search: no scan that shares no
+        variable with the scans before it while a connected pattern
+        remains, and both ``?acq`` FILTERs on the scan that binds
+        ``?acq``."""
+        from repro.strabon.stsparql.evaluator import Evaluator
+        from repro.strabon.stsparql.iterators import (
+            _collect_conjunction,
+            plan_join,
+        )
+        from repro.strabon.stsparql.parser import parse_query
+
+        vo, report, _ = vo_with_archive
+        vo.run_fire_monitoring(report.products[0].path)
+        q = vo.new_query().acquired_between(
+            datetime(2007, 8, 25, 10, 0), datetime(2007, 8, 25, 10, 0)
+        ).near_town("Patra", 1.0)
+        assert vo.search(q)
+        triples, filters = _collect_conjunction(
+            parse_query(q.to_stsparql()).where
+        )
+        filters = tuple(filters)
+        plan = plan_join(Evaluator(vo.store), tuple(triples), filters, [{}])
+        assert not plan.seed_filters
+        scan_vars = [
+            {name for _, name in scan.lookup if name}
+            | {name for _, name in scan.binds}
+            for scan in plan.scans
+        ]
+        bound = set(scan_vars[0])
+        for k in range(1, len(scan_vars)):
+            if not scan_vars[k] & bound:
+                assert not any(later & bound for later in scan_vars[k:])
+            bound |= scan_vars[k]
+        (acq_scan,) = [
+            scan for scan in plan.scans
+            if any(name == "acq" for _, name in scan.binds)
+        ]
+        acq_filters = [f for f in filters if "acq" in repr(f)]
+        assert len(acq_filters) == 2
+        assert set(acq_filters) <= set(acq_scan.filters)
+
     def test_raw_query_escape_hatch(self, vo_with_archive):
         vo, _, _ = vo_with_archive
         result = vo.catalog.run(
