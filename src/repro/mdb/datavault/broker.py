@@ -15,7 +15,11 @@ is read.  This module is that metadata tier — the TerraServer pattern
 Registration is built for bulk: scene batches become columnar inserts
 (:meth:`~repro.mdb.table.Table.insert_columns`), which the storage
 engine journals as one binary segment + one WAL record per batch —
-ingesting 100k scenes costs a few fsyncs, not 100k.
+ingesting 100k scenes costs a few fsyncs, not 100k.  Queries are an
+index-sized amount of work: the SQL executor filters the closure to the
+asked-for ancestor before it joins, so at 100k scenes a subtree count
+takes 3.4 ms, the mission report 17 ms and a window count 1 ms on two
+Xeon cores (``benchmarks/bench_a9_storage.py``).
 """
 
 from __future__ import annotations

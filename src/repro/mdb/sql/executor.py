@@ -2,18 +2,24 @@
 
 Every expression evaluates to a *vector*: a ``(data, valid)`` pair of numpy
 arrays over the rows of the current frame — the same bulk-processing model
-MonetDB uses.  Joins are hash joins on extracted equality predicates with a
-nested-loop fallback; grouping hashes key tuples; ordering is a stable sort
-on the evaluated keys.
+MonetDB uses.  A scan copies only the columns the statement names, and
+below joins without a LEFT JOIN each ``column <op> literal`` WHERE conjunct
+filters its own table first.  An equi-join encodes both sides' keys to
+dense ``int64`` codes, sorts the right side's stably and finds each left
+code's run of matches in a table over the code span; GROUP BY factorises
+its keys to codes too and splits the groups with one stable sort.
+Ordering is a stable sort on the evaluated keys.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import fields
+from itertools import repeat
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro import kernels
+from repro import kernels, obs
 from repro.mdb.errors import (
     CatalogError,
     ExecutionError,
@@ -26,7 +32,7 @@ from repro.mdb.sql.functions import (
     is_aggregate,
 )
 from repro.mdb.table import Column, Table
-from repro.mdb.types import type_by_name
+from repro.mdb.types import STRING, ColumnType, type_by_name
 
 Vector = Tuple[np.ndarray, np.ndarray]
 
@@ -43,11 +49,17 @@ class Frame:
         self.columns: Dict[Tuple[str, str], Vector] = {}
 
     @classmethod
-    def from_table(cls, table: Table, binding: str) -> "Frame":
+    def from_table(
+        cls,
+        table: Table,
+        binding: str,
+        names: Optional[Sequence[str]] = None,
+    ) -> "Frame":
+        """Copies of the table's columns (``names``, default all)."""
         frame = cls(len(table))
-        for col in table.columns:
-            bat = table.column(col.name)
-            frame.columns[(binding, col.name)] = (
+        for name in table.column_names if names is None else names:
+            bat = table.column(name)
+            frame.columns[(binding, name)] = (
                 bat.values.copy(),
                 bat.validity.copy(),
             )
@@ -314,17 +326,24 @@ def _contains_aggregate(expr: ast.Expr) -> bool:
 
 
 class GroupEvaluator:
-    """Evaluates select/having expressions in a grouped context."""
+    """Evaluates select/having expressions in a grouped context.
+
+    ``groups`` holds each group's row positions, ``sizes`` their lengths
+    and ``group_keys`` one ``(object data, valid)`` vector per grouping
+    expression with one value per group.
+    """
 
     def __init__(
         self,
         frame: Frame,
-        group_positions: List[np.ndarray],
+        groups: List[np.ndarray],
+        sizes: np.ndarray,
         group_exprs: Sequence[ast.Expr],
-        group_keys: List[Tuple[Any, ...]],
+        group_keys: List[Vector],
     ):
         self.frame = frame
-        self.groups = group_positions
+        self.groups = groups
+        self.sizes = sizes
         self.group_exprs = list(group_exprs)
         self.group_keys = group_keys
         self._scalar_eval = Evaluator(frame)
@@ -332,16 +351,9 @@ class GroupEvaluator:
     def eval(self, expr: ast.Expr) -> Vector:
         n = len(self.groups)
         # Grouping expression: one key value per group.
-        for gi, gexpr in enumerate(self.group_exprs):
+        for gexpr, (keys, valid) in zip(self.group_exprs, self.group_keys):
             if expr == gexpr:
-                out = np.empty(n, dtype=object)
-                valid = np.ones(n, dtype=bool)
-                for k, key in enumerate(self.group_keys):
-                    value = key[gi]
-                    out[k] = value
-                    if value is None:
-                        valid[k] = False
-                return out, valid
+                return keys.copy(), valid.copy()
         if isinstance(expr, ast.FunctionCall) and is_aggregate(expr.name):
             return self._aggregate(expr)
         if isinstance(expr, ast.Literal):
@@ -383,8 +395,7 @@ class GroupEvaluator:
         out = np.empty(n, dtype=object)
         valid = np.ones(n, dtype=bool)
         if expr.star:
-            for k, positions in enumerate(self.groups):
-                out[k] = len(positions)
+            out[:] = self.sizes.tolist()
             return out, valid
         if len(expr.args) != 1:
             raise ExecutionError(
@@ -392,9 +403,7 @@ class GroupEvaluator:
             )
         data, data_valid = self._scalar_eval.eval(expr.args[0])
         for k, positions in enumerate(self.groups):
-            values = [
-                data[i] for i in positions if data_valid[i]
-            ]
+            values = list(data[positions[data_valid[positions]]])
             if expr.distinct:
                 seen = []
                 for v in values:
@@ -567,10 +576,9 @@ class Executor:
         compiled = self._select_compiled(stmt)
         if compiled is not None:
             return compiled
-        frame = self._build_frame(stmt)
-        if stmt.where is not None:
-            mask = _bool_mask(Evaluator(frame).eval(stmt.where))
-            frame = frame.take(np.nonzero(mask)[0])
+        frame, where = self._build_frame(stmt)
+        if where is not None:
+            frame = _filter(frame, [where])
         grouped = bool(stmt.group_by) or any(
             _contains_aggregate(item.expr) for item in stmt.items
         ) or (stmt.having is not None)
@@ -592,9 +600,10 @@ class Executor:
         With ``REPRO_KERNELS`` enabled, single-array SELECTs are lowered
         by :func:`repro.kernels.compile_select` and run directly over
         the attribute planes (:func:`repro.mdb.sciql.select_array`);
-        everything else — joins, tables, grouped or ordered queries,
-        statements outside the compiler's subset — takes the retained
-        interpretive path, which doubles as the differential oracle.
+        everything else — tables, joins, grouped or ordered queries,
+        statements outside the compiler's subset — runs on the frame
+        executor below, which doubles as the differential oracle for
+        this path.
         DISTINCT/LIMIT/OFFSET reuse the interpretive helpers, so their
         semantics cannot fork.
         """
@@ -623,43 +632,112 @@ class Executor:
         columns = _apply_limit(columns, stmt.limit, stmt.offset)
         return names, columns
 
-    def _build_frame(self, stmt: ast.Select) -> Frame:
+    def _build_frame(
+        self, stmt: ast.Select
+    ) -> Tuple[Frame, Optional[ast.Expr]]:
+        """Scan and join the FROM clause; returns the frame and the part
+        of WHERE still to apply to it."""
         if stmt.from_table is None:
-            frame = Frame(1)  # SELECT 1+1
-            return frame
-        frame = self._scan(stmt.from_table)
-        for join in stmt.joins:
-            right = self._scan(join.table)
-            frame = self._join(frame, right, join)
-        return frame
+            return Frame(1), stmt.where  # SELECT 1+1
+        refs = [stmt.from_table] + [join.table for join in stmt.joins]
+        schemas = [self._schema(ref) for ref in refs]
+        pushed, where = _plan_pushdown(stmt, refs, schemas)
+        wanted = _referenced_columns(stmt)
+        frame = self._scan(refs[0], wanted, pushed[0])
+        kinds = _qualify(refs[0].binding, schemas[0])
+        for join, ref, schema, preds in zip(
+            stmt.joins, refs[1:], schemas[1:], pushed[1:]
+        ):
+            right = self._scan(ref, wanted, preds)
+            # Checked on the full schemas: the scans may have pruned the
+            # colliding columns.
+            for name in schema:
+                if (ref.binding, name) in kinds:
+                    raise CatalogError(
+                        f"duplicate binding {ref.binding}.{name} in join; "
+                        "use aliases"
+                    )
+            kinds.update(_qualify(ref.binding, schema))
+            frame = self._join(frame, right, join, kinds)
+        return frame, where
 
-    def _scan(self, ref: ast.TableRef) -> Frame:
+    def _schema(self, ref: ast.TableRef) -> Optional[Dict[str, str]]:
+        """Column name → value kind of a relation in frame column order,
+        or None when the catalog has no such relation."""
         if self.catalog.has_array(ref.name):
             array = self.catalog.array(ref.name)
-            return array.to_frame(ref.binding)
-        table = self.catalog.table(ref.name)
-        return Frame.from_table(table, ref.binding)
-
-    def _join(self, left: Frame, right: Frame, join: ast.Join) -> Frame:
-        if join.kind == "cross" or join.condition is None:
-            return _cross_join(left, right)
-        equi = _extract_equi_keys(join.condition, left, right)
-        if equi is not None:
-            combined, matched_left = _hash_join(
-                left, right, equi, keep_unmatched_left=(join.kind == "left")
+            schema = {d.name: _NUM for d in array.dimensions}
+            schema.update(
+                (name, _type_kind(ctype)) for name, ctype in array.attributes
             )
+            return schema
+        if not self.catalog.has_table(ref.name):
+            return None
+        return {
+            c.name: _type_kind(c.ctype)
+            for c in self.catalog.table(ref.name).columns
+        }
+
+    def _scan(
+        self,
+        ref: ast.TableRef,
+        wanted: Set[Tuple[Optional[str], str]],
+        predicates: Sequence[ast.Expr],
+    ) -> Frame:
+        """The relation's referenced columns, filtered by the WHERE
+        conjuncts pushed down to it."""
+        binding = ref.binding
+        if self.catalog.has_array(ref.name):
+            frame = self.catalog.array(ref.name).to_frame(binding)
+            frame.columns = {
+                key: vec
+                for key, vec in frame.columns.items()
+                if _is_wanted(wanted, *key)
+            }
         else:
+            table = self.catalog.table(ref.name)
+            names = [
+                name
+                for name in table.column_names
+                if _is_wanted(wanted, binding, name)
+            ]
+            frame = Frame.from_table(table, binding, names)
+        return _filter(frame, predicates) if predicates else frame
+
+    def _join(
+        self,
+        left: Frame,
+        right: Frame,
+        join: ast.Join,
+        kinds: Dict[Tuple[str, str], str],
+    ) -> Frame:
+        if join.kind == "cross" or join.condition is None:
             combined = _cross_join(left, right)
-            matched_left = None
-        residual = join.condition if equi is None else None
-        if residual is not None:
-            mask = _bool_mask(Evaluator(combined).eval(residual))
-            if join.kind == "left":
-                combined, mask = _left_join_fixup(
-                    left, right, combined, mask
+        else:
+            pairs, residual = _split_equi_keys(join.condition, left, right)
+            if pairs and not residual:
+                combined = _equi_join(
+                    left, right, pairs, keep_unmatched_left=join.kind == "left"
                 )
-                return combined
-            combined = combined.take(np.nonzero(mask)[0])
+            elif (
+                pairs
+                and join.kind == "inner"
+                and all(_kind(conj, kinds) is not None for conj in residual)
+            ):
+                # The residual sees only the key matches instead of the
+                # cross product, so it must not be able to raise.
+                combined = _filter(
+                    _equi_join(left, right, pairs, keep_unmatched_left=False),
+                    residual,
+                )
+            else:
+                combined = _cross_join(left, right)
+                mask = _bool_mask(Evaluator(combined).eval(join.condition))
+                if join.kind == "left":
+                    combined = _left_join_fixup(left, right, combined, mask)
+                else:
+                    combined = combined.take(np.flatnonzero(mask))
+        obs.counter("sql.join.rows").inc(combined.nrows)
         return combined
 
     def _plain_projection(
@@ -697,29 +775,24 @@ class Executor:
     ) -> Tuple[List[str], List[Vector], List[Vector]]:
         evaluator = Evaluator(frame)
         key_vectors = [evaluator.eval(e) for e in stmt.group_by]
-        groups: Dict[Tuple[Any, ...], List[int]] = {}
-        order: List[Tuple[Any, ...]] = []
         if stmt.group_by:
-            for i in range(frame.nrows):
-                key = tuple(
-                    (kv[0][i] if kv[1][i] else None) for kv in key_vectors
-                )
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(i)
+            codes, first = _group_codes(key_vectors, frame.nrows)
+            sizes = np.bincount(codes, minlength=len(first))
+            rows = np.argsort(codes, kind="stable")
+            groups = np.split(rows, np.cumsum(sizes)[:-1]) if len(first) else []
+            keys = [_group_key(vec, first) for vec in key_vectors]
         else:
-            key = ()
-            groups[key] = list(range(frame.nrows))
-            order.append(key)
-        group_positions = [np.asarray(groups[k], dtype=int) for k in order]
-        gev = GroupEvaluator(frame, group_positions, stmt.group_by, order)
+            groups = [np.arange(frame.nrows)]
+            sizes = np.array([frame.nrows])
+            keys = []
+        gev = GroupEvaluator(frame, groups, sizes, stmt.group_by, keys)
         if stmt.having is not None:
-            mask = _bool_mask(gev.eval(stmt.having))
-            keep = [i for i in range(len(order)) if mask[i]]
-            order = [order[i] for i in keep]
-            group_positions = [group_positions[i] for i in keep]
-            gev = GroupEvaluator(frame, group_positions, stmt.group_by, order)
+            keep = np.flatnonzero(_bool_mask(gev.eval(stmt.having)))
+            groups = [groups[i] for i in keep]
+            keys = [(data[keep], valid[keep]) for data, valid in keys]
+            gev = GroupEvaluator(
+                frame, groups, sizes[keep], stmt.group_by, keys
+            )
         names: List[str] = []
         columns: List[Vector] = []
         by_alias: Dict[str, Vector] = {}
@@ -818,54 +891,249 @@ def _default_name(expr: ast.Expr) -> str:
     return "expr"
 
 
-def _cross_join(left: Frame, right: Frame) -> Frame:
-    n_left, n_right = left.nrows, right.nrows
-    out = Frame(n_left * n_right)
-    left_idx = np.repeat(np.arange(n_left), n_right)
-    right_idx = np.tile(np.arange(n_right), n_left)
-    for key, (data, valid) in left.columns.items():
-        out.columns[key] = (data[left_idx], valid[left_idx])
-    for key, (data, valid) in right.columns.items():
-        if key in out.columns:
-            raise CatalogError(
-                f"duplicate binding {key[0]}.{key[1]} in join; use aliases"
-            )
-        out.columns[key] = (data[right_idx], valid[right_idx])
-    return out
+def _filter(frame: Frame, predicates: Sequence[ast.Expr]) -> Frame:
+    """The rows of ``frame`` every predicate holds for."""
+    evaluator = Evaluator(frame)
+    mask = None
+    for pred in predicates:
+        hits = _bool_mask(evaluator.eval(pred))
+        mask = hits if mask is None else mask & hits
+    return frame.take(np.flatnonzero(mask))
 
 
-def _extract_equi_keys(expr: ast.Expr, left: Frame, right: Frame):
-    """Extract pure equi-join key pairs from a conjunctive condition.
+def _conjuncts(expr: ast.Expr) -> List[ast.Expr]:
+    """The top-level AND operands of ``expr``, left to right."""
+    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
+        return _conjuncts(expr.left) + _conjuncts(expr.right)
+    return [expr]
 
-    Returns ``[(left_key_vec, right_key_vec), ...]`` or None when the
-    condition contains anything but ANDed column equalities.
+
+# -- scan pruning and WHERE pushdown -------------------------------------------
+
+
+def _referenced_columns(stmt: ast.Select) -> Set[Tuple[Optional[str], str]]:
+    """``(binding or None, column)`` for every column the statement names;
+    ``SELECT *`` and ``t.*`` appear with ``"*"`` as the column."""
+    found: Set[Tuple[Optional[str], str]] = set()
+
+    def walk(node: Any) -> None:
+        if isinstance(node, ast.ColumnRef):
+            found.add((node.table, node.name))
+        elif isinstance(node, ast.Star):
+            found.add((node.table, "*"))
+        elif isinstance(node, ast.Expr):
+            for field in fields(node):
+                walk(getattr(node, field.name))
+        elif isinstance(node, tuple):
+            for item in node:
+                walk(item)
+
+    walk(tuple(item.expr for item in stmt.items))
+    walk((stmt.where, stmt.having) + stmt.group_by)
+    walk(tuple(item.expr for item in stmt.order_by))
+    walk(tuple(join.condition for join in stmt.joins))
+    return found
+
+
+def _is_wanted(
+    wanted: Set[Tuple[Optional[str], str]], binding: str, name: str
+) -> bool:
+    return (
+        (binding, name) in wanted
+        or (None, name) in wanted
+        or (binding, "*") in wanted
+        or (None, "*") in wanted
+    )
+
+
+# Value kinds for deciding, from the schema alone, that evaluating an
+# expression cannot raise on any rows.
+_NUM, _BOOL, _STR, _NULL, _OTHER = "num", "bool", "str", "null", "other"
+_ORDERING = ("<", "<=", ">", ">=")
+_COMPARISONS = ("=", "<>") + _ORDERING
+
+
+def _type_kind(ctype: ColumnType) -> str:
+    if ctype.dtype.kind in "if":
+        return _NUM
+    if ctype.dtype.kind == "b":
+        return _BOOL
+    return _STR if ctype == STRING else _OTHER
+
+
+def _qualify(binding: str, schema: Dict[str, str]) -> Dict[Tuple[str, str], str]:
+    return {(binding, name): kind for name, kind in schema.items()}
+
+
+def _resolve_key(
+    ref: ast.ColumnRef, kinds: Dict[Tuple[str, str], str]
+) -> Optional[Tuple[str, str]]:
+    """The frame key a column reference resolves to, or None when it is
+    unknown or ambiguous (mirrors :meth:`Frame.resolve`)."""
+    if ref.table is not None:
+        key = (ref.table, ref.name)
+        return key if key in kinds else None
+    matches = [key for key in kinds if key[1] == ref.name]
+    return matches[0] if len(matches) == 1 else None
+
+
+def _orderable_kinds(*kinds: str) -> bool:
+    """Can ``<``-style comparisons between these kinds never raise?"""
+    live = set(kinds) - {_NULL}
+    return live <= {_NUM, _BOOL} or live == {_STR}
+
+
+def _kind(expr: ast.Expr, kinds: Dict[Tuple[str, str], str]) -> Optional[str]:
+    """The kind of value ``expr`` evaluates to when evaluating it cannot
+    raise on any rows of the bindings in ``kinds``; None when it might.
+
+    Moving a predicate below or behind a join changes the rows it is
+    evaluated on, which must not change whether — or what — the
+    statement raises; only predicates this accepts are moved.
     """
-    pairs = []
-
-    def walk(e: ast.Expr) -> bool:
-        if isinstance(e, ast.BinaryOp) and e.op == "AND":
-            return walk(e.left) and walk(e.right)
-        if (
-            isinstance(e, ast.BinaryOp)
-            and e.op == "="
-            and isinstance(e.left, ast.ColumnRef)
-            and isinstance(e.right, ast.ColumnRef)
+    if isinstance(expr, ast.Literal):
+        value = expr.value
+        if value is None:
+            return _NULL
+        if isinstance(value, bool):
+            return _BOOL
+        if isinstance(value, float) or (
+            isinstance(value, int) and -(2**63) <= value < 2**63
         ):
-            side_a = _try_resolve(left, e.left)
-            side_b = _try_resolve(right, e.right)
-            if side_a is not None and side_b is not None:
-                pairs.append((side_a, side_b))
-                return True
-            side_a = _try_resolve(left, e.right)
-            side_b = _try_resolve(right, e.left)
-            if side_a is not None and side_b is not None:
-                pairs.append((side_a, side_b))
-                return True
-        return False
-
-    if walk(expr) and pairs:
-        return pairs
+            return _NUM
+        return _STR if isinstance(value, str) else None
+    if isinstance(expr, ast.ColumnRef):
+        key = _resolve_key(expr, kinds)
+        return None if key is None else kinds[key]
+    if isinstance(expr, ast.BinaryOp):
+        left, right = _kind(expr.left, kinds), _kind(expr.right, kinds)
+        if left is None or right is None:
+            return None
+        if expr.op in ("AND", "OR", "=", "<>"):
+            return _BOOL
+        if expr.op in _ORDERING:
+            return _BOOL if _orderable_kinds(left, right) else None
+        if expr.op in ("+", "-", "*", "/", "%"):
+            return _NUM if left == right == _NUM else None
+        return _STR if expr.op == "||" else None
+    if isinstance(expr, ast.UnaryOp):
+        operand = _kind(expr.operand, kinds)
+        if expr.op == "NOT" and operand is not None:
+            return _BOOL
+        return _NUM if expr.op == "-" and operand == _NUM else None
+    if isinstance(expr, ast.IsNull):
+        return None if _kind(expr.operand, kinds) is None else _BOOL
+    if isinstance(expr, ast.InList):
+        parts = [_kind(e, kinds) for e in (expr.operand, *expr.items)]
+        return None if None in parts else _BOOL
+    if isinstance(expr, ast.Between):
+        parts = [_kind(e, kinds) for e in (expr.operand, expr.low, expr.high)]
+        return _BOOL if None not in parts and _orderable_kinds(*parts) else None
     return None
+
+
+def _pushable_column(expr: ast.Expr) -> Optional[ast.ColumnRef]:
+    """The column of a ``column <op> literal``, ``IN (literals)``,
+    ``BETWEEN literals`` or ``IS [NOT] NULL`` conjunct, else None."""
+    if isinstance(expr, ast.BinaryOp) and expr.op in _COMPARISONS:
+        sides = (expr.left, expr.right)
+        if isinstance(expr.left, ast.Literal):
+            sides = (expr.right, expr.left)
+        column, rest = sides[0], sides[1:]
+    elif isinstance(expr, ast.InList):
+        column, rest = expr.operand, expr.items
+    elif isinstance(expr, ast.Between):
+        column, rest = expr.operand, (expr.low, expr.high)
+    elif isinstance(expr, ast.IsNull):
+        column, rest = expr.operand, ()
+    else:
+        return None
+    if isinstance(column, ast.ColumnRef) and all(
+        isinstance(e, ast.Literal) for e in rest
+    ):
+        return column
+    return None
+
+
+def _plan_pushdown(
+    stmt: ast.Select,
+    refs: Sequence[ast.TableRef],
+    schemas: Sequence[Optional[Dict[str, str]]],
+) -> Tuple[List[List[ast.Expr]], Optional[ast.Expr]]:
+    """Split WHERE into the conjuncts each scan applies before the joins
+    and the part applied above them.
+
+    Only statements with joins but no LEFT JOIN qualify, and only when
+    nothing in WHERE or ON can raise (:func:`_kind`): pushed-down, a
+    predicate sees every row of its table, and the predicates above the
+    join see fewer rows than they otherwise would.
+    """
+    unchanged = ([[] for _ in refs], stmt.where)
+    if (
+        not stmt.joins
+        or stmt.where is None
+        or any(join.kind == "left" for join in stmt.joins)
+        or None in schemas
+    ):
+        return unchanged
+    bindings = [ref.binding for ref in refs]
+    if len(set(bindings)) < len(bindings):
+        return unchanged
+    kinds = _qualify(bindings[0], schemas[0])
+    for join, binding, schema in zip(stmt.joins, bindings[1:], schemas[1:]):
+        kinds.update(_qualify(binding, schema))
+        if join.condition is not None and _kind(join.condition, kinds) is None:
+            return unchanged
+    conjuncts = _conjuncts(stmt.where)
+    if any(_kind(conj, kinds) is None for conj in conjuncts):
+        return unchanged
+    pushed: List[List[ast.Expr]] = [[] for _ in refs]
+    kept: List[ast.Expr] = []
+    for conj in conjuncts:
+        column = _pushable_column(conj)
+        if column is None:
+            kept.append(conj)
+        else:
+            binding = _resolve_key(column, kinds)[0]
+            pushed[bindings.index(binding)].append(conj)
+    if not any(pushed):
+        return unchanged
+    obs.counter("sql.where.pushed").inc(len(conjuncts) - len(kept))
+    where = None
+    for conj in kept:
+        where = conj if where is None else ast.BinaryOp("AND", where, conj)
+    return pushed, where
+
+
+# -- joins -------------------------------------------------------------------------
+
+
+def _split_equi_keys(
+    expr: ast.Expr, left: Frame, right: Frame
+) -> Tuple[List[Tuple[Vector, Vector]], List[ast.Expr]]:
+    """Split an ON condition into equi-join key pairs — one
+    ``(left_vec, right_vec)`` per ``left_col = right_col`` conjunct —
+    and the residual conjuncts."""
+    pairs: List[Tuple[Vector, Vector]] = []
+    residual: List[ast.Expr] = []
+    for conj in _conjuncts(expr):
+        pair = None
+        if (
+            isinstance(conj, ast.BinaryOp)
+            and conj.op == "="
+            and isinstance(conj.left, ast.ColumnRef)
+            and isinstance(conj.right, ast.ColumnRef)
+        ):
+            for a, b in ((conj.left, conj.right), (conj.right, conj.left)):
+                side_a, side_b = _try_resolve(left, a), _try_resolve(right, b)
+                if side_a is not None and side_b is not None:
+                    pair = (side_a, side_b)
+                    break
+        if pair is None:
+            residual.append(conj)
+        else:
+            pairs.append(pair)
+    return pairs, residual
 
 
 def _try_resolve(frame: Frame, ref: ast.ColumnRef):
@@ -875,80 +1143,149 @@ def _try_resolve(frame: Frame, ref: ast.ColumnRef):
         return None
 
 
-def _hash_join(left: Frame, right: Frame, equi, keep_unmatched_left: bool):
-    buckets: Dict[Tuple[Any, ...], List[int]] = {}
-    n_right = right.nrows
-    for j in range(n_right):
-        key = tuple(
-            (vec_r[0][j] if vec_r[1][j] else None) for _, vec_r in equi
-        )
-        if None in key:
-            continue
-        buckets.setdefault(key, []).append(j)
-    left_idx: List[int] = []
-    right_idx: List[int] = []
-    null_right: List[bool] = []
-    for i in range(left.nrows):
-        key = tuple(
-            (vec_l[0][i] if vec_l[1][i] else None) for vec_l, _ in equi
-        )
-        matches = buckets.get(key, []) if None not in key else []
-        if matches:
-            for j in matches:
-                left_idx.append(i)
-                right_idx.append(j)
-                null_right.append(False)
-        elif keep_unmatched_left:
-            left_idx.append(i)
-            right_idx.append(0)
-            null_right.append(True)
+def _join_keys(vectors: List[Vector]) -> Tuple[List[Any], np.ndarray]:
+    """One side's key tuples as Python values (bare values for a single
+    column), and the rows whose key has no NULL and no NaN."""
+    ok = np.ones(len(vectors[0][0]), dtype=bool)
+    for data, valid in vectors:
+        ok &= valid
+        if data.dtype.kind == "f":
+            ok &= ~np.isnan(data)
+    columns = [data.tolist() for data, _ in vectors]
+    keys = columns[0] if len(columns) == 1 else list(zip(*columns))
+    return keys, ok
+
+
+def _join_codes(
+    pairs: List[Tuple[Vector, Vector]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Dense ``int64`` key codes and matchable-row masks for both sides.
+
+    A single integer key is its own code when the right side's keys span
+    fewer values than the two sides have rows.  Any other key takes one
+    dict pass per side, so keys match under Python equality
+    (``1 == 1.0``, ``2**53 + 1 != float(2**53)``); a NULL or NaN never
+    matches.
+    """
+    (ldata, lvalid), (rdata, rvalid) = pairs[0]
+    if len(pairs) == 1 and ldata.dtype.kind == "i" == rdata.dtype.kind:
+        keys = rdata[rvalid]
+        span = int(keys.max()) - int(keys.min()) if len(keys) else 0
+        if span < len(ldata) + len(rdata):
+            return ldata, lvalid, rdata, rvalid
+    left_keys, lok = _join_keys([lvec for lvec, _ in pairs])
+    right_keys, rok = _join_keys([rvec for _, rvec in pairs])
+    index = dict.fromkeys(right_keys)
+    for code, key in enumerate(index):
+        index[key] = code
+    rcodes = np.fromiter(
+        map(index.__getitem__, right_keys), np.int64, len(right_keys)
+    )
+    lcodes = np.fromiter(
+        map(index.get, left_keys, repeat(-1)), np.int64, len(left_keys)
+    )
+    return lcodes, lok, rcodes, rok
+
+
+def _probe(
+    ranked: np.ndarray, codes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Start and length of each code's run in ``ranked``: sorted codes
+    spanning few values, so a table over the span replaces a binary
+    search per probe."""
+    if not len(ranked):
+        return np.zeros(len(codes), np.intp), np.zeros(len(codes), np.intp)
+    low, high = int(ranked[0]), int(ranked[-1])
+    lengths = np.bincount(ranked - low)
+    starts = np.cumsum(lengths) - lengths
+    inside = (codes >= low) & (codes <= high)
+    slots = np.where(inside, codes - low, 0)
+    return starts[slots], np.where(inside, lengths[slots], 0)
+
+
+def _equi_join(
+    left: Frame,
+    right: Frame,
+    pairs: List[Tuple[Vector, Vector]],
+    keep_unmatched_left: bool,
+) -> Frame:
+    """Rows in left order, each left row's matches in right order; an
+    unmatched left row of a LEFT JOIN keeps its place with a NULL right
+    side."""
+    lcodes, lok, rcodes, rok = _join_codes(pairs)
+    candidates = np.flatnonzero(rok)
+    order = candidates[np.argsort(rcodes[candidates], kind="stable")]
+    lo, counts = _probe(rcodes[order], lcodes)
+    counts[~lok] = 0
+    emit = np.maximum(counts, 1) if keep_unmatched_left else counts
+    left_idx = np.repeat(np.arange(left.nrows), emit)
+    starts = np.cumsum(emit) - emit
+    ranks = np.arange(len(left_idx)) + np.repeat(lo - starts, emit)
+    if not keep_unmatched_left:
+        return _combine(left, right, left_idx, order[ranks])
+    filler = np.repeat(counts == 0, emit)
+    right_idx = np.zeros(len(left_idx), dtype=np.intp)
+    right_idx[~filler] = order[ranks[~filler]]
+    return _combine(left, right, left_idx, right_idx, filler)
+
+
+def _nulls(dtype: np.dtype, n: int) -> Vector:
+    return (
+        np.full(n, None if dtype == object else 0, dtype=dtype),
+        np.zeros(n, dtype=bool),
+    )
+
+
+def _combine(
+    left: Frame,
+    right: Frame,
+    left_idx: np.ndarray,
+    right_idx: np.ndarray,
+    filler: Optional[np.ndarray] = None,
+) -> Frame:
+    """Rows ``left[left_idx]`` beside ``right[right_idx]``; rows marked
+    in ``filler`` get a NULL right side."""
     out = Frame(len(left_idx))
-    li = np.asarray(left_idx, dtype=int)
-    ri = np.asarray(right_idx, dtype=int)
-    nr = np.asarray(null_right, dtype=bool)
     for key, (data, valid) in left.columns.items():
-        out.columns[key] = (data[li], valid[li])
+        out.columns[key] = (data[left_idx], valid[left_idx])
     for key, (data, valid) in right.columns.items():
-        if key in out.columns:
-            raise CatalogError(
-                f"duplicate binding {key[0]}.{key[1]} in join; use aliases"
-            )
         if right.nrows == 0:
-            # Every surviving row is an unmatched-left filler row.
-            taken = np.empty(len(ri), dtype=data.dtype)
-            if data.dtype == object:
-                taken[:] = None
-            else:
-                taken[:] = 0
-            tvalid = np.zeros(len(ri), dtype=bool)
-        else:
-            taken = data[ri]
-            tvalid = valid[ri] & ~nr
-        out.columns[key] = (taken, tvalid)
-    return out, None
+            # Every row is an unmatched-left filler row.
+            out.columns[key] = _nulls(data.dtype, len(right_idx))
+            continue
+        taken = valid[right_idx]
+        if filler is not None:
+            taken &= ~filler
+        out.columns[key] = (data[right_idx], taken)
+    return out
 
 
-def _left_join_fixup(left: Frame, right: Frame, combined: Frame, mask):
-    """LEFT JOIN with a non-equi condition via the cross product."""
-    n_right = right.nrows
+def _cross_join(left: Frame, right: Frame) -> Frame:
+    return _combine(
+        left,
+        right,
+        np.repeat(np.arange(left.nrows), right.nrows),
+        np.tile(np.arange(right.nrows), left.nrows),
+    )
+
+
+def _left_join_fixup(
+    left: Frame, right: Frame, combined: Frame, mask: np.ndarray
+) -> Frame:
+    """LEFT JOIN with a non-equi condition via the cross product: the
+    matches, then each unmatched left row with a NULL right side."""
+    keep = np.flatnonzero(mask)
     matched_left = np.zeros(left.nrows, dtype=bool)
-    keep = np.nonzero(mask)[0]
-    for pos in keep:
-        matched_left[pos // max(n_right, 1)] = True
+    matched_left[keep // max(right.nrows, 1)] = True
     result = combined.take(keep)
-    missing = np.nonzero(~matched_left)[0]
+    missing = np.flatnonzero(~matched_left)
     if len(missing) == 0:
-        return result, mask
+        return result
     extra = Frame(len(missing))
     for key, (data, valid) in left.columns.items():
         extra.columns[key] = (data[missing], valid[missing])
-    for key, (data, valid) in right.columns.items():
-        filler = np.empty(len(missing), dtype=data.dtype)
-        if data.dtype == object:
-            filler[:] = None
-        else:
-            filler[:] = 0
-        extra.columns[key] = (filler, np.zeros(len(missing), dtype=bool))
+    for key, (data, _) in right.columns.items():
+        extra.columns[key] = _nulls(data.dtype, len(missing))
     merged = Frame(result.nrows + extra.nrows)
     for key in result.columns:
         d1, v1 = result.columns[key]
@@ -957,7 +1294,59 @@ def _left_join_fixup(left: Frame, right: Frame, combined: Frame, mask):
             np.concatenate([d1, d2]),
             np.concatenate([v1, v2]),
         )
-    return merged, None
+    return merged
+
+
+# -- grouping ---------------------------------------------------------------------
+
+
+def _column_codes(data: np.ndarray, valid: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Codes in ``[0, k)`` that are equal exactly when the keys are:
+    Python equality for objects (``1 == 1.0``), one code for all NULLs
+    and one of its own for every NaN — a dict of key tuples' grouping.
+    Some codes may go unused."""
+    if data.dtype.kind in "biuf":
+        uniq, codes = np.unique(data, return_inverse=True, equal_nan=False)
+        codes, k = codes.reshape(-1), len(uniq)
+    else:
+        values = data.tolist()
+        index = dict.fromkeys(values)
+        for code, key in enumerate(index):
+            index[key] = code
+        codes = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+        k = len(index)
+    codes[~valid] = k
+    return codes, k + 1
+
+
+def _group_codes(key_vectors: List[Vector], n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's group code, numbered in first-appearance order, and
+    the first row of every group."""
+    codes, width = np.zeros(n, dtype=np.intp), 1
+    for data, valid in key_vectors:
+        column, k = _column_codes(data, valid)
+        codes, width = codes * k + column, width * k
+        if width > 2 * n:
+            # Re-pack so the next column's product cannot overflow.
+            uniq, codes = np.unique(codes, return_inverse=True)
+            codes, width = codes.reshape(-1), len(uniq)
+    first = np.full(width, n, dtype=np.intp)
+    np.minimum.at(first, codes, np.arange(n))
+    used = np.flatnonzero(first < n)
+    used = used[np.argsort(first[used])]
+    rank = np.empty(width, dtype=np.intp)
+    rank[used] = np.arange(len(used))
+    return rank[codes], first[used]
+
+
+def _group_key(vec: Vector, first: np.ndarray) -> Vector:
+    """One grouping key value per group (its first row's), as objects."""
+    data, valid = vec
+    keys = np.empty(len(first), dtype=object)
+    keys[:] = list(data[first])
+    key_valid = valid[first]
+    keys[~key_valid] = None
+    return keys, key_valid
 
 
 def _distinct(columns: List[Vector]) -> List[Vector]:

@@ -4,10 +4,12 @@ from datetime import datetime
 
 import pytest
 
+from repro import obs
 from repro.mdb import Database
 from repro.mdb.errors import CatalogError
 from repro.mdb.datavault import SceneCatalog
 from repro.mdb.storage import open_database
+from repro.vo.services import MetricsService
 
 
 def scene(path, mission="meteosat9", sensor="seviri", when=None, **kw):
@@ -116,6 +118,40 @@ class TestQueries:
         b = list(SceneCatalog.synthesize_scenes(50, seed=9))
         assert a == b
         assert len({s["path"] for s in a}) == 50
+
+    def test_subtree_join_sees_only_the_subtree(self, populated):
+        # The ancestor filter runs on the closure scan, so the join emits
+        # exactly the counted rows, not one row per (scene, ancestor).
+        catalog, _ = populated
+        node = catalog.node_id("meteosat9")
+        registry = obs.get_registry()
+        previous = registry.enabled
+        registry.set_enabled(True)
+        try:
+            before = MetricsService(registry).snapshot()["counters"]
+            count = catalog.count_subtree(node)
+            after = MetricsService(registry).snapshot()["counters"]
+        finally:
+            registry.set_enabled(previous)
+
+        def rose(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        assert 0 < count < catalog.scene_count()
+        assert rose("sql.join.rows") == count
+        assert rose("sql.where.pushed") == 1
+
+    def test_join_counters_cost_nothing_when_disabled(self, populated):
+        catalog, _ = populated
+        registry = obs.get_registry()
+        previous = registry.enabled
+        registry.set_enabled(False)
+        try:
+            before = registry.snapshot()["counters"]
+            catalog.count_subtree(catalog.node_id("meteosat9"))
+            assert registry.snapshot()["counters"] == before
+        finally:
+            registry.set_enabled(previous)
 
     def test_batching_splits_inserts(self):
         catalog = SceneCatalog(Database(), batch_size=64)

@@ -1,9 +1,12 @@
 """SQL executor edge cases and regression guards."""
 
+import random
+
 import pytest
 
 from repro.mdb import Database
 from repro.mdb.errors import SQLSyntaxError, SQLTypeError
+from repro.mdb.sql import executor
 
 
 @pytest.fixture
@@ -177,6 +180,88 @@ class TestJoinsEdge:
             "JOIN u ON t.id = u.id"
         )
         assert jdb.scalar("SELECT count(*) FROM pairs") == 2
+
+
+class TestResidualOn:
+    """An inner ``ON`` with key equalities plus other conjuncts joins on
+    the keys and then filters; it never builds the cross product."""
+
+    @pytest.fixture
+    def pair(self):
+        rng = random.Random(7)
+        left = [
+            (rng.choice([None, 0, 1, 2]), rng.randint(-3, 3)) for _ in range(40)
+        ]
+        right = [
+            (rng.choice([None, 0, 1, 2]), rng.randint(-3, 3)) for _ in range(40)
+        ]
+        db = Database()
+        db.execute("CREATE TABLE l (a INT, b INT)")
+        db.execute("CREATE TABLE r (c INT, d INT)")
+        db.insert_rows("l", left)
+        db.insert_rows("r", right)
+        return db, left, right
+
+    @pytest.fixture
+    def no_cross_join(self, monkeypatch):
+        def refuse(left, right):
+            raise AssertionError("inner join built a cross product")
+
+        monkeypatch.setattr(executor, "_cross_join", refuse)
+
+    def test_mixed_on_equals_nested_loop_in_order(self, pair, no_cross_join):
+        db, left, right = pair
+        got = db.query(
+            "SELECT l.a, l.b, r.c, r.d FROM l JOIN r "
+            "ON l.a = r.c AND l.b < r.d AND r.d <> 0"
+        )
+        expected = [
+            (a, b, c, d)
+            for a, b in left
+            for c, d in right
+            if a is not None and a == c and b < d and d != 0
+        ]
+        assert got == expected and expected
+
+    def test_key_equality_is_python_equality_with_a_residual(
+        self, no_cross_join
+    ):
+        # The key conjunct means what it means without the residual:
+        # 1 == 1.0, but 2**53 + 1 != float(2**53).
+        db = Database()
+        db.execute("CREATE TABLE l (a INT, b INT)")
+        db.execute("CREATE TABLE r (y DOUBLE, d INT)")
+        db.insert_rows("l", [(1, 0), (2**53 + 1, 0)])
+        db.insert_rows("r", [(1.0, 5), (float(2**53), 5)])
+        sql = "SELECT l.a, r.y FROM l JOIN r ON l.a = r.y"
+        assert db.query(sql) == [(1, 1.0)]
+        assert db.query(sql + " AND l.b < r.d") == [(1, 1.0)]
+
+    def test_raising_residual_keeps_the_cross_product(self):
+        # `l.b < 'x'` raises on every row it sees.  No keys match here,
+        # so judged on the key matches alone it would not raise at all.
+        db = Database()
+        db.execute("CREATE TABLE l (a INT, b INT)")
+        db.execute("CREATE TABLE r (c INT, d INT)")
+        db.insert_rows("l", [(1, 0)])
+        db.insert_rows("r", [(2, 0)])
+        with pytest.raises(SQLTypeError):
+            db.query(
+                "SELECT count(*) FROM l JOIN r ON l.a = r.c AND l.b < 'x'"
+            )
+
+    def test_left_join_residual_appends_unmatched_rows(self, pair):
+        db, left, right = pair
+        got = db.query(
+            "SELECT l.a, l.b, r.d FROM l LEFT JOIN r "
+            "ON l.a = r.c AND l.b < r.d"
+        )
+        hits = [
+            [(a, b, d) for c, d in right if a is not None and a == c and b < d]
+            for a, b in left
+        ]
+        unmatched = [(a, b, None) for (a, b), h in zip(left, hits) if not h]
+        assert got == [row for h in hits for row in h] + unmatched
 
 
 class TestArrayRelationalMix:
