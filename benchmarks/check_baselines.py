@@ -1,10 +1,10 @@
 """Compare benchmark metrics against committed baseline floors.
 
-The CI ``bench-gate`` job runs the gated benchmarks (A7 writes
-``BENCH_kernels.json``, A10 writes ``BENCH_mining.json``) and then this
-checker.  Each entry in ``benchmarks/baselines.json`` names a dotted
-path into its results file (``select.speedup_vs_interpreted`` →
-``results["select"]["speedup_vs_interpreted"]``) and the value recorded
+The CI ``bench-gate`` job runs the gated benchmark (A10 writes
+``BENCH_mining.json``) and then this checker.  Each entry in
+``benchmarks/baselines.json`` names a dotted path into its results file
+(``extract.patches_per_second`` →
+``results["extract"]["patches_per_second"]``) and the value recorded
 the last time the baseline was updated.  A measurement may drift
 *below* its baseline by at most ``tolerance`` (relative) before the
 gate fails — CI runners are noisy, real regressions are not.
@@ -12,15 +12,13 @@ gate fails — CI runners are noisy, real regressions are not.
 The baselines spec gates one results file through its top-level
 ``results_file``/``baselines`` keys; an optional ``files`` list adds
 further ``{"results_file": ..., "baselines": {...}}`` entries gated
-with the same tolerance (this is how the A10 mining floors ride the
-same gate).
+with the same tolerance.
 
 Exit status: 0 when every metric is within tolerance, 1 when any metric
 regressed or is missing from its results file.
 
 Updating baselines after an intentional performance change::
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_a7_kernel_compile.py -q
     PYTHONPATH=src python -m pytest benchmarks/bench_a10_mining.py -q
     python benchmarks/check_baselines.py --update
     git add benchmarks/baselines.json   # commit alongside the change
@@ -65,9 +63,9 @@ def check(
         os.path.dirname(os.path.abspath(baselines_path)), os.pardir
     )
 
-    # The top-level results_file/baselines pair (the historical A7
-    # single-file schema, honouring an explicit --results override),
-    # plus any extra entries from the optional "files" list.
+    # The top-level results_file/baselines pair (honouring an explicit
+    # --results override), plus any extra entries from the optional
+    # "files" list.
     entries = [(results_path, spec["results_file"], spec["baselines"])]
     for extra in spec.get("files", []):
         entries.append((None, extra["results_file"], extra["baselines"]))
@@ -118,7 +116,7 @@ def check(
 
 def main(argv: list | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Gate A7 benchmark speedups against baselines.json"
+        description="Gate benchmark metrics against baselines.json"
     )
     parser.add_argument(
         "--baselines",

@@ -1,64 +1,35 @@
-"""Compiled vectorised kernels for SciQL/SQL expressions and stSPARQL FILTERs.
+"""Vectorised stSPARQL FILTER lanes and the adaptive row-band tiler.
 
-TELEIOS's bet is column-at-a-time execution *inside* the database.  This
-module closes the remaining interpretation gaps by lowering expression
-ASTs into fused numpy kernels:
+TELEIOS's bet is column-at-a-time execution *inside* the database.  SQL
+and SciQL statements get it from the executor itself
+(:mod:`repro.mdb.sql.executor` evaluates over whole columns); this
+module closes the gap on the stSPARQL side, where solutions are rows:
 
-* **SQL/SciQL** — :func:`compile_update` turns a ``SciQL UPDATE``
-  statement into a plan of closures evaluating directly over the array's
-  attribute planes (no ``to_frame`` meshgrid), compiled once per
-  ``(schema signature, statement)`` and cached in an LRU.  Assignments
-  run gather-compute-scatter over only the cells passing the WHERE mask.
-  :func:`compile_select` lowers single-array ``SELECT`` statements the
-  same way (WHERE over the planes, projections over only the gathered
-  rows), and :func:`compile_tile_aggregate` plans ``tile_aggregate``
-  reductions that reduce float64 planes in place without the
-  interpretive path's ``astype`` copy.  Scalar functions (``abs``,
-  ``sqrt``, ``floor``, ``ceil``, ``power``) lower instead of refusing:
-  the unary functions delegate to the registry's vectorised
-  implementations, while ``power`` goes through :func:`vec_power`,
-  which keeps the per-row loop (numpy's SIMD ``pow`` is not
-  bit-identical to libm's) so error rows and results match exactly.
-  Closure trees reuse owned temporaries in place (``out=`` on
-  the commutative arithmetic lanes) to cut allocation traffic.
-* **Shared vector primitives** — :func:`vec_arith`, :func:`vec_compare`,
-  :func:`vec_concat` and :func:`vec_inlist_literals` implement the SQL
-  operator semantics once, with vectorised fast paths in front of the
-  exact per-row fallbacks.  The interpretive :class:`~repro.mdb.sql.
-  executor.Evaluator` delegates to the same functions, so the compiled
-  and interpreted paths cannot diverge at the operator level.
-* **stSPARQL** — :func:`compile_filter` lowers numeric FILTER
+* **Numeric FILTERs** — :func:`compile_filter` lowers numeric FILTER
   expressions into one batched kernel call over packed binding columns;
   solutions whose bindings fall outside the kernel's type contract are
   routed individually through the caller's exact fallback.
-  :func:`compile_spatial_filter` lowers *spatial* FILTERs — indexable
+* **Spatial FILTERs** — :func:`compile_spatial_filter` lowers indexable
   predicate calls, negated or not, and ``strdf:distance`` comparisons
   over a variable and a constant geometry or over two variables (the
-  fire map's spatial joins) — into one
+  fire map's spatial joins) into one
   :class:`~repro.geometry.envelope.PackedEnvelopes` pass:
   envelope-disjoint rows decide a predicate (or far rows a distance
   comparison) vectorised, and only undecided rows take the exact
   geometry test.
-* **Adaptive tiling** — :class:`AdaptiveTiler` replaces the static
-  ``PARALLEL_MIN_CELLS`` floor: row-band tiling engages only when the
-  observed cells/sec rate predicts the serial pass is long enough to
-  amortise band bookkeeping.
-
-Everything is gated by ``REPRO_KERNELS`` (default on); with the gate off
-the engines fall back to the retained interpretive paths, which double
-as the in-engine oracle for the differential tests in
-:mod:`repro.testkit`.
+* **Adaptive tiling** — :class:`AdaptiveTiler` decides row-band tiling
+  of the SciQL operators from observed cells/sec: bands engage only
+  when the predicted serial pass is long enough to amortise their
+  bookkeeping.
 
 Fallback contract: a compiler raises :class:`Unsupported` (internally)
 for any construct it does not lower, and the public ``compile_*``
-entry points return ``None`` — the caller then takes the interpretive
-path.  Catalog errors (unknown columns) are *not* swallowed: they raise
-the same exception the interpretive path would.
+entry points return ``None`` — the caller then walks the solutions one
+at a time, which is also the path for single-row batches.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import (
@@ -68,7 +39,6 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -76,36 +46,18 @@ import numpy as np
 
 from repro import obs
 from repro.cache import LRUCache
+from repro.mdb.sql.vectors import CMP_UFUNCS, EXACT_INT
 from repro.rdf.term import Literal
 
-# The SQL AST, mdb error types and stSPARQL algebra are imported
-# lazily: both engines import this module at package-import time (the
-# executor aliases the vector primitives), so a top-level import of
-# either engine from here would be circular.
-
-
-def _sql_ast():
-    from repro.mdb.sql import ast
-
-    return ast
-
-
-def _mdb_errors():
-    from repro.mdb import errors
-
-    return errors
+# The stSPARQL algebra, functions and strdf modules are imported lazily:
+# the stSPARQL evaluator imports this module at package-import time, so
+# a top-level import of them from here would be circular.
 
 
 def _algebra():
     from repro.strabon.stsparql import algebra
 
     return algebra
-
-
-def _sql_functions():
-    from repro.mdb.sql import functions
-
-    return functions
 
 
 def _stsparql_functions():
@@ -120,30 +72,8 @@ def _strdf():
     return strdf
 
 
-def _sql_executor():
-    from repro.mdb.sql import executor
-
-    return executor
-
-
 __all__ = [
-    "KERNELS_ENV",
-    "enabled",
     "Unsupported",
-    "vec_arith",
-    "vec_compare",
-    "vec_concat",
-    "vec_inlist_literals",
-    "vec_power",
-    "bool_mask",
-    "broadcast_literal",
-    "is_numeric",
-    "compile_update",
-    "UpdatePlan",
-    "compile_select",
-    "SelectPlan",
-    "compile_tile_aggregate",
-    "TileAggregatePlan",
     "compile_filter",
     "run_filter",
     "FilterPlan",
@@ -152,18 +82,9 @@ __all__ = [
     "SpatialFilterPlan",
     "AdaptiveTiler",
     "TILER",
-    "sql_kernel_cache",
     "filter_kernel_cache",
     "clear_caches",
 ]
-
-Vector = Tuple[np.ndarray, np.ndarray]
-
-KERNELS_ENV = "REPRO_KERNELS"
-
-#: Integers beyond 2**53 are not exactly representable as float64; the
-#: fast lanes refuse them so exact python-int comparisons never round.
-_EXACT_INT = 2**53
 
 #: Minimum candidate-solution count before packing binding columns for a
 #: batched FILTER pays for itself (kept tiny so the fuzz sweep exercises
@@ -171,467 +92,13 @@ _EXACT_INT = 2**53
 FILTER_BATCH_MIN_SOLUTIONS = 2
 
 
-def enabled() -> bool:
-    """Whether compiled kernels are active (``REPRO_KERNELS``, default on)."""
-    raw = os.environ.get(KERNELS_ENV, "").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
 class Unsupported(Exception):
-    """An expression the kernel compiler does not lower (take the
-    interpretive path)."""
+    """An expression the kernel compiler does not lower (walk the
+    solutions one at a time)."""
 
 
-# ---------------------------------------------------------------------------
-# shared vector primitives (exact SQL operator semantics)
-# ---------------------------------------------------------------------------
-
-
-def is_numeric(arr: np.ndarray) -> bool:
-    return arr.dtype.kind in "ifb"
-
-
-_TRUE1 = np.ones(1, dtype=bool)
-_TRUE1.flags.writeable = False
-
-
-def all_valid(n: int) -> np.ndarray:
-    """An all-True validity mask as a stride-0 broadcast view — O(1) to
-    build and recognisable (see :func:`_const_true`) so the hot paths
-    can skip masking work entirely when no NULLs are in play."""
-    return np.broadcast_to(_TRUE1, (n,))
-
-
-def _const_true(valid: np.ndarray) -> bool:
-    """True when ``valid`` is a stride-0 all-True broadcast view."""
-    return valid.strides == (0,) and valid.size > 0 and bool(valid[0])
-
-
-def and_valid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a & b`` without allocating when either side is known all-True."""
-    if a is b or _const_true(b):
-        return a
-    if _const_true(a):
-        return b
-    return a & b
-
-
-def broadcast_literal(value: Any, nrows: int) -> Vector:
-    if value is None:
-        return (
-            np.empty(nrows, dtype=object),
-            np.zeros(nrows, dtype=bool),
-        )
-    if isinstance(value, bool):
-        data = np.full(nrows, value, dtype=bool)
-    elif isinstance(value, int):
-        data = np.full(nrows, value, dtype=np.int64)
-    elif isinstance(value, float):
-        data = np.full(nrows, value, dtype=np.float64)
-    else:
-        data = np.empty(nrows, dtype=object)
-        data[:] = value
-    return data, np.ones(nrows, dtype=bool)
-
-
-def bool_mask(vec: Vector) -> np.ndarray:
-    """Vector → WHERE mask (NULL counts as False)."""
-    data, valid = vec
-    if data.dtype == object:
-        truth = np.fromiter(
-            (bool(v) for v in data), count=len(data), dtype=bool
-        )
-    elif data.dtype == np.bool_:
-        truth = data
-    else:
-        truth = data.astype(bool)
-    # The result may alias ``data`` when it is already boolean and every
-    # row is valid; callers treat masks as read-only.
-    if _const_true(valid):
-        return truth
-    return truth & valid
-
-
-def _valid_index(valid: np.ndarray) -> Optional[np.ndarray]:
-    """Positions of valid rows, or None when every row is valid."""
-    if valid.all():
-        return None
-    return np.nonzero(valid)[0]
-
-
-def _all_plain_str(data: np.ndarray, valid: np.ndarray) -> bool:
-    """True when every valid element is an (exact) str — the precondition
-    of the vectorised string lanes.  ``np.str_`` counts: it subclasses
-    str without changing comparison or formatting semantics."""
-    if data.dtype.kind == "U":
-        return True
-    if data.dtype != np.dtype(object):
-        return False
-    values = data if valid.all() else data[valid]
-    return all(type(v) in (str, np.str_) for v in values)
-
-
-def _float_subset(data: np.ndarray) -> Optional[np.ndarray]:
-    """``data`` as float64 when every element is an exact python float.
-
-    ``np.float64`` elements are deliberately excluded: python floats
-    raise ``ZeroDivisionError`` where numpy scalars return inf/nan, and
-    the fast lane must reproduce the per-row loop's exception exactly.
-    """
-    if data.dtype != np.dtype(object):
-        return None
-    for v in data:
-        if type(v) is not float:
-            return None
-    return data.astype(np.float64)
-
-
-def _exact_number_subset(data: np.ndarray) -> Optional[np.ndarray]:
-    """``data`` as float64 when every element is a python int/float whose
-    float64 image is exact (so vectorised comparison equals the loop)."""
-    if data.dtype != np.dtype(object):
-        return None
-    for v in data:
-        t = type(v)
-        if t is float:
-            continue
-        if t is int and -_EXACT_INT <= v <= _EXACT_INT:
-            continue
-        return None
-    return data.astype(np.float64)
-
-
-def vec_arith(
-    op: str,
-    ldata: np.ndarray,
-    rdata: np.ndarray,
-    valid: np.ndarray,
-    *,
-    reuse: Optional[np.ndarray] = None,
-) -> Vector:
-    """SQL ``+ - * / %`` with NULL masking (shared by both engines).
-
-    Numeric arrays evaluate vectorised; ``/`` between two integer
-    columns is floor division with zero denominators masked invalid.
-    Object columns of pure python floats take a vectorised lane that
-    reproduces the loop's ``ZeroDivisionError``; anything else falls to
-    the exact per-row loop (timestamps, mixed types).
-
-    ``reuse`` may name a writable temporary (one of the operands the
-    caller owns) to receive the result of the ``+ - *`` numeric lanes
-    in place; it must already have the exact result dtype and shape.
-    The compiled closure trees use this to avoid allocating a fresh
-    array per operator node.
-    """
-    if is_numeric(ldata) and is_numeric(rdata):
-        with np.errstate(all="ignore"):
-            if op == "+":
-                out = (
-                    np.add(ldata, rdata, out=reuse)
-                    if reuse is not None
-                    else ldata + rdata
-                )
-            elif op == "-":
-                out = (
-                    np.subtract(ldata, rdata, out=reuse)
-                    if reuse is not None
-                    else ldata - rdata
-                )
-            elif op == "*":
-                out = (
-                    np.multiply(ldata, rdata, out=reuse)
-                    if reuse is not None
-                    else ldata * rdata
-                )
-            elif op == "/":
-                denom_zero = rdata == 0
-                if ldata.dtype.kind == "i" and rdata.dtype.kind == "i":
-                    safe = np.where(denom_zero, 1, rdata)
-                    out = ldata // safe
-                else:
-                    safe = np.where(denom_zero, 1.0, rdata)
-                    out = ldata / safe
-                valid = valid & ~denom_zero
-            else:  # %
-                denom_zero = rdata == 0
-                safe = np.where(denom_zero, 1, rdata)
-                out = ldata % safe
-                valid = valid & ~denom_zero
-        return out, valid
-    idx = _valid_index(valid)
-    lsub = ldata if idx is None else ldata[idx]
-    rsub = rdata if idx is None else rdata[idx]
-    lf = _float_subset(lsub)
-    rf = _float_subset(rsub) if lf is not None else None
-    if lf is not None and rf is not None:
-        if op in ("/", "%") and bool((rf == 0).any()):
-            raise ZeroDivisionError(
-                "float division by zero" if op == "/" else "float modulo"
-            )
-        ufunc = {
-            "+": np.add,
-            "-": np.subtract,
-            "*": np.multiply,
-            "/": np.divide,
-            "%": np.mod,
-        }[op]
-        with np.errstate(all="ignore"):
-            res = ufunc(lf, rf)
-        out = np.empty(len(ldata), dtype=object)
-        if idx is None:
-            out[:] = res.tolist()
-        else:
-            out[idx] = res.tolist()
-        return out, valid
-    out = np.empty(len(ldata), dtype=object)
-    # NumPy scalars in an object column (np.float64(1) / np.float64(0))
-    # follow the vectorised lane's IEEE semantics — inf/nan, silently.
-    with np.errstate(all="ignore"):
-        for i in range(len(ldata)):
-            if not valid[i]:
-                out[i] = None
-                continue
-            a, b = ldata[i], rdata[i]
-            try:
-                if op == "+":
-                    out[i] = a + b
-                elif op == "-":
-                    out[i] = a - b
-                elif op == "*":
-                    out[i] = a * b
-                elif op == "/":
-                    out[i] = a / b
-                else:
-                    out[i] = a % b
-            except TypeError as exc:
-                raise _mdb_errors().SQLTypeError(str(exc)) from exc
-    return out, valid
-
-
-_CMP_UFUNCS = {
-    "=": np.equal,
-    "<>": np.not_equal,
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-}
-
-
-def vec_compare(
-    op: str, ldata: np.ndarray, rdata: np.ndarray, valid: np.ndarray
-) -> Vector:
-    """SQL comparison with NULL masking (shared by both engines).
-
-    Numeric arrays compare vectorised.  Object columns of all-str or
-    all-exact-number values take vectorised lanes; everything else
-    (mixed types) keeps the per-row loop with its ``SQLTypeError``.
-    """
-    if is_numeric(ldata) and is_numeric(rdata):
-        return _CMP_UFUNCS[op](ldata, rdata), valid
-    n = len(ldata)
-    idx = _valid_index(valid)
-    lsub = ldata if idx is None else ldata[idx]
-    rsub = rdata if idx is None else rdata[idx]
-    hits = _fast_compare(op, lsub, rsub)
-    if hits is not None:
-        out = np.zeros(n, dtype=bool)
-        if idx is None:
-            out[:] = hits
-        else:
-            out[idx] = hits
-        return out, valid
-    out = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if not valid[i]:
-            continue
-        a, b = ldata[i], rdata[i]
-        try:
-            if op == "=":
-                out[i] = a == b
-            elif op == "<>":
-                out[i] = a != b
-            elif op == "<":
-                out[i] = a < b
-            elif op == "<=":
-                out[i] = a <= b
-            elif op == ">":
-                out[i] = a > b
-            else:
-                out[i] = a >= b
-        except TypeError:
-            raise _mdb_errors().SQLTypeError(
-                f"cannot compare {type(a).__name__} with "
-                f"{type(b).__name__}"
-            ) from None
-    return out, valid
-
-
-def _fast_compare(
-    op: str, lsub: np.ndarray, rsub: np.ndarray
-) -> Optional[np.ndarray]:
-    """Vectorised comparison of the valid subsets, or None to fall back."""
-    all_valid = np.ones(len(lsub), dtype=bool)
-    if _all_plain_str(lsub, all_valid) and _all_plain_str(rsub, all_valid):
-        return _CMP_UFUNCS[op](lsub.astype(str), rsub.astype(str))
-    lf = _exact_number_subset(lsub)
-    if lf is None:
-        return None
-    rf = _exact_number_subset(rsub)
-    if rf is None:
-        return None
-    return _CMP_UFUNCS[op](lf, rf)
-
-
-def vec_concat(
-    ldata: np.ndarray, rdata: np.ndarray, valid: np.ndarray
-) -> Vector:
-    """SQL ``||`` with NULL masking; ``np.char.add`` when both sides are
-    str-typed, the f-string loop otherwise (identical output)."""
-    n = len(ldata)
-    if _all_plain_str(ldata, valid) and _all_plain_str(rdata, valid):
-        out = np.empty(n, dtype=object)
-        idx = _valid_index(valid)
-        if idx is None:
-            out[:] = np.char.add(
-                ldata.astype(str), rdata.astype(str)
-            ).tolist()
-        else:
-            out[idx] = np.char.add(
-                ldata[idx].astype(str), rdata[idx].astype(str)
-            ).tolist()
-        return out, valid
-    out = np.empty(n, dtype=object)
-    for i in range(n):
-        out[i] = f"{ldata[i]}{rdata[i]}" if valid[i] else None
-    return out, valid
-
-
-def vec_inlist_literals(
-    data: np.ndarray,
-    valid: np.ndarray,
-    values: Sequence[Any],
-    negated: bool,
-) -> Optional[Vector]:
-    """``operand IN (literal, ...)`` in one ``np.isin`` pass.
-
-    ``values`` are raw literal values (``ast.Literal.value``); NULL items
-    contribute no matches (SQL three-valued logic as implemented by the
-    per-item loop).  Returns None when the operand/item type mix has no
-    exact vectorised equivalent — the caller then runs the loop.
-    """
-    live = [v for v in values if v is not None]
-    if is_numeric(data):
-        nums = [v for v in live if isinstance(v, (int, float))]
-        # An int item compared through a float64 `isin` buffer would
-        # round; the loop compares it exactly as int64.  Mixed lists
-        # with oversized ints therefore fall back.
-        if any(isinstance(v, float) for v in nums) and any(
-            isinstance(v, int)
-            and not isinstance(v, bool)
-            and not -_EXACT_INT <= v <= _EXACT_INT
-            for v in nums
-        ):
-            return None
-        if nums:
-            hits = np.isin(data, np.asarray(nums))
-            if not _const_true(valid):
-                hits &= valid
-        else:
-            hits = np.zeros(len(data), dtype=bool)
-    elif _all_plain_str(data, valid):
-        strs = [v for v in live if isinstance(v, str)]
-        if strs:
-            sub = data if valid.all() else data[valid]
-            inner = np.isin(sub.astype(str), np.asarray(strs))
-            hits = np.zeros(len(data), dtype=bool)
-            if valid.all():
-                hits[:] = inner
-            else:
-                hits[np.nonzero(valid)[0]] = inner
-            hits &= valid
-        else:
-            hits = np.zeros(len(data), dtype=bool)
-    else:
-        return None
-    if negated:
-        hits = ~hits
-        if not _const_true(valid):
-            hits &= valid
-    return hits, all_valid(len(hits))
-
-
-def vec_power(lvec: Vector, rvec: Vector) -> Vector:
-    """SQL ``power(x, y)`` lane for compiled kernels.
-
-    Unlike the unary scalar functions, ``power`` cannot take a
-    vectorised fast path: the interpreter's per-row loop evaluates
-    python's ``float ** float`` (libm ``pow``), while ``np.power``
-    dispatches to numpy's own SIMD implementation whose results differ
-    from libm in the last ulp on a few percent of ordinary finite
-    inputs (measured on uniform doubles for exponents 2.0, 2.5, 3.0).
-    ``REPRO_KERNELS=0`` is the bit-identical oracle, so this lane
-    delegates to the exact registry loop — which also preserves the
-    per-row error semantics verbatim: ``0 ** negative`` raises
-    ``ExecutionError``, overflow raises a raw ``OverflowError``, and a
-    negative base with a fractional exponent yields a complex result.
-    Compiling ``power`` still pays off: the statement around it stays
-    on the kernel path instead of being refused wholesale.
-    """
-    return _sql_functions().SCALAR_FUNCTIONS["power"](lvec, rvec)
-
-
-# ---------------------------------------------------------------------------
-# SQL expression compiler (SciQL UPDATE / SELECT)
-# ---------------------------------------------------------------------------
-
-
-class KernelEnv:
-    """Columns a compiled kernel evaluates over: name → (data, valid)."""
-
-    __slots__ = ("cols", "n")
-
-    def __init__(self, cols: Dict[str, Vector], n: int):
-        self.cols = cols
-        self.n = n
-
-    def window(self, lo: int, hi: int) -> "KernelEnv":
-        return KernelEnv(
-            {k: (d[lo:hi], v[lo:hi]) for k, (d, v) in self.cols.items()},
-            hi - lo,
-        )
-
-    def gather(self, idx: np.ndarray) -> "KernelEnv":
-        # Fancy-indexing a stride-0 all-True mask would materialise it;
-        # keep the constant-True representation instead.
-        return KernelEnv(
-            {
-                k: (
-                    d[idx],
-                    all_valid(len(idx)) if _const_true(v) else v[idx],
-                )
-                for k, (d, v) in self.cols.items()
-            },
-            len(idx),
-        )
-
-
-KernelFn = Callable[[KernelEnv], Vector]
-
-
-@dataclass
-class UpdatePlan:
-    """A compiled ``UPDATE array`` statement."""
-
-    where: Optional[KernelFn]
-    assignments: List[Tuple[str, KernelFn]]  # (attr name, value kernel)
-    columns: Tuple[str, ...]  # referenced column names (env keys)
-
-
-#: Compiled SQL/SciQL plans (UPDATE, SELECT, tile_aggregate) keyed by
-#: (schema signature, statement); the sentinel marks statements the
-#: compiler refused so they are not re-lowered on every call.
-sql_kernel_cache = LRUCache(maxsize=256, name="kernels.sql")
+#: Never filled; bench/worker.py still sums its stats in traced runs.
+sql_kernel_cache = LRUCache(maxsize=1, name="kernels.sql")
 _REFUSED = object()
 _MISS = object()
 
@@ -649,473 +116,6 @@ def _plan_cache_get(cache: LRUCache, key: Any) -> Any:
         cache.mark_refusal()
         return None
     return cached
-
-
-def array_signature(array: Any) -> Tuple:
-    """Hashable schema signature of a SciArray (cache-key component)."""
-    return (
-        array.name,
-        tuple((d.name, "dim") for d in array.dimensions),
-        tuple(
-            (name, "attr", ctype.name) for name, ctype in array.attributes
-        ),
-    )
-
-
-def compile_update(array: Any, stmt: ast.Update) -> Optional[UpdatePlan]:
-    """Compile one SciQL UPDATE against an array's schema, or None.
-
-    The plan is cached per ``(schema signature, statement)``; AST nodes
-    are frozen dataclasses, hence hashable.  Unknown columns raise
-    :class:`CatalogError` with the interpretive path's message.
-    """
-    sig = array_signature(array)
-    key = (sig, stmt.where, tuple(stmt.assignments))
-    cached = _plan_cache_get(sql_kernel_cache, key)
-    if cached is not _MISS:
-        return cached
-    schema = {d.name: "dim" for d in array.dimensions}
-    for name, _ in array.attributes:
-        schema[name] = "attr"
-    refs: set = set()
-    try:
-        where = (
-            None
-            if stmt.where is None
-            else _compile_sql(stmt.where, schema, array.name, refs)
-        )
-        assignments = []
-        for attr_name, expr in stmt.assignments:
-            if schema.get(attr_name.lower()) != "attr":
-                raise _mdb_errors().CatalogError(
-                    f"no attribute {attr_name!r} in array {array.name!r}"
-                )
-            assignments.append(
-                (attr_name, _compile_sql(expr, schema, array.name, refs))
-            )
-    except Unsupported:
-        sql_kernel_cache.put(key, _REFUSED)
-        return None
-    plan = UpdatePlan(where, assignments, tuple(sorted(refs)))
-    sql_kernel_cache.put(key, plan)
-    return plan
-
-
-@dataclass
-class SelectPlan:
-    """A compiled single-array ``SELECT`` statement."""
-
-    where: Optional[KernelFn]
-    outputs: List[Tuple[str, KernelFn]]  # (output name, projection kernel)
-    columns: Tuple[str, ...]  # referenced column names (env keys)
-    # Columns the WHERE kernel reads — the only ones that must exist at
-    # full array length; everything else is materialised already gathered.
-    where_columns: Tuple[str, ...]
-
-
-def compile_select(array: Any, stmt: ast.Select) -> Optional[SelectPlan]:
-    """Compile one single-array SELECT against the array's schema, or None.
-
-    Lowers the WHERE and every projection item into kernels over the
-    attribute planes: the interpretive path's full-frame materialisation
-    (``to_frame`` plus a whole-frame ``take``) disappears — only the
-    referenced columns are touched, and projections evaluate over only
-    the gathered WHERE survivors.  Joins, GROUP BY, HAVING, ORDER BY
-    and aggregates stay interpretive; ``DISTINCT``/``LIMIT``/``OFFSET``
-    are applied by the caller's shared helpers after the plan runs, so
-    they need no lowering.  Unknown columns raise :class:`CatalogError`;
-    the caller falls back to the interpretive path, which owns the
-    raise order.
-    """
-    ast = _sql_ast()
-    sig = array_signature(array)
-    key = (sig, "select", stmt)
-    cached = _plan_cache_get(sql_kernel_cache, key)
-    if cached is not _MISS:
-        return cached
-    schema = {d.name: "dim" for d in array.dimensions}
-    for name, _ in array.attributes:
-        schema[name] = "attr"
-    refs: set = set()
-    where_refs: set = set()
-    try:
-        if (
-            stmt.from_table is None
-            or stmt.joins
-            or stmt.group_by
-            or stmt.having is not None
-            or stmt.order_by
-        ):
-            raise Unsupported("select shape")
-        binding = stmt.from_table.binding
-        # WHERE first: projection kernels run over only its survivors.
-        where = (
-            None
-            if stmt.where is None
-            else _compile_sql(stmt.where, schema, binding, where_refs)
-        )
-        outputs: List[Tuple[str, KernelFn]] = []
-        for item in stmt.items:
-            if isinstance(item.expr, ast.Star):
-                if (
-                    item.expr.table is not None
-                    and item.expr.table != binding
-                ):
-                    raise Unsupported("qualified star")
-                # Schema insertion order (dims, then attributes) is the
-                # frame's column order, so `*` expands identically.
-                for name in schema:
-                    refs.add(name)
-                    outputs.append(
-                        (name, lambda env, _n=name: env.cols[_n])
-                    )
-                continue
-            fn = _compile_sql(item.expr, schema, binding, refs)
-            name = item.alias or _sql_executor()._default_name(item.expr)
-            outputs.append((name, fn))
-    except Unsupported:
-        sql_kernel_cache.put(key, _REFUSED)
-        return None
-    plan = SelectPlan(
-        where,
-        outputs,
-        tuple(sorted(refs | where_refs)),
-        tuple(sorted(where_refs)),
-    )
-    sql_kernel_cache.put(key, plan)
-    return plan
-
-
-@dataclass
-class TileAggregatePlan:
-    """A compiled ``tile_aggregate`` reduction over one attribute plane."""
-
-    attr: str
-    func: str
-    tile: Tuple[int, ...]
-    axes: Tuple[int, ...]
-    # (plane, start tile-row, stop tile-row) → reduced block
-    fn: Callable[[np.ndarray, int, int], np.ndarray]
-
-
-_TILE_REDUCERS = {
-    "mean": np.mean,
-    "sum": np.sum,
-    "min": np.min,
-    "max": np.max,
-}
-
-
-def compile_tile_aggregate(
-    array: Any, tile: Sequence[int], func: str, attr: str
-) -> Optional[TileAggregatePlan]:
-    """Plan one tiled reduction, or None outside the kernel subset
-    (unknown reducer, mismatched tile rank, object-typed plane — the
-    interpretive path owns validation errors).
-
-    The compiled reduction skips the interpretive path's unconditional
-    ``astype(float)`` when the plane is already float64, reducing
-    straight from the reshaped block — bit-identical, since ``astype``
-    on float64 input is an identity copy and the reduction input is
-    C-contiguous either way (``reshape`` of a trimmed block copies into
-    contiguous layout when the view cannot be reshaped in place).
-    """
-    tile = tuple(int(t) for t in tile)
-    # The schema signature carries no dimension extents (UPDATE/SELECT
-    # kernels are length-agnostic), but a tile plan bakes the trimmed
-    # shape into its closure — key on the concrete shape too.
-    key = (array_signature(array), array.shape, "tile", tile, func, attr)
-    cached = _plan_cache_get(sql_kernel_cache, key)
-    if cached is not _MISS:
-        return cached
-    reducer = _TILE_REDUCERS.get(func)
-    shape = array.shape
-    if (
-        reducer is None
-        or len(tile) != len(shape)
-        or any(t < 1 for t in tile)
-        or any(s // t == 0 for s, t in zip(shape, tile))
-        or not array.has_attribute(attr)
-        or array.attribute_type(attr).dtype == np.dtype(object)
-    ):
-        sql_kernel_cache.put(key, _REFUSED)
-        return None
-    trimmed = tuple((s // t) * t for s, t in zip(shape, tile))
-    axes = tuple(range(1, 2 * len(shape), 2))
-    tail = tuple(slice(0, s) for s in trimmed[1:])
-    inner_shape: List[int] = []
-    for s, t in zip(trimmed[1:], tile[1:]):
-        inner_shape.extend([s // t, t])
-    skip_cast = array.attribute_type(attr).dtype == np.float64
-
-    def reduce_rows(data: np.ndarray, start: int, stop: int) -> np.ndarray:
-        block = data[(slice(start * tile[0], stop * tile[0]),) + tail]
-        block = block.reshape([stop - start, tile[0], *inner_shape])
-        if not skip_cast:
-            block = block.astype(float)
-        return reducer(block, axis=axes)
-
-    plan = TileAggregatePlan(attr, func, tile, axes, reduce_rows)
-    sql_kernel_cache.put(key, plan)
-    return plan
-
-
-def _compile_sql(
-    expr: ast.Expr, schema: Dict[str, str], binding: str, refs: set
-) -> KernelFn:
-    """Lower one SQL expression AST node to a closure over a KernelEnv."""
-    fn, _owned = _compile_sql_node(expr, schema, binding, refs)
-    return fn
-
-
-#: Scalar functions the compiler lowers (name → arity).  Everything
-#: else refuses to the interpretive path, which owns unknown-function,
-#: aggregate-misuse and arity errors.
-_COMPILED_FUNCTIONS = {
-    "abs": 1,
-    "sqrt": 1,
-    "floor": 1,
-    "ceil": 1,
-    "ceiling": 1,
-    "power": 2,
-}
-
-
-def _compile_sql_node(
-    expr: ast.Expr, schema: Dict[str, str], binding: str, refs: set
-) -> Tuple[KernelFn, bool]:
-    """Lower one SQL AST node to ``(closure, owned)``.
-
-    ``owned`` marks closures whose result array is freshly allocated on
-    every call — a temporary the parent operator may overwrite in place
-    (``reuse=`` on :func:`vec_arith`, ``out=`` on unary negate).
-    Literal broadcasts and column references are *borrowed*: they alias
-    read-only compile-time seeds or live :class:`KernelEnv` columns
-    that every assignment kernel of a plan shares, so they are never
-    written through.
-    """
-    ast = _sql_ast()
-    if isinstance(expr, ast.Literal):
-        value = expr.value
-        # Materialise the literal once at compile time and stretch it
-        # with stride-0 broadcast views per call: ufuncs treat those
-        # like scalars, so no per-evaluation n-sized allocation.
-        seed_data, seed_valid = broadcast_literal(value, 1)
-
-        def literal(env: KernelEnv) -> Vector:
-            return (
-                np.broadcast_to(seed_data, (env.n,)),
-                np.broadcast_to(seed_valid, (env.n,)),
-            )
-
-        return literal, False
-    if isinstance(expr, ast.ColumnRef):
-        name = expr.name
-        if expr.table is not None:
-            if expr.table != binding or name not in schema:
-                raise _mdb_errors().CatalogError(
-                    f"unknown column {expr.table}.{name}"
-                )
-        elif name not in schema:
-            raise _mdb_errors().CatalogError(f"unknown column {name!r}")
-        refs.add(name)
-        return (lambda env: env.cols[name]), False
-    if isinstance(expr, ast.UnaryOp):
-        inner, inner_owned = _compile_sql_node(
-            expr.operand, schema, binding, refs
-        )
-        if expr.op == "-":
-
-            def negate(env: KernelEnv) -> Vector:
-                data, valid = inner(env)
-                if is_numeric(data):
-                    if inner_owned:
-                        return np.negative(data, out=data), valid
-                    return -data, valid
-                out = np.empty(len(data), dtype=object)
-                for i, v in enumerate(data):
-                    out[i] = -v if valid[i] else None
-                return out, valid
-
-            return negate, True
-        if expr.op == "NOT":
-
-            def invert(env: KernelEnv) -> Vector:
-                mask = bool_mask(inner(env))
-                return ~mask, all_valid(len(mask))
-
-            return invert, True
-        raise Unsupported(expr.op)
-    if isinstance(expr, ast.BinaryOp):
-        op = expr.op
-        left, left_owned = _compile_sql_node(
-            expr.left, schema, binding, refs
-        )
-        right, right_owned = _compile_sql_node(
-            expr.right, schema, binding, refs
-        )
-        if op in ("AND", "OR"):
-
-            def logical(env: KernelEnv) -> Vector:
-                lmask = bool_mask(left(env))
-                rmask = bool_mask(right(env))
-                out = (lmask & rmask) if op == "AND" else (lmask | rmask)
-                return out, all_valid(len(out))
-
-            return logical, True
-        if op == "||":
-
-            def concat(env: KernelEnv) -> Vector:
-                ldata, lvalid = left(env)
-                rdata, rvalid = right(env)
-                return vec_concat(ldata, rdata, and_valid(lvalid, rvalid))
-
-            return concat, True
-        if op in ("+", "-", "*", "/", "%"):
-            in_place = op in ("+", "-", "*")
-
-            def arith(env: KernelEnv) -> Vector:
-                ldata, lvalid = left(env)
-                rdata, rvalid = right(env)
-                reuse = None
-                if in_place and is_numeric(ldata) and is_numeric(rdata):
-                    # Overwrite an owned operand whose dtype already
-                    # matches the result: no allocation, same values
-                    # (ufuncs are well-defined with out= aliasing an
-                    # input).
-                    rt = np.result_type(ldata, rdata)
-                    if left_owned and ldata.dtype == rt:
-                        reuse = ldata
-                    elif right_owned and rdata.dtype == rt:
-                        reuse = rdata
-                return vec_arith(
-                    op, ldata, rdata, and_valid(lvalid, rvalid), reuse=reuse
-                )
-
-            return arith, True
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-
-            def compare(env: KernelEnv) -> Vector:
-                ldata, lvalid = left(env)
-                rdata, rvalid = right(env)
-                return vec_compare(
-                    op, ldata, rdata, and_valid(lvalid, rvalid)
-                )
-
-            return compare, True
-        raise Unsupported(op)
-    if isinstance(expr, ast.FunctionCall):
-        name = expr.name
-        fns = _sql_functions()
-        if (
-            expr.star
-            or expr.distinct
-            or fns.is_aggregate(name)
-            or _COMPILED_FUNCTIONS.get(name) != len(expr.args)
-            or name not in fns.SCALAR_FUNCTIONS
-        ):
-            raise Unsupported(name)
-        arg_fns = [
-            _compile_sql_node(arg, schema, binding, refs)[0]
-            for arg in expr.args
-        ]
-        if name == "power":
-            base_fn, exp_fn = arg_fns
-
-            def power_call(env: KernelEnv) -> Vector:
-                return vec_power(base_fn(env), exp_fn(env))
-
-            return power_call, True
-        # The registry implementations of the unary functions are
-        # already vectorised (`_numeric_unary`); delegating to them —
-        # exactly as the interpreter's FunctionCall evaluation does —
-        # makes divergence between the paths structurally impossible.
-        fn = fns.SCALAR_FUNCTIONS[name]
-        arg0 = arg_fns[0]
-
-        def scalar_call(env: KernelEnv) -> Vector:
-            return fn(arg0(env))
-
-        return scalar_call, True
-    if isinstance(expr, ast.InList):
-        operand, _ = _compile_sql_node(expr.operand, schema, binding, refs)
-        negated = expr.negated
-        if all(isinstance(item, ast.Literal) for item in expr.items):
-            values = tuple(item.value for item in expr.items)
-
-            def inlist_fast(env: KernelEnv) -> Vector:
-                data, valid = operand(env)
-                fast = vec_inlist_literals(data, valid, values, negated)
-                if fast is not None:
-                    return fast
-                item_vecs = [
-                    broadcast_literal(v, env.n) for v in values
-                ]
-                return _inlist_loop(data, valid, item_vecs, negated)
-
-            return inlist_fast, True
-        items = [
-            _compile_sql(item, schema, binding, refs) for item in expr.items
-        ]
-
-        def inlist(env: KernelEnv) -> Vector:
-            data, valid = operand(env)
-            return _inlist_loop(
-                data, valid, [item(env) for item in items], negated
-            )
-
-        return inlist, True
-    if isinstance(expr, ast.Between):
-        operand, _ = _compile_sql_node(expr.operand, schema, binding, refs)
-        low = _compile_sql(expr.low, schema, binding, refs)
-        high = _compile_sql(expr.high, schema, binding, refs)
-        negated = expr.negated
-
-        def between(env: KernelEnv) -> Vector:
-            data, valid = operand(env)
-            low_d, low_v = low(env)
-            high_d, high_v = high(env)
-            ge = bool_mask(
-                vec_compare(">=", data, low_d, and_valid(valid, low_v))
-            )
-            le = bool_mask(
-                vec_compare("<=", data, high_d, and_valid(valid, high_v))
-            )
-            out = ge & le
-            if negated:
-                out = ~out & valid
-            return out, all_valid(len(out))
-
-        return between, True
-    if isinstance(expr, ast.IsNull):
-        operand, _ = _compile_sql_node(expr.operand, schema, binding, refs)
-        negated = expr.negated
-
-        def isnull(env: KernelEnv) -> Vector:
-            _, valid = operand(env)
-            out = valid.copy() if negated else ~valid
-            return out, all_valid(len(out))
-
-        return isnull, True
-    # Like / Cast / Case / Star: interpretive path.
-    raise Unsupported(type(expr).__name__)
-
-
-def _inlist_loop(
-    data: np.ndarray,
-    valid: np.ndarray,
-    item_vecs: Sequence[Vector],
-    negated: bool,
-) -> Vector:
-    """The exact per-item IN evaluation (matches the interpreter)."""
-    hits = np.zeros(len(data), dtype=bool)
-    for idata, ivalid in item_vecs:
-        hits |= bool_mask(vec_compare("=", data, idata, valid & ivalid))
-    if negated:
-        hits = ~hits
-        if not _const_true(valid):
-            hits &= valid
-    return hits, all_valid(len(hits))
 
 
 # ---------------------------------------------------------------------------
@@ -1189,7 +189,7 @@ def _filter_const(term: Literal) -> Tuple[float, str]:
     if isinstance(py, bool):
         return (1.0 if py else 0.0), "bool"
     if isinstance(py, int):
-        if not -_EXACT_INT <= py <= _EXACT_INT:
+        if not -EXACT_INT <= py <= EXACT_INT:
             raise Unsupported("oversized int literal")
         return float(py), "num"
     if isinstance(py, float):
@@ -1320,7 +320,7 @@ def _compile_filter_binary(expr: alg.EBinary, refs: set) -> _FilterNode:
             # Booleans compare as 0/1 (python bool is an int).
             lf = lv.astype(np.float64) if lkind == "bool" else lv
             rf = rv.astype(np.float64) if rkind == "bool" else rv
-            return _CMP_UFUNCS[op](lf, rf), le | re_
+            return CMP_UFUNCS[op](lf, rf), le | re_
 
         return comparison, "bool"
     if op in ("+", "-", "*", "/"):
@@ -1378,7 +378,7 @@ def run_filter(
             if isinstance(py, bool):
                 continue
             if isinstance(py, int):
-                if not -_EXACT_INT <= py <= _EXACT_INT:
+                if not -EXACT_INT <= py <= EXACT_INT:
                     continue
                 vals[i] = float(py)
             elif isinstance(py, float):
@@ -1738,7 +738,6 @@ TILER = AdaptiveTiler()
 def clear_caches() -> None:
     """Drop every compiled kernel and learned tiling rate (benchmarks
     use this to measure cold-compile cost)."""
-    sql_kernel_cache.clear()
     filter_kernel_cache.clear()
     TILER.reset()
 

@@ -163,21 +163,6 @@ class Database:
             table = self.catalog.table(table_name)
             return table.insert_columns(columns)
 
-    # -- persistence --------------------------------------------------------
-
-    def dump(self, directory: str) -> None:
-        """Persist every table and array under ``directory``."""
-        from repro.mdb.persistence import dump_database
-
-        dump_database(self, directory)
-
-    @classmethod
-    def load(cls, directory: str) -> "Database":
-        """Rebuild a database from a :meth:`dump` directory."""
-        from repro.mdb.persistence import load_database
-
-        return load_database(directory)
-
     # -- convenience -------------------------------------------------------
 
     def table(self, name: str):

@@ -14,8 +14,9 @@ relational tables.  This module provides:
 * array-native bulk operators used by the NOA processing chain: slicing
   (cropping), tiled aggregation (resampling), cell mapping and masked
   updates, all executing directly on numpy storage;
-* ``UPDATE array SET attr = expr WHERE ...`` — evaluated vectorised over
-  the cells, the SciQL idiom for pixel classification;
+* ``UPDATE array SET attr = expr WHERE ...`` — the SciQL idiom for pixel
+  classification, evaluated by the same SQL expression engine as table
+  statements, over the cells;
 * parallel tiled execution — the cell-local bulk operators (``map``,
   ``tile_aggregate``, ``count_where``) partition the leading dimension
   into row-band tiles and evaluate the bands on the shared worker pool
@@ -35,6 +36,8 @@ import numpy as np
 from repro import kernels, obs, parallel, resilience
 from repro.mdb.errors import CatalogError, ExecutionError, SQLTypeError
 from repro.mdb.sql import ast
+from repro.mdb.sql.executor import Evaluator, Frame, column_refs, is_wanted
+from repro.mdb.sql.vectors import all_valid, bool_mask
 from repro.mdb.types import ColumnType, type_by_name
 
 # Auto-tiling is adaptive: kernels.TILER predicts the serial wall time
@@ -450,19 +453,6 @@ class SciArray:
             raise ExecutionError(f"unknown tile aggregate {func!r}") from None
         axes = tuple(range(1, 2 * self.ndim, 2))
         tail = tuple(slice(0, s) for s in trimmed_shape[1:])
-        # The compiled plan (cached per schema/tile/func) reduces
-        # float64 planes without the interpretive astype copy; every
-        # other config reduces through the retained path below.
-        plan = (
-            kernels.compile_tile_aggregate(
-                self, tuple(tile), func, attr_name
-            )
-            if kernels.enabled()
-            else None
-        )
-        if plan is not None:
-            obs.counter("sciql.tile_aggregate.compiled").inc()
-
         deadline = resilience.active_deadline()
         if deadline is not None:
             deadline.check("sciql.tile_aggregate")
@@ -472,15 +462,16 @@ class SciArray:
             if deadline is not None:
                 deadline.check("sciql.tile_aggregate")
             start, stop = row_range
-            if plan is not None:
-                return plan.fn(data, start, stop)
             block = data[(slice(start * tile[0], stop * tile[0]),) + tail]
             block_shape: List[int] = [stop - start, tile[0]]
             for s, t in zip(trimmed_shape[1:], tile[1:]):
                 block_shape.extend([s // t, t])
-            return reducer(
-                block.reshape(block_shape).astype(float), axis=axes
-            )
+            block = block.reshape(block_shape)
+            # A float64 block reduces as it is: astype would only copy it,
+            # axes in the same order, for the same result.
+            if block.dtype != np.float64:
+                block = block.astype(float)
+            return reducer(block, axis=axes)
 
         out_rows = trimmed_shape[0] // tile[0]
         sched = parallel.get_scheduler(scheduler, workers)
@@ -568,27 +559,41 @@ class SciArray:
 
     # -- relational view -----------------------------------------------------------
 
-    def to_frame(self, binding: str):
-        """Expose the array as a relational frame (one row per cell)."""
-        from repro.mdb.sql.executor import Frame
+    def to_frame(
+        self,
+        binding: str,
+        names: Optional[Sequence[str]] = None,
+        rows: Any = None,
+    ) -> Frame:
+        """Expose the array as a relational frame, one row per cell in C
+        order: the columns ``names`` (default every dimension, then every
+        attribute) over the cells ``rows`` (a slice or flat cell indices;
+        default all).
 
-        n = self.cell_count
-        frame = Frame(n)
-        for d in self.dimensions:
-            frame.add_column(
-                binding,
-                d.name,
-                (self.dim_column(d.name), np.ones(n, dtype=bool)),
-            )
-        for attr_name, ctype in self.attributes:
-            data = self._values[attr_name].reshape(-1)
-            if ctype.dtype == np.dtype(object):
-                valid = np.fromiter(
-                    (v is not None for v in data), count=n, dtype=bool
-                )
+        Dimension columns come from the cached :meth:`dim_column`.  Over
+        a slice, attribute columns are views of the live planes, so a
+        caller copies anything that must outlive a plane write.
+        """
+        rows = slice(None) if rows is None else rows
+        count = (
+            len(range(self.cell_count)[rows])
+            if isinstance(rows, slice)
+            else len(rows)
+        )
+        frame = Frame(count)
+        for name in self.column_names if names is None else names:
+            plane = self._values.get(name)
+            if plane is None:
+                data, valid = self.dim_column(name)[rows], all_valid(count)
             else:
-                valid = np.ones(n, dtype=bool)
-            frame.add_column(binding, attr_name, (data, valid))
+                data = plane.reshape(-1)[rows]
+                if data.dtype == np.dtype(object):
+                    valid = np.fromiter(
+                        (v is not None for v in data), count=count, dtype=bool
+                    )
+                else:
+                    valid = all_valid(count)
+            frame.add_column(binding, name, (data, valid))
         return frame
 
     def copy(self, name: Optional[str] = None) -> "SciArray":
@@ -609,181 +614,43 @@ class SciArray:
         return f"<SciArray {self.name}({dims}; {attrs})>"
 
 
-def _kernel_columns(
-    array: SciArray, names: Sequence[str]
-) -> Dict[str, "kernels.Vector"]:
-    """Pack the referenced attribute planes and dimension-coordinate
-    columns as kernel vectors — exactly the columns :meth:`SciArray.
-    to_frame` would expose, but only the referenced ones and without a
-    frame.  Shared by the compiled UPDATE and SELECT paths."""
-    n = array.cell_count
-    all_valid = kernels.all_valid(n)
-    cols: Dict[str, kernels.Vector] = {}
-    attr_names = {name for name, _ in array.attributes}
-    for name in names:
-        if name in attr_names:
-            data = array._values[name].reshape(-1)
-            if data.dtype == object:
-                valid = np.fromiter(
-                    (v is not None for v in data), count=n, dtype=bool
-                )
-            else:
-                valid = all_valid
-            cols[name] = (data, valid)
-        else:
-            cols[name] = (array.dim_column(name), all_valid)
-    return cols
-
-
-def _gathered_columns(
-    array: SciArray, names: Sequence[str], idx: Optional[np.ndarray]
-) -> Dict[str, "kernels.Vector"]:
-    """Pack the referenced columns already restricted to the WHERE
-    survivors ``idx`` (fully copied when ``idx`` is ``None``).
-
-    Attribute planes are fancy-indexed once.  Dimension coordinates are
-    *computed* from the flat cell index — ``start + (idx // inner) %
-    size`` reproduces :meth:`SciArray.dim_column` bit-for-bit (both
-    int64) with two sequential integer passes over ``idx``, instead of
-    materialising a full-length coordinate column and random-reading it.
-    Every returned array is freshly allocated, so downstream projection
-    kernels are free to reuse the buffers in place.
-    """
-    k = array.cell_count if idx is None else len(idx)
-    all_ok = kernels.all_valid(k)
-    attr_names = {name for name, _ in array.attributes}
-    cols: Dict[str, "kernels.Vector"] = {}
-    for name in names:
-        if name in attr_names:
-            data = array._values[name].reshape(-1)
-            data = data.copy() if idx is None else data[idx]
-            if data.dtype == object:
-                valid = np.fromiter(
-                    (v is not None for v in data), count=k, dtype=bool
-                )
-            else:
-                valid = all_ok
-            cols[name] = (data, valid)
-        else:
-            for axis, d in enumerate(array.dimensions):
-                if d.name == name:
-                    break
-            else:
-                raise CatalogError(
-                    f"no dimension {name!r} in array {array.name!r}"
-                )
-            if idx is None:
-                coords = array.dim_column(name).copy()
-            else:
-                inner = 1
-                for size in array.shape[axis + 1:]:
-                    inner *= size
-                coords = idx // inner  # always a fresh int64 array
-                if axis > 0:
-                    coords %= array.shape[axis]
-                if d.start:
-                    coords += d.start
-            cols[name] = (coords, all_ok)
-    return cols
-
-
-def select_array(
-    array: SciArray, plan: "kernels.SelectPlan"
-) -> Tuple[List[str], List["kernels.Vector"]]:
-    """Run a compiled SELECT plan directly over the attribute planes.
-
-    Evaluates the WHERE kernel over only its referenced columns at full
-    array length, then materialises the projection's columns already
-    restricted to the passing cells — no ``to_frame`` materialisation,
-    no whole-frame ``take``, and no full-length dimension-coordinate
-    columns on the projection side (coordinates are computed from the
-    flat index, see :func:`_gathered_columns`).  Returns ``(output
-    names, output column vectors)`` in the executor's ``run_select``
-    shape; DISTINCT/LIMIT/OFFSET stay with the caller's shared helpers.
-    """
-    n = array.cell_count
-    deadline = resilience.active_deadline()
-    if deadline is not None:
-        deadline.check("sciql.select")
-    obs.counter("sciql.select.calls").inc()
-    obs.counter("sciql.select.cells").inc(n)
-    obs.counter("sciql.select.compiled").inc()
-    with obs.span("sciql.select", array=array.name, compiled="1"):
-        started = time.perf_counter()
-        if plan.where is None:
-            idx = None
-        else:
-            env = kernels.KernelEnv(
-                _kernel_columns(array, plan.where_columns), n
-            )
-            idx = np.nonzero(kernels.bool_mask(plan.where(env)))[0]
-        gathered = kernels.KernelEnv(
-            _gathered_columns(array, plan.columns, idx),
-            n if idx is None else len(idx),
-        )
-        columns = [fn(gathered) for _, fn in plan.outputs]
-        kernels.TILER.observe(
-            "sciql.select", n, time.perf_counter() - started
-        )
-    return [name for name, _ in plan.outputs], columns
-
-
 def update_array(array: SciArray, stmt: ast.Update) -> int:
-    """Execute ``UPDATE array SET attr = expr [WHERE cond]`` vectorised.
+    """Execute ``UPDATE array SET attr = expr [WHERE cond]``.
 
-    With ``REPRO_KERNELS`` enabled (the default) the statement is
-    lowered by :func:`repro.kernels.compile_update` into fused numpy
-    kernels evaluated directly over the attribute planes — no flattening
-    through :meth:`SciArray.to_frame`, dimension-coordinate columns
-    broadcast lazily and only if referenced, and assignment expressions
-    computed only over the cells passing the WHERE mask
-    (gather-compute-scatter).  Statements outside the compiler's subset,
-    and all statements with kernels disabled, evaluate on the retained
-    interpretive path (the SQL evaluator over the cell frame), which
-    doubles as the differential oracle for the compiled kernels.
+    The statement runs on the SQL :class:`~repro.mdb.sql.executor.
+    Evaluator`, the way a table UPDATE does.  Per row band, WHERE
+    evaluates over a frame of only the columns it names; the SET
+    expressions then evaluate over only the cells that passed, gathered
+    from only the columns they name.  A SET expression that would fail
+    only on cells WHERE rejects therefore succeeds.  Bands run on the
+    worker pool when :data:`repro.kernels.TILER` predicts the serial
+    pass is long enough to pay for them.
 
-    Writes are **write-then-swap** on both paths: each assignment
-    scatters into a private copy of the attribute plane and the finished
-    copy replaces the live plane in one reference assignment.  An UPDATE
-    that dies mid-scatter (an injected fault, a soft deadline) therefore
-    leaves the array exactly as it was — which is what makes a chain
-    stage built on SciQL UPDATE safe to retry.
+    Writes are **write-then-swap**: each assignment scatters into a
+    private copy of the attribute plane and the finished copy replaces
+    the live plane in one reference assignment.  An UPDATE that dies
+    mid-scatter (an injected fault, a soft deadline) therefore leaves
+    the array exactly as it was — which is what makes a chain stage
+    built on SciQL UPDATE safe to retry.
     """
-    if kernels.enabled():
-        try:
-            plan = kernels.compile_update(array, stmt)
-        except CatalogError:
-            # Unknown column/attribute: the interpretive path owns the
-            # raise order (an UPDATE whose WHERE matches nothing returns
-            # 0 before its assignments are ever checked).
-            plan = None
-        if plan is not None:
-            return _update_compiled(array, stmt, plan)
-    return _update_interpreted(array, stmt)
+    binding = array.name
 
+    def columns(*exprs: Any) -> List[str]:
+        refs = column_refs(*exprs)
+        return [
+            name for name in array.column_names
+            if is_wanted(refs, binding, name)
+        ]
 
-def _update_compiled(
-    array: SciArray, stmt: ast.Update, plan: "kernels.UpdatePlan"
-) -> int:
-    """Run a compiled UPDATE plan: per row band, evaluate the WHERE
-    kernel over the band's columns, gather the passing cells, evaluate
-    each assignment kernel over only those, and scatter the results into
-    staged plane copies."""
+    where_columns = columns(stmt.where)
+    set_columns = columns(tuple(expr for _, expr in stmt.assignments))
     n = array.cell_count
     deadline = resilience.active_deadline()
     if deadline is not None:
         deadline.check("sciql.update")
     obs.counter("sciql.update.calls").inc()
     obs.counter("sciql.update.cells").inc(n)
-    obs.counter("sciql.update.compiled").inc()
-
-    env = kernels.KernelEnv(_kernel_columns(array, plan.columns), n)
-
-    ctypes = {
-        attr_name: array.attribute_type(attr_name)
-        for attr_name, _ in plan.assignments
-    }
-    row_size = n // array.shape[0] if array.shape[0] else 0
+    row_size = n // array.shape[0]
     sched = parallel.get_scheduler(None, None)
     bands = array._row_bands(
         sched, explicit=False, total=array.shape[0], op="sciql.update"
@@ -791,21 +658,23 @@ def _update_compiled(
     obs.counter("sciql.update.tiles").inc(len(bands) if bands else 1)
 
     def run_band(band: Tuple[int, int]):
-        """→ (matched count, [(assignment index, positions, values)])."""
+        """→ (matched count, [(positions, values) per assignment])."""
         if deadline is not None:
             deadline.check("sciql.update")
         lo, hi = band[0] * row_size, band[1] * row_size
-        sub = env.window(lo, hi)
-        if plan.where is None:
-            idx = np.arange(sub.n)
+        if stmt.where is None:
+            idx = np.arange(hi - lo)
+            rows = slice(lo, hi)
         else:
-            idx = np.nonzero(kernels.bool_mask(plan.where(sub)))[0]
+            frame = array.to_frame(binding, where_columns, slice(lo, hi))
+            idx = np.flatnonzero(bool_mask(Evaluator(frame).eval(stmt.where)))
+            rows = idx + lo
         writes = []
         if idx.size:
-            gathered = sub.gather(idx)
-            for i, (attr_name, fn) in enumerate(plan.assignments):
-                data, valid = fn(gathered)
-                ctype = ctypes[attr_name]
+            evaluator = Evaluator(array.to_frame(binding, set_columns, rows))
+            for attr_name, expr in stmt.assignments:
+                ctype = array.attribute_type(attr_name)
+                data, valid = evaluator.eval(expr)
                 positions = idx[valid] + lo
                 if data.dtype == object:
                     values = np.asarray(
@@ -813,10 +682,10 @@ def _update_compiled(
                     )
                 else:
                     values = data[valid].astype(ctype.dtype)
-                writes.append((i, positions, values))
+                writes.append((positions, values))
         return int(idx.size), writes
 
-    with obs.span("sciql.update", array=array.name, compiled="1"):
+    with obs.span("sciql.update", array=array.name):
         if bands is None:
             started = time.perf_counter()
             results = [run_band((0, array.shape[0]))]
@@ -830,56 +699,17 @@ def _update_compiled(
     if matched == 0:
         return 0
     # Stage one plane copy per assignment (all computed from the
-    # original planes), then swap — last assignment to an attribute
-    # wins, exactly as on the interpretive path.
+    # original planes), then swap: the last assignment to an attribute
+    # wins.
     staged = []
-    for i, (attr_name, _) in enumerate(plan.assignments):
+    for i, (attr_name, _) in enumerate(stmt.assignments):
         current = array.attribute(attr_name)
         plane = current.reshape(-1).copy()
         for _, writes in results:
-            for j, positions, values in writes:
-                if j == i and positions.size:
-                    plane[positions] = values
+            if writes:
+                positions, values = writes[i]
+                plane[positions] = values
         staged.append((attr_name.lower(), plane.reshape(current.shape)))
     for key, plane in staged:
         array.store_plane(key, plane)
     return matched
-
-
-def _update_interpreted(array: SciArray, stmt: ast.Update) -> int:
-    """The interpretive UPDATE path: evaluate over the flattened cell
-    frame with the standard SQL evaluator, scatter back into the planes.
-    Retained as the oracle the compiled path is differentially checked
-    against, and as the fallback for statements outside the compiler's
-    subset."""
-    from repro.mdb.sql.executor import Evaluator, _bool_mask
-
-    frame = array.to_frame(array.name)
-    evaluator = Evaluator(frame)
-    if stmt.where is not None:
-        mask = _bool_mask(evaluator.eval(stmt.where))
-    else:
-        mask = np.ones(frame.nrows, dtype=bool)
-    if not mask.any():
-        return 0
-    staged = []
-    for attr_name, expr in stmt.assignments:
-        ctype = array.attribute_type(attr_name)
-        data, valid = evaluator.eval(expr)
-        current = array.attribute(attr_name)
-        plane = current.reshape(-1).copy()
-        selected = mask & valid
-        if data.dtype == object:
-            coerced = np.asarray(
-                [
-                    ctype.coerce(v) if ok else None
-                    for v, ok in zip(data[selected], valid[selected])
-                ]
-            )
-            plane[selected] = coerced
-        else:
-            plane[selected] = data[selected].astype(plane.dtype)
-        staged.append((attr_name.lower(), plane.reshape(current.shape)))
-    for key, plane in staged:
-        array.store_plane(key, plane)
-    return int(mask.sum())

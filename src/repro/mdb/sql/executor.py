@@ -2,12 +2,15 @@
 
 Every expression evaluates to a *vector*: a ``(data, valid)`` pair of numpy
 arrays over the rows of the current frame — the same bulk-processing model
-MonetDB uses.  A scan copies only the columns the statement names, and
-below joins without a LEFT JOIN each ``column <op> literal`` WHERE conjunct
-filters its own table first.  An equi-join encodes both sides' keys to
-dense ``int64`` codes, sorts the right side's stably and finds each left
-code's run of matches in a table over the code span; GROUP BY factorises
-its keys to codes too and splits the groups with one stable sort.
+MonetDB uses.  Tables and SciQL arrays share this one engine: an array
+statement evaluates over a frame of the array's cells
+(:meth:`~repro.mdb.sciql.SciArray.to_frame`).  A scan copies only the
+columns the statement names, and below joins without a LEFT JOIN each
+``column <op> literal`` WHERE conjunct filters its own relation first.
+An equi-join encodes both sides' keys to dense ``int64`` codes, sorts
+the right side's stably and finds each left code's run of matches in a
+table over the code span; GROUP BY factorises its keys to codes too and
+splits the groups with one stable sort.
 Ordering is a stable sort on the evaluated keys.
 """
 
@@ -19,7 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro import kernels, obs
+from repro import obs
 from repro.mdb.errors import (
     CatalogError,
     ExecutionError,
@@ -31,10 +34,21 @@ from repro.mdb.sql.functions import (
     SCALAR_FUNCTIONS,
     is_aggregate,
 )
+from repro.mdb.sql.vectors import (
+    Vector,
+    all_valid,
+    and_valid,
+    bool_mask,
+    broadcast_literal,
+    const_true,
+    is_numeric,
+    vec_arith,
+    vec_compare,
+    vec_concat,
+    vec_inlist_literals,
+)
 from repro.mdb.table import Column, Table
 from repro.mdb.types import STRING, ColumnType, type_by_name
-
-Vector = Tuple[np.ndarray, np.ndarray]
 
 
 class Frame:
@@ -91,7 +105,17 @@ class Frame:
     def take(self, positions: np.ndarray) -> "Frame":
         out = Frame(len(positions))
         for key, (data, valid) in self.columns.items():
-            out.columns[key] = (data[positions], valid[positions])
+            if const_true(valid):
+                valid = all_valid(len(positions))
+            else:
+                valid = valid[positions]
+            out.columns[key] = (data[positions], valid)
+        return out
+
+    def copy(self) -> "Frame":
+        out = Frame(self.nrows)
+        for key, (data, valid) in self.columns.items():
+            out.columns[key] = (data.copy(), valid.copy())
         return out
 
     def bindings(self) -> List[str]:
@@ -100,14 +124,6 @@ class Frame:
             if binding not in seen:
                 seen.append(binding)
         return seen
-
-
-# The vector primitives live in repro.kernels so the compiled and
-# interpreted paths share one implementation of the SQL operator
-# semantics; the aliases keep this module's historical import surface.
-_broadcast_literal = kernels.broadcast_literal
-_is_numeric = kernels.is_numeric
-_bool_mask = kernels.bool_mask
 
 
 def _like_to_matcher(pattern: str):
@@ -134,7 +150,7 @@ class Evaluator:
     # -- leaves -------------------------------------------------------------
 
     def _eval_literal(self, expr: ast.Literal) -> Vector:
-        return _broadcast_literal(expr.value, self.frame.nrows)
+        return broadcast_literal(expr.value, self.frame.nrows)
 
     def _eval_columnref(self, expr: ast.ColumnRef) -> Vector:
         return self.frame.resolve(expr.name, expr.table)
@@ -144,44 +160,34 @@ class Evaluator:
     def _eval_unaryop(self, expr: ast.UnaryOp) -> Vector:
         data, valid = self.eval(expr.operand)
         if expr.op == "-":
-            if _is_numeric(data):
+            if is_numeric(data):
                 return -data, valid
             out = np.empty(len(data), dtype=object)
             for i, v in enumerate(data):
                 out[i] = -v if valid[i] else None
             return out, valid
         if expr.op == "NOT":
-            mask = _bool_mask((data, valid))
-            return ~mask, np.ones(len(mask), dtype=bool)
+            mask = bool_mask((data, valid))
+            return ~mask, all_valid(len(mask))
         raise ExecutionError(f"unknown unary operator {expr.op!r}")
 
     def _eval_binaryop(self, expr: ast.BinaryOp) -> Vector:
         op = expr.op
         if op in ("AND", "OR"):
-            left = _bool_mask(self.eval(expr.left))
-            right = _bool_mask(self.eval(expr.right))
+            left = bool_mask(self.eval(expr.left))
+            right = bool_mask(self.eval(expr.right))
             out = (left & right) if op == "AND" else (left | right)
-            return out, np.ones(len(out), dtype=bool)
+            return out, all_valid(len(out))
         ldata, lvalid = self.eval(expr.left)
         rdata, rvalid = self.eval(expr.right)
-        valid = lvalid & rvalid
+        valid = and_valid(lvalid, rvalid)
         if op == "||":
-            return kernels.vec_concat(ldata, rdata, valid)
+            return vec_concat(ldata, rdata, valid)
         if op in ("+", "-", "*", "/", "%"):
-            return self._arith(op, ldata, rdata, valid)
+            return vec_arith(op, ldata, rdata, valid)
         if op in ("=", "<>", "<", "<=", ">", ">="):
-            return self._compare(op, ldata, rdata, valid)
+            return vec_compare(op, ldata, rdata, valid)
         raise ExecutionError(f"unknown operator {op!r}")
-
-    def _arith(
-        self, op: str, ldata: np.ndarray, rdata: np.ndarray, valid: np.ndarray
-    ) -> Vector:
-        return kernels.vec_arith(op, ldata, rdata, valid)
-
-    def _compare(
-        self, op: str, ldata: np.ndarray, rdata: np.ndarray, valid: np.ndarray
-    ) -> Vector:
-        return kernels.vec_compare(op, ldata, rdata, valid)
 
     # -- predicates ------------------------------------------------------------
 
@@ -189,7 +195,7 @@ class Evaluator:
         data, valid = self.eval(expr.operand)
         if all(isinstance(item, ast.Literal) for item in expr.items):
             # One np.isin pass instead of O(items × rows) compares.
-            fast = kernels.vec_inlist_literals(
+            fast = vec_inlist_literals(
                 data,
                 valid,
                 [item.value for item in expr.items],
@@ -200,27 +206,31 @@ class Evaluator:
         hits = np.zeros(len(data), dtype=bool)
         for item in expr.items:
             idata, ivalid = self.eval(item)
-            item_vec = self._compare("=", data, idata, valid & ivalid)
-            hits |= _bool_mask(item_vec)
+            item_vec = vec_compare("=", data, idata, and_valid(valid, ivalid))
+            hits |= bool_mask(item_vec)
         if expr.negated:
             hits = ~hits & valid
-        return hits, np.ones(len(hits), dtype=bool)
+        return hits, all_valid(len(hits))
 
     def _eval_between(self, expr: ast.Between) -> Vector:
         data, valid = self.eval(expr.operand)
         low_d, low_v = self.eval(expr.low)
         high_d, high_v = self.eval(expr.high)
-        ge = _bool_mask(self._compare(">=", data, low_d, valid & low_v))
-        le = _bool_mask(self._compare("<=", data, high_d, valid & high_v))
+        ge = bool_mask(
+            vec_compare(">=", data, low_d, and_valid(valid, low_v))
+        )
+        le = bool_mask(
+            vec_compare("<=", data, high_d, and_valid(valid, high_v))
+        )
         out = ge & le
         if expr.negated:
             out = ~out & valid
-        return out, np.ones(len(out), dtype=bool)
+        return out, all_valid(len(out))
 
     def _eval_isnull(self, expr: ast.IsNull) -> Vector:
         _, valid = self.eval(expr.operand)
         out = valid.copy() if expr.negated else ~valid
-        return out, np.ones(len(out), dtype=bool)
+        return out, all_valid(len(out))
 
     def _eval_like(self, expr: ast.Like) -> Vector:
         data, valid = self.eval(expr.operand)
@@ -259,7 +269,7 @@ class Evaluator:
         valid = np.zeros(n, dtype=bool)
         decided = np.zeros(n, dtype=bool)
         for cond, value in expr.whens:
-            mask = _bool_mask(self.eval(cond)) & ~decided
+            mask = bool_mask(self.eval(cond)) & ~decided
             vdata, vvalid = self.eval(value)
             for i in np.nonzero(mask)[0]:
                 out[i] = vdata[i] if vvalid[i] else None
@@ -357,7 +367,7 @@ class GroupEvaluator:
         if isinstance(expr, ast.FunctionCall) and is_aggregate(expr.name):
             return self._aggregate(expr)
         if isinstance(expr, ast.Literal):
-            return _broadcast_literal(expr.value, n)
+            return broadcast_literal(expr.value, n)
         if isinstance(expr, ast.BinaryOp):
             lhs = self.eval(expr.left)
             rhs = self.eval(expr.right)
@@ -537,7 +547,7 @@ class Executor:
         table = self.catalog.table(stmt.table)
         frame = Frame.from_table(table, table.name)
         if stmt.where is not None:
-            mask = _bool_mask(Evaluator(frame).eval(stmt.where))
+            mask = bool_mask(Evaluator(frame).eval(stmt.where))
             positions = np.nonzero(mask)[0]
         else:
             positions = np.arange(len(table))
@@ -563,7 +573,7 @@ class Executor:
             table.truncate()
             return Result.affected(count)
         frame = Frame.from_table(table, table.name)
-        mask = _bool_mask(Evaluator(frame).eval(stmt.where))
+        mask = bool_mask(Evaluator(frame).eval(stmt.where))
         positions = np.nonzero(mask)[0]
         table.delete_positions(positions)
         return Result.affected(len(positions))
@@ -573,9 +583,6 @@ class Executor:
     def run_select(
         self, stmt: ast.Select
     ) -> Tuple[List[str], List[Vector]]:
-        compiled = self._select_compiled(stmt)
-        if compiled is not None:
-            return compiled
         frame, where = self._build_frame(stmt)
         if where is not None:
             frame = _filter(frame, [where])
@@ -592,46 +599,6 @@ class Executor:
         columns = _apply_limit(columns, stmt.limit, stmt.offset)
         return names, columns
 
-    def _select_compiled(
-        self, stmt: ast.Select
-    ) -> Optional[Tuple[List[str], List[Vector]]]:
-        """Kernel-lowered SELECT over a single array, or None.
-
-        With ``REPRO_KERNELS`` enabled, single-array SELECTs are lowered
-        by :func:`repro.kernels.compile_select` and run directly over
-        the attribute planes (:func:`repro.mdb.sciql.select_array`);
-        everything else — tables, joins, grouped or ordered queries,
-        statements outside the compiler's subset — runs on the frame
-        executor below, which doubles as the differential oracle for
-        this path.
-        DISTINCT/LIMIT/OFFSET reuse the interpretive helpers, so their
-        semantics cannot fork.
-        """
-        if (
-            not kernels.enabled()
-            or stmt.from_table is None
-            or stmt.joins
-            or not self.catalog.has_array(stmt.from_table.name)
-        ):
-            return None
-        from repro.mdb import sciql
-
-        array = self.catalog.array(stmt.from_table.name)
-        try:
-            plan = kernels.compile_select(array, stmt)
-        except CatalogError:
-            # Unknown column: the interpretive path owns the raise
-            # order (a WHERE type error precedes a projection catalog
-            # error there).
-            plan = None
-        if plan is None:
-            return None
-        names, columns = sciql.select_array(array, plan)
-        if stmt.distinct:
-            columns = _distinct(columns)
-        columns = _apply_limit(columns, stmt.limit, stmt.offset)
-        return names, columns
-
     def _build_frame(
         self, stmt: ast.Select
     ) -> Tuple[Frame, Optional[ast.Expr]]:
@@ -639,10 +606,13 @@ class Executor:
         of WHERE still to apply to it."""
         if stmt.from_table is None:
             return Frame(1), stmt.where  # SELECT 1+1
+        wanted = _referenced_columns(stmt)
+        if not stmt.joins:
+            where = [] if stmt.where is None else [stmt.where]
+            return self._scan(stmt.from_table, wanted, where), None
         refs = [stmt.from_table] + [join.table for join in stmt.joins]
         schemas = [self._schema(ref) for ref in refs]
         pushed, where = _plan_pushdown(stmt, refs, schemas)
-        wanted = _referenced_columns(stmt)
         frame = self._scan(refs[0], wanted, pushed[0])
         kinds = _qualify(refs[0].binding, schemas[0])
         for join, ref, schema, preds in zip(
@@ -688,18 +658,24 @@ class Executor:
         conjuncts pushed down to it."""
         binding = ref.binding
         if self.catalog.has_array(ref.name):
-            frame = self.catalog.array(ref.name).to_frame(binding)
-            frame.columns = {
-                key: vec
-                for key, vec in frame.columns.items()
-                if _is_wanted(wanted, *key)
-            }
+            array = self.catalog.array(ref.name)
+            names = [
+                name
+                for name in array.column_names
+                if is_wanted(wanted, binding, name)
+            ]
+            frame = array.to_frame(binding, names)
+            # The frame's columns view the live planes.  Filtering gathers
+            # copies and an unfiltered scan copies, as a table scan does,
+            # so no Result aliases a plane that a later write changes.
+            if not predicates:
+                return frame.copy()
         else:
             table = self.catalog.table(ref.name)
             names = [
                 name
                 for name in table.column_names
-                if _is_wanted(wanted, binding, name)
+                if is_wanted(wanted, binding, name)
             ]
             frame = Frame.from_table(table, binding, names)
         return _filter(frame, predicates) if predicates else frame
@@ -732,7 +708,7 @@ class Executor:
                 )
             else:
                 combined = _cross_join(left, right)
-                mask = _bool_mask(Evaluator(combined).eval(join.condition))
+                mask = bool_mask(Evaluator(combined).eval(join.condition))
                 if join.kind == "left":
                     combined = _left_join_fixup(left, right, combined, mask)
                 else:
@@ -787,7 +763,7 @@ class Executor:
             keys = []
         gev = GroupEvaluator(frame, groups, sizes, stmt.group_by, keys)
         if stmt.having is not None:
-            keep = np.flatnonzero(_bool_mask(gev.eval(stmt.having)))
+            keep = np.flatnonzero(bool_mask(gev.eval(stmt.having)))
             groups = [groups[i] for i in keep]
             keys = [(data[keep], valid[keep]) for data, valid in keys]
             gev = GroupEvaluator(
@@ -896,7 +872,7 @@ def _filter(frame: Frame, predicates: Sequence[ast.Expr]) -> Frame:
     evaluator = Evaluator(frame)
     mask = None
     for pred in predicates:
-        hits = _bool_mask(evaluator.eval(pred))
+        hits = bool_mask(evaluator.eval(pred))
         mask = hits if mask is None else mask & hits
     return frame.take(np.flatnonzero(mask))
 
@@ -914,6 +890,17 @@ def _conjuncts(expr: ast.Expr) -> List[ast.Expr]:
 def _referenced_columns(stmt: ast.Select) -> Set[Tuple[Optional[str], str]]:
     """``(binding or None, column)`` for every column the statement names;
     ``SELECT *`` and ``t.*`` appear with ``"*"`` as the column."""
+    return column_refs(
+        tuple(item.expr for item in stmt.items),
+        (stmt.where, stmt.having) + stmt.group_by,
+        tuple(item.expr for item in stmt.order_by),
+        tuple(join.condition for join in stmt.joins),
+    )
+
+
+def column_refs(*nodes: Any) -> Set[Tuple[Optional[str], str]]:
+    """``(binding or None, column)`` for every column reference in the
+    expression trees ``nodes`` (``None`` entries are skipped)."""
     found: Set[Tuple[Optional[str], str]] = set()
 
     def walk(node: Any) -> None:
@@ -928,14 +915,11 @@ def _referenced_columns(stmt: ast.Select) -> Set[Tuple[Optional[str], str]]:
             for item in node:
                 walk(item)
 
-    walk(tuple(item.expr for item in stmt.items))
-    walk((stmt.where, stmt.having) + stmt.group_by)
-    walk(tuple(item.expr for item in stmt.order_by))
-    walk(tuple(join.condition for join in stmt.joins))
+    walk(nodes)
     return found
 
 
-def _is_wanted(
+def is_wanted(
     wanted: Set[Tuple[Optional[str], str]], binding: str, name: str
 ) -> bool:
     return (

@@ -42,15 +42,13 @@ import numpy as np
 
 from repro import faults, obs, resilience
 from repro.mdb.database import Database
-from repro.mdb.persistence import (
-    decode_object_cell,
-    encode_object_column,
-)
 from repro.mdb.sciql import Dimension, SciArray
 from repro.mdb.storage.records import (
     StorageError,
+    decode_object_cell,
     decode_row,
     decode_value,
+    encode_object_column,
     encode_row,
     encode_value,
 )

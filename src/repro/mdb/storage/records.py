@@ -11,10 +11,11 @@ discards instead of half-applying.  Everything before the first invalid
 frame is exactly the set of acknowledged records.
 
 Cell values cross the JSON boundary with one tagged escape: a
-``datetime`` becomes ``{"t": "<isoformat>"}`` (mirroring the
-``.npz``-dump encoding in :mod:`repro.mdb.persistence`); numpy scalars
-are unwrapped to their Python values.  JSON round-trips Python floats
+``datetime`` becomes ``{"t": "<isoformat>"}``; numpy scalars are
+unwrapped to their Python values.  JSON round-trips Python floats
 exactly (``repr``-based), so decoded rows re-coerce bit-identically.
+Object columns in snapshots and segments are stored as arrays of those
+JSON texts (:func:`encode_object_column`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Any, BinaryIO, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from repro.mdb.errors import MDBError
+from repro.mdb.types import ColumnType
 
 _HEADER = struct.Struct("<II")
 
@@ -53,6 +55,28 @@ def decode_value(value: Any) -> Any:
     if isinstance(value, dict) and "t" in value:
         return datetime.fromisoformat(value["t"])
     return value
+
+
+def encode_object_column(values, valid) -> np.ndarray:
+    """Object column → JSON-string array ("" for NULLs)."""
+    out = np.empty(len(values), dtype=object)
+    for i, (value, ok) in enumerate(zip(values, valid)):
+        if not ok:
+            out[i] = ""
+            continue
+        if isinstance(value, datetime):
+            out[i] = json.dumps({"t": value.isoformat()})
+        else:
+            out[i] = json.dumps(value)
+    return out.astype(str)
+
+
+def decode_object_cell(text: str, ctype: ColumnType):
+    """Inverse of :func:`encode_object_column` for one non-NULL cell."""
+    doc = json.loads(text)
+    if isinstance(doc, dict) and "t" in doc:
+        return datetime.fromisoformat(doc["t"])
+    return ctype.coerce(doc)
 
 
 def encode_row(row: Sequence[Any]) -> List[Any]:

@@ -12,7 +12,8 @@ Columns are raw ``.npy`` files (never ``.npz``) so numeric columns can
 be **memmapped** on load — a cold open of a multi-gigabyte catalog maps
 the segments read-only and pays for pages only as scans touch them.
 Object columns (strings, timestamps) are stored as JSON-string arrays
-(the :mod:`repro.mdb.persistence` encoding) and materialised on load.
+(:func:`~repro.mdb.storage.records.encode_object_column`) and
+materialised on load.
 
 A snapshot directory is written under a temporary name and renamed into
 place by the engine only after every file and the directory itself have
@@ -31,12 +32,12 @@ import numpy as np
 from repro import faults
 from repro.mdb.bat import BAT
 from repro.mdb.database import Database
-from repro.mdb.persistence import (
+from repro.mdb.sciql import Dimension, SciArray
+from repro.mdb.storage.records import (
+    StorageError,
     decode_object_cell,
     encode_object_column,
 )
-from repro.mdb.sciql import Dimension, SciArray
-from repro.mdb.storage.records import StorageError
 from repro.mdb.table import Column, Table
 from repro.mdb.types import type_by_name
 

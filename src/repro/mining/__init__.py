@@ -7,7 +7,7 @@ requests and archive metadata:
 * :mod:`repro.mining.ontology` — the landcover and environmental
   monitoring ontologies as RDFS class hierarchies;
 * :mod:`repro.mining.features` — patch-grid feature extraction over
-  SciQL arrays (tile statistics through the compiled kernel read path);
+  SciQL arrays (tile statistics through SciQL tiled reductions);
 * :mod:`repro.mining.classify` — patch classifiers (kNN, Gaussian naive
   Bayes, nearest-centroid) over feature vectors, with JSON-able fitted
   state;

@@ -6,8 +6,8 @@ historical :mod:`repro.ingest.features` extractor loops over the raw
 computes the whole patch grid through the database — derived planes
 (squares, gradient energy, local contrast) are written as attribute
 planes and every per-patch statistic is one ``tile_aggregate`` call, so
-the compiled read path of the kernels layer is the hot loop and the
-extraction parallelises over row bands like any other SciQL reduction.
+the SciQL tiled reduction is the hot loop and the extraction
+parallelises over row bands like any other SciQL reduction.
 
 The descriptor (:data:`MINING_FEATURE_NAMES`) is chosen so that every
 element is a composition of tile means/maxima and elementwise
@@ -21,7 +21,7 @@ arithmetic:
 Variance (not standard deviation) keeps the pipeline closed under
 rational arithmetic: for dyadic inputs every feature is *exact*, which
 is what lets the testkit's brute-force pure-python oracle demand
-bit-identical feature matrices across kernels on/off and worker counts.
+bit-identical feature matrices across worker counts.
 Gradient energy is the tile mean of ``gx^2 + gy^2`` with ``np.gradient``
 central differences; contrast is the tile mean of the squared horizontal
 forward difference (a one-offset approximation of GLCM contrast that
@@ -113,9 +113,7 @@ def _feature_array(array: SciArray) -> SciArray:
     """A scratch array holding the band planes plus derived planes.
 
     The scratch is never catalogued (no journal hook), so durable
-    deployments don't WAL the intermediate planes; its fixed name and
-    schema mean the kernels layer caches one tile-aggregate plan per
-    (shape, tile, func, attr) across every extraction.
+    deployments don't WAL the intermediate planes.
     """
     t039 = np.asarray(array.attribute("t039"), dtype=np.float64)
     t108 = np.asarray(array.attribute("t108"), dtype=np.float64)
@@ -163,10 +161,10 @@ def extract_patch_grid(
     extent.  Partial patches at the south/east edges are dropped, like
     the historical in-memory extractor.
 
-    Every statistic runs through ``SciArray.tile_aggregate`` — compiled
-    when ``REPRO_KERNELS`` is on, row-band parallel under ``workers`` —
-    and the result is bit-identical across both switches because tiles
-    are always reduced whole over float64 planes.
+    Every statistic runs through ``SciArray.tile_aggregate`` — row-band
+    parallel under ``workers`` — and the result is bit-identical across
+    worker counts because tiles are always reduced whole over float64
+    planes.
     """
     size = int(patch_size)
     if size < 1:

@@ -87,7 +87,7 @@ def relative_scar_classifier(
     The land background temperature is estimated with
     :func:`scar_background` (a high percentile of the warm pixel
     population), the threshold follows the diurnal cycle automatically,
-    and the UPDATE itself still runs through the SciQL kernel path.
+    and the classification itself stays one SciQL UPDATE.
     """
     ensure_mask_attribute(array, "burnscar")
     background = scar_background(array.attribute("t108"))

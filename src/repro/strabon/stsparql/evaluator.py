@@ -282,21 +282,19 @@ class Evaluator:
     def _filter_solutions(
         self, expr: alg.Expr, solutions: List[Solution]
     ) -> List[Solution]:
-        """Apply one FILTER.  With ``REPRO_KERNELS`` on, a spatial
-        expression — an indexable predicate call, negated or not, or a
-        ``strdf:distance`` comparison, over a variable and a constant
-        geometry or over two variables — takes the batched spatial lane
+        """Apply one FILTER.  A spatial expression — an indexable
+        predicate call, negated or not, or a ``strdf:distance``
+        comparison, over a variable and a constant geometry or over two
+        variables — takes the batched spatial lane
         (:func:`repro.kernels.run_spatial_filter`): one
         ``PackedEnvelopes`` pass decides every row the envelopes soundly
         can, and only the rest run the exact geometry test.  A numeric
         expression runs as one compiled kernel call over packed binding
-        columns instead of N interpreter walks.  Rows outside either
-        lane's contract are judged by the interpreter."""
+        columns instead of N interpreter walks.  Single rows, refused
+        shapes and rows outside either lane's contract are judged one at
+        a time by the interpreter."""
         with obs.span("stsparql.filter"):
-            if (
-                kernels.enabled()
-                and len(solutions) >= kernels.FILTER_BATCH_MIN_SOLUTIONS
-            ):
+            if len(solutions) >= kernels.FILTER_BATCH_MIN_SOLUTIONS:
                 splan = kernels.compile_spatial_filter(expr)
                 if splan is not None:
                     return kernels.run_spatial_filter(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -347,6 +348,14 @@ def _check_stsparql(spec: Dict[str, Any]) -> Optional[str]:
             else:
                 os.environ["REPRO_WORKERS"] = previous
 
+    def with_per_row_filters():
+        previous = kernels.FILTER_BATCH_MIN_SOLUTIONS
+        kernels.FILTER_BATCH_MIN_SOLUTIONS = sys.maxsize
+        try:
+            return _store_rows(store, query, variables)
+        finally:
+            kernels.FILTER_BATCH_MIN_SOLUTIONS = previous
+
     def with_obs_flipped():
         registry = obs.get_registry()
         previous = registry.enabled
@@ -379,14 +388,7 @@ def _check_stsparql(spec: Dict[str, Any]) -> Optional[str]:
         ),
         ("workers-4", lambda: with_workers(4)),
         ("obs-flipped", with_obs_flipped),
-        (
-            "kernels-off",
-            lambda: _with_env(
-                kernels.KERNELS_ENV,
-                "0",
-                lambda: _store_rows(store, query, variables),
-            ),
-        ),
+        ("per-row-filters", with_per_row_filters),
         (
             "pipeline-suspend-every-row",
             lambda: _pipeline_rows(store, query, variables, 1),
@@ -533,39 +535,11 @@ def _sciql_engine_run(spec: Dict[str, Any], workers: int) -> Tuple[str, Any]:
     return ("cells", array.attribute("v").tolist())
 
 
-def _with_env(key: str, value: str, fn: Callable[[], Any]) -> Any:
-    previous = os.environ.get(key)
-    os.environ[key] = value
-    try:
-        return fn()
-    finally:
-        if previous is None:
-            del os.environ[key]
-        else:
-            os.environ[key] = previous
-
-
 def _check_sciql(spec: Dict[str, Any]) -> Optional[str]:
     expected = _outcome(lambda: oracles.naive_sciql_run(spec))
     for label, variant in [
         ("serial", lambda: _sciql_engine_run(spec, workers=1)),
         ("tiled-4", lambda: _sciql_engine_run(spec, workers=4)),
-        (
-            "serial-interpreted",
-            lambda: _with_env(
-                kernels.KERNELS_ENV,
-                "0",
-                lambda: _sciql_engine_run(spec, workers=1),
-            ),
-        ),
-        (
-            "tiled-4-interpreted",
-            lambda: _with_env(
-                kernels.KERNELS_ENV,
-                "0",
-                lambda: _sciql_engine_run(spec, workers=4),
-            ),
-        ),
     ]:
         got = _outcome(variant)
         if got != expected:
@@ -711,27 +685,16 @@ def _check_mining(spec: Dict[str, Any]) -> Optional[str]:
     oracle_train = oracles.naive_mining_features(spec["train"], patch)
     oracle_test = oracles.naive_mining_features(spec["test"], patch)
 
-    # (1) feature extraction: kernels on/off x workers 1/4, all four
-    # variants must reproduce the pure-python features bit for bit.
+    # (1) feature extraction: serial and on 4 workers, both must
+    # reproduce the pure-python features bit for bit.
     grids: Dict[str, Any] = {}
-    for label, workers, interpreted in [
-        ("serial", 1, False),
-        ("workers-4", 4, False),
-        ("serial-interpreted", 1, True),
-        ("workers-4-interpreted", 4, True),
-    ]:
-        def run(w=workers):
-            return (
-                _mining_grid(spec["train"], patch, "mining_case_train", w),
-                _mining_grid(spec["test"], patch, "mining_case_test", w),
-            )
-
-        if interpreted:
-            train_grid, test_grid = _with_env(
-                kernels.KERNELS_ENV, "0", run
-            )
-        else:
-            train_grid, test_grid = run()
+    for label, workers in [("serial", 1), ("workers-4", 4)]:
+        train_grid = _mining_grid(
+            spec["train"], patch, "mining_case_train", workers
+        )
+        test_grid = _mining_grid(
+            spec["test"], patch, "mining_case_test", workers
+        )
         grids[label] = (train_grid, test_grid)
         for split, grid, expected in [
             ("train", train_grid, oracle_train),

@@ -387,7 +387,7 @@ def gen_sciql_spec(seed: int) -> Dict[str, Any]:
             "bound": rng.randint(0, 3),
         }
         # Optionally compose a richer WHERE clause / assignment so the
-        # sweep exercises the compiled kernel lanes: IN lists, BETWEEN
+        # sweep exercises the SQL vector lanes: IN lists, BETWEEN
         # ranges, attribute predicates, dimension columns in the SET
         # expression.  Old specs without these keys stay valid.
         roll = rng.random()
@@ -415,7 +415,7 @@ def gen_sciql_spec(seed: int) -> Dict[str, Any]:
                 "value": rng.randint(-4, 4),
             }
         elif roll < 0.75:
-            # A compiled scalar-function lane in the WHERE clause:
+            # A scalar-function lane in the WHERE clause:
             # ``... OR fn(v) op value``.
             update["extra"] = {
                 "kind": "fn_cmp",
@@ -481,8 +481,8 @@ def gen_sciql_spec(seed: int) -> Dict[str, Any]:
             break
     if rng.random() < 0.3:
         # Terminal SELECT over the updated array: projections and the
-        # compiled scalar-function lanes (sqrt/power stay bit-exact
-        # because the kernels delegate to the registry loops).  The
+        # scalar-function lanes (power stays bit-exact because the
+        # registry evaluates it per row with python floats).  The
         # SELECT queries the catalogued array, so slices/maps/tiles
         # that rebased the working view are dropped.
         program = [op for op in program if op["op"] == "update"]

@@ -88,7 +88,7 @@ class DataMiningService:
     """Knowledge-discovery runs over archived scenes.
 
     The mining pillar's service facade: feature extraction runs through
-    the SciQL tile-aggregate read path (compiled kernels when enabled),
+    the SciQL tile-aggregate read path,
     fitted models persist by name in the relational tier
     (:class:`~repro.mining.models.ModelStore`, WAL-durable on
     storage-engine-backed observatories), and whole acquisition series

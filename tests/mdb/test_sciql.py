@@ -113,6 +113,32 @@ class TestRelationalView:
         )
         assert rows == [(0, 4), (1, 4)]
 
+    def test_select_result_does_not_alias_the_plane(self):
+        db = Database()
+        db.execute(
+            "CREATE ARRAY a (x INT DIMENSION [0:3], v DOUBLE DEFAULT 1.0)"
+        )
+        result = db.execute(
+            "SELECT v, CASE WHEN v > 0 THEN 1 ELSE 0 END AS c FROM a"
+        )
+        db.array("a").fill(7.0, attr="v")
+        assert result.column("v") == [1.0, 1.0, 1.0]
+        assert result.column("c") == [1, 1, 1]
+
+    def test_update_set_evaluates_only_where_survivors(self, db):
+        # power(0, -1) raises, but only on the cells WHERE rejects: as in
+        # a table UPDATE, SET sees only the cells that passed WHERE.
+        db.execute("UPDATE img SET v = x")
+        count = db.execute(
+            "UPDATE img SET v = CASE WHEN y = 0 THEN power(v, -1) "
+            "ELSE CAST(v AS INT) END WHERE v <> 0"
+        ).rowcount
+        assert count == 12
+        assert db.query("SELECT v FROM img WHERE y = 0 ORDER BY x") == [
+            (0.0,), (1.0,), (0.5,), (1.0 / 3.0,)
+        ]
+        assert db.scalar("SELECT sum(v) FROM img WHERE y > 0") == 18.0
+
 
 class TestArrayOperators:
     def make(self, n=8):

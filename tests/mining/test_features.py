@@ -1,13 +1,16 @@
 """Patch-grid feature extraction through the SciQL tile-aggregate path.
 
-The extractor must be bit-identical across compiled/interpreted kernels
-and any worker count — that determinism is what lets the testkit's
+The extractor must be bit-identical across engine configurations and
+any worker count — that determinism is what lets the testkit's
 pure-python oracle compare feature matrices with ``==``.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.eo import GreeceLikeWorld, SceneSpec, generate_scene, write_scene
 from repro.geometry import Envelope, Polygon
 from repro.ingest import Ingestor
@@ -86,14 +89,19 @@ class TestBitIdentity:
         baseline = extract_patch_grid(
             array, window, patch_size=8
         ).feature_matrix()
+        batch_min = kernels.FILTER_BATCH_MIN_SOLUTIONS
         for workers in (1, 4):
-            for kernels_on in ("1", "0"):
-                monkeypatch.setenv("REPRO_KERNELS", kernels_on)
+            for per_row in (False, True):
+                monkeypatch.setattr(
+                    kernels,
+                    "FILTER_BATCH_MIN_SOLUTIONS",
+                    sys.maxsize if per_row else batch_min,
+                )
                 got = extract_patch_grid(
                     array, window, patch_size=8, workers=workers
                 ).feature_matrix()
                 assert got.tolist() == baseline.tolist(), (
-                    f"kernels={kernels_on} workers={workers}"
+                    f"per_row_filters={per_row} workers={workers}"
                 )
 
 

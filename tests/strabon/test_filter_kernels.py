@@ -1,12 +1,15 @@
 """Batched FILTER kernels vs the per-solution interpreter.
 
-With ``REPRO_KERNELS`` on (the default), numeric FILTER expressions
-evaluate as one vectorised verdict over packed binding columns; rows
-the packer cannot represent fall back to the per-solution walk.  Every
-query here must return identical rows in both modes, including the
-error semantics (errors exclude rows; ``||`` recovers from a failing
-operand when the other side is true).
+Numeric FILTER expressions evaluate as one vectorised verdict over
+packed binding columns; rows the packer cannot represent fall back to
+the per-solution walk.  Raising ``kernels.FILTER_BATCH_MIN_SOLUTIONS``
+past any batch size forces that walk for every row.  Every query here
+must return identical rows both ways, including the error semantics
+(errors exclude rows; ``||`` recovers from a failing operand when the
+other side is true).
 """
+
+import sys
 
 import pytest
 
@@ -59,12 +62,19 @@ def store():
     return s
 
 
+BATCH_MIN = kernels.FILTER_BATCH_MIN_SOLUTIONS
+
+
+def per_row_filters(monkeypatch, on):
+    """Batch FILTERs (``on``) or force the per-row walk for every row."""
+    monkeypatch.setattr(
+        kernels, "FILTER_BATCH_MIN_SOLUTIONS", BATCH_MIN if on else sys.maxsize
+    )
+
+
 def rows_with_kernels(monkeypatch, store, query, on):
     kernels.clear_caches()
-    if on:
-        monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
-    else:
-        monkeypatch.setenv(kernels.KERNELS_ENV, "0")
+    per_row_filters(monkeypatch, on)
     return sorted(store.query(PREFIXES + query).rows())
 
 
@@ -118,7 +128,6 @@ class TestFilterEquality:
         assert got == rows_with_kernels(monkeypatch, store, query, on=False)
 
     def test_plan_cache_hit_on_repeat(self, monkeypatch, store):
-        monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
         kernels.clear_caches()
         query = PREFIXES + "SELECT ?p WHERE { ?p ex:age ?a . FILTER(?a > 28) }"
         store.query(query)
@@ -131,7 +140,6 @@ class TestFilterEquality:
     def test_unsupported_filter_refused_once(self, monkeypatch, store):
         # regex() is not lowered; the refusal is cached so repeated
         # queries do not re-walk the expression tree.
-        monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
         kernels.clear_caches()
         query = PREFIXES + (
             'SELECT ?p WHERE { ?p a ex:Person . '
@@ -236,7 +244,7 @@ def spatial_counters(monkeypatch, store, query):
     counter deltas."""
     from repro import obs
 
-    monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
+    per_row_filters(monkeypatch, True)
     kernels.clear_caches()
     before = obs.snapshot()["counters"]
     rows = sorted(store.query(SPATIAL_PREFIXES + query).rows())
@@ -254,10 +262,7 @@ def rows_both_ways(monkeypatch, make_store, query):
     results = {}
     for on in (True, False):
         kernels.clear_caches()
-        if on:
-            monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
-        else:
-            monkeypatch.setenv(kernels.KERNELS_ENV, "0")
+        per_row_filters(monkeypatch, on)
         results[on] = sorted(
             make_store().query(SPATIAL_PREFIXES + query).rows()
         )
@@ -308,7 +313,6 @@ class TestSpatialBatch:
         from repro.geometry.envelope import PackedEnvelopes
         from repro.strabon import literal_geometry
 
-        monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
         store = spatial_store()
         geoms = [
             literal_geometry(o)
@@ -509,7 +513,6 @@ class TestSpatialBatch:
         assert kernels.compile_spatial_filter(expr) is None
 
     def test_spatial_plan_cached_on_repeat(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
         kernels.clear_caches()
         store = spatial_store(n=30)
         query = (
