@@ -3,14 +3,11 @@
 Two sections cover the knowledge-discovery tier end to end:
 
 * **extract** — patch-grid feature extraction over one large scene
-  array (1536x1536, 16px patches → 9216 patches x 8 features), timed
-  serially and over 4 workers.  Both must produce a bit-identical
-  feature matrix; the headline metric is serial patches/second.
+  array (1536x1536, 16px patches → 9216 patches x 8 features); the
+  headline metric is patches/second.
 * **pipeline** — ``MiningPipeline.run_batch`` over a short synthetic
   SEVIRI series (vault ingest → SciQL features → classify → stRDF
-  annotations), serial vs 4 workers.  The parallel leg must land the
-  exact same triple set through its single merged bulk emit; the
-  headline metric is annotation triples/second emitted serially.
+  annotations); the headline metric is annotation triples/second.
 
 Results land in ``BENCH_mining.json``.  The committed floors
 (``extract.patches_per_second``, ``pipeline.annotations_per_second``)
@@ -22,7 +19,6 @@ lane via ``benchmarks/check_baselines.py``.
 import json
 import os
 import time
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -34,7 +30,6 @@ from repro.mdb.types import DOUBLE
 from repro.mining import KNNClassifier, MiningPipeline
 from repro.mining.features import extract_patch_grid
 from repro.mining.pipeline import MiningResult
-from repro.parallel import WORKERS_ENV
 from repro.strabon import StrabonStore
 
 SHAPE = (1536, 1536)
@@ -58,24 +53,6 @@ def _dump():
     with open(RESULTS_PATH, "w") as fh:
         json.dump(_RESULTS, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-@contextmanager
-def _env(**pairs):
-    saved = {k: os.environ.get(k) for k in pairs}
-    try:
-        for k, v in pairs.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
 
 
 def _timed(fn):
@@ -111,38 +88,23 @@ def _scene_array():
 def test_extract_tier():
     array = _scene_array()
 
-    def extract(workers=None):
-        return extract_patch_grid(
-            array, WINDOW, patch_size=PATCH, workers=workers
-        )
+    def extract():
+        return extract_patch_grid(array, WINDOW, patch_size=PATCH)
 
-    with _env(**{WORKERS_ENV: None}):
-        reference = extract().feature_matrix()
-        timings = {"w1": _best(extract)}
-        assert (
-            extract(workers=4).feature_matrix().tolist()
-            == reference.tolist()
-        )
-        timings["w4"] = _best(lambda: extract(workers=4))
-
-    n_patches = len(reference)
-    rate_w1 = n_patches / timings["w1"]
-    rate_w4 = n_patches / timings["w4"]
-    parallel_speedup = timings["w1"] / timings["w4"]
+    n_patches = len(extract().feature_matrix())
+    seconds = _best(extract)
+    rate = n_patches / seconds
     _RESULTS["extract"] = {
         "patches": n_patches,
-        "seconds": timings,
-        "patches_per_second": rate_w1,
-        "patches_per_second_w4": rate_w4,
-        "parallel_speedup_w4": parallel_speedup,
+        "seconds": seconds,
+        "patches_per_second": rate,
     }
     _dump()
     print(
         f"\n[A10/extract] {n_patches} patches: "
-        f"w1={timings['w1']:.3f}s ({rate_w1:,.0f} patches/s) "
-        f"w4={timings['w4']:.3f}s (parallel {parallel_speedup:.2f}x)"
+        f"{seconds:.3f}s ({rate:,.0f} patches/s)"
     )
-    assert rate_w1 > 0, timings
+    assert rate > 0, seconds
 
 
 # -- batch mining pipeline -----------------------------------------------------
@@ -181,47 +143,33 @@ def test_pipeline_tier(tmp_path):
     paths = _series(tmp_path)
     classifier = _trained_classifier(paths)
 
-    def run(workers):
+    def run():
         """One full batch into a fresh vault + store (constructed
         inside the timed region on purpose: the emit rate covers the
         whole ingest → features → classify → annotate pipeline)."""
         pipe = MiningPipeline(
             Ingestor(Database(), StrabonStore()), classifier
         )
-        results = pipe.run_batch(paths, workers=workers)
+        results = pipe.run_batch(paths)
         assert all(isinstance(r, MiningResult) for r in results)
-        return pipe.ingestor.store, results
+        return results
 
-    store_w1, results_w1 = run(1)
-    store_w4, results_w4 = run(4)
-    # The 4-worker batch lands the identical annotation set through its
-    # single merged bulk emit.
-    assert set(store_w4.triples()) == set(store_w1.triples())
-    assert [r.labels for r in results_w4] == [
-        r.labels for r in results_w1
-    ]
-
-    seconds = {
-        "w1": _best(lambda: run(1), repeats=3),
-        "w4": _best(lambda: run(4), repeats=3),
-    }
-    annotations = sum(len(r.rdf) for r in results_w1)
-    patches = sum(len(r.grid) for r in results_w1)
-    rate = annotations / seconds["w1"]
+    results = run()
+    seconds = _best(run, repeats=3)
+    annotations = sum(len(r.rdf) for r in results)
+    patches = sum(len(r.grid) for r in results)
+    rate = annotations / seconds
     _RESULTS["pipeline"] = {
         "acquisitions": len(paths),
         "patches": patches,
         "annotation_triples": annotations,
         "seconds": seconds,
         "annotations_per_second": rate,
-        "parallel_speedup_w4": seconds["w1"] / seconds["w4"],
     }
     _dump()
     print(
         f"\n[A10/pipeline] {len(paths)} acquisitions, "
         f"{patches} patches, {annotations} triples: "
-        f"w1={seconds['w1']:.3f}s ({rate:,.0f} triples/s) "
-        f"w4={seconds['w4']:.3f}s "
-        f"({seconds['w1'] / seconds['w4']:.2f}x)"
+        f"{seconds:.3f}s ({rate:,.0f} triples/s)"
     )
     assert rate > 0, seconds

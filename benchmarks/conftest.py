@@ -11,7 +11,7 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from repro import obs, parallel
+from repro import obs
 from repro.eo import SceneSpec, generate_scene, write_scene
 from repro.vo import VirtualEarthObservatory
 
@@ -56,21 +56,13 @@ def observatory(tmp_path_factory):
     return vo, paths
 
 
-@pytest.fixture(scope="session")
-def workers():
-    """Worker count the benchmark session runs with (``REPRO_WORKERS``)."""
-    count = parallel.resolve_workers()
-    print(f"\n[bench] REPRO_WORKERS -> {count} worker(s)")
-    return count
-
-
 @pytest.fixture(scope="session", autouse=True)
 def metrics_snapshot():
     """Dump the observability snapshot next to the timing reports.
 
     After the benchmark session, everything the instrumented tiers
-    recorded (kernel counters, stage histograms, cache hit rates,
-    pool utilization) lands in ``BENCH_metrics.json`` so a timing
+    recorded (kernel counters, stage histograms, cache hit rates)
+    lands in ``BENCH_metrics.json`` so a timing
     regression can be read together with the runtime behavior that
     produced it.
     """

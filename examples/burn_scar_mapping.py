@@ -18,14 +18,12 @@ Part 3 — *Burn-scar damage mapping*: run the second NOA-style chain
 scenes and build the damage map.
 
 Run:  python examples/burn_scar_mapping.py
-      REPRO_WORKERS=4 python examples/burn_scar_mapping.py
 """
 
 import os
 import tempfile
 from datetime import timedelta
 
-from repro import parallel
 from repro.eo import SceneSpec, generate_scene, write_scene
 from repro.mining import queries
 from repro.vo import VirtualEarthObservatory
@@ -38,7 +36,6 @@ def banner(text):
 
 
 def main():
-    workers = parallel.env_workers()
     vo = VirtualEarthObservatory()
     workdir = tempfile.mkdtemp(prefix="teleios_mining_")
     paths = []
@@ -51,10 +48,8 @@ def main():
         write_scene(scene, path)
         paths.append(path)
 
-    banner(f"Part 1: mining the series ({workers} worker(s))")
-    results = vo.run_mining(
-        paths, model_name="demo-season", workers=workers
-    )
+    banner("Part 1: mining the series")
+    results = vo.run_mining(paths, model_name="demo-season")
     print(f"{'scene':<16}{'patches':>8}  labels")
     for path, result in zip(paths, results):
         print(

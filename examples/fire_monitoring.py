@@ -9,14 +9,13 @@ update statements of the refinement step, apply them while tracking the
 thematic accuracy, and generate the linked-data-enriched fire map.
 
 Scenario 3 — *Batch reprocessing*: run the chain over a whole morning of
-acquisitions at once with ``ProcessingChain.run_batch``, which pipelines
-the acquisitions across the shared worker pool and merges all RDF output
-into a single bulk emit.  Worker count comes from the ``REPRO_WORKERS``
-environment variable (default 1 — fully serial).
+acquisitions at once with ``ProcessingChain.run_batch``, which runs the
+acquisitions in order and merges all RDF output into a single bulk
+emit.
 
 Every run ends with a metrics snapshot from the observability layer
-(:mod:`repro.obs`): per-stage NOA timings, stSPARQL phase histograms,
-worker-pool utilization and every cache's hit rate.  Set
+(:mod:`repro.obs`): per-stage NOA timings, stSPARQL phase histograms
+and every cache's hit rate.  Set
 ``REPRO_METRICS_DUMP=/path/to/file.json`` to also write the structured
 snapshot as JSON; ``REPRO_OBS=0`` disables the layer entirely.
 
@@ -26,7 +25,6 @@ demo still completes and the final snapshot shows the retry, breaker and
 ``faults.injected`` counters at work.
 
 Run:  python examples/fire_monitoring.py
-      REPRO_WORKERS=4 python examples/fire_monitoring.py
       REPRO_FAULTS="*:p=0.1;seed=7" python examples/fire_monitoring.py
 """
 
@@ -35,7 +33,7 @@ import os
 import tempfile
 import time
 
-from repro import faults, parallel
+from repro import faults
 from repro.eo import SceneSpec, generate_scene, write_scene
 from repro.eo.seviri import read_scene
 from repro.ingest import Ingestor
@@ -59,9 +57,6 @@ def banner(text):
 
 
 def main():
-    workers = parallel.env_workers()
-    print(f"worker pool: {workers} worker(s) "
-          f"(set {parallel.WORKERS_ENV} to change)")
     if faults.enabled():
         print(f"fault injection ACTIVE: {faults.describe()}")
     vo = VirtualEarthObservatory()
@@ -120,7 +115,7 @@ def main():
             print(f"  {summary}")
     print(f"\ntotal features on the map: {fire_map.feature_count()}")
 
-    banner(f"Scenario 3: batch reprocessing ({workers} worker(s))")
+    banner("Scenario 3: batch reprocessing")
     batch_paths = []
     for k in range(3):
         batch_spec = SceneSpec(
@@ -134,7 +129,7 @@ def main():
         batch_paths.append(batch_path)
     chain = ProcessingChain(Ingestor(Database(), StrabonStore()))
     t0 = time.perf_counter()
-    results = chain.run_batch(batch_paths, workers=workers)
+    results = chain.run_batch(batch_paths)
     elapsed = time.perf_counter() - t0
     for batch_path, result in zip(batch_paths, results):
         print(

@@ -64,8 +64,8 @@ class LRUCache:
     keeps ``get``/``put`` O(1) without a linked list.
 
     The cache is thread-safe: the plan caches and the geometry interner
-    are shared across the worker pool (:mod:`repro.parallel`), so every
-    mutating operation — including the recency reshuffle inside ``get``
+    are shared by every caller of a store or database, on whatever
+    threads the caller runs them, so every mutating operation — including the recency reshuffle inside ``get``
     — runs under one re-entrant lock.  ``get_or_compute`` holds the lock
     across the compute so concurrent callers of the same key compute it
     once (re-entrant, so a compute may itself consult the cache).

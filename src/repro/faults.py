@@ -6,7 +6,7 @@ tier refusing writes) cannot be waited for in CI; they have to be
 boundary — Data Vault payload reads (``vault.fetch``), per-file
 ingestion (``ingest.file``), each chain stage (``chain.ingestion`` ...
 ``chain.shapefile``, ``mining.extract`` ... ``mining.annotate``),
-worker-pool task execution (``scheduler.task``), Strabon updates
+Strabon updates
 (``strabon.update``), serving-tier request quanta (``server.request``,
 fired once per time slice by :class:`repro.server.QueryServer`) and the
 durable storage engine's write paths (``storage.wal``,

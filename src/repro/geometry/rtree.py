@@ -9,8 +9,7 @@ For *batch* spatial filtering (many probe envelopes against one tree —
 the shape of a spatial FILTER applied across many solutions),
 :meth:`RTree.query_batch` snapshots every leaf entry into packed numpy
 envelope arrays (:class:`repro.geometry.envelope.PackedEnvelopes`) and
-answers each probe with one vectorised intersection pass, optionally
-fanning the probes out over the shared worker pool.  Results are
+answers each probe with one vectorised intersection pass.  Results are
 identical to per-probe :meth:`RTree.query` calls, including item order.
 """
 
@@ -133,7 +132,7 @@ class RTree:
         self._size += 1
         # Invalidate the packed snapshot AFTER the structural work: a
         # reader that rebuilds the snapshot while the mutation is
-        # mid-flight (the batch-filtering threads race tree maintenance
+        # mid-flight (a caller's reader thread can race tree maintenance
         # exactly this way) would otherwise re-cache a stale snapshot
         # that nothing ever clears again.
         self._packed = None
@@ -366,19 +365,13 @@ class RTree:
     def query_batch(
         self,
         envelopes: Sequence[Envelope],
-        workers: Optional[int] = None,
-        scheduler=None,
     ) -> List[List[Any]]:
         """Batch query: one result list per probe envelope.
 
         Equivalent to ``[self.query(e) for e in envelopes]`` (same items,
         same order) but each probe is a vectorised intersection test over
-        the packed leaf snapshot, and probes fan out across the shared
-        worker pool (``workers``/``REPRO_WORKERS``; numpy releases the
-        GIL during the comparisons).
+        the packed leaf snapshot.
         """
-        from repro import parallel
-
         envelopes = list(envelopes)
         if not envelopes:
             return []
@@ -394,17 +387,7 @@ class RTree:
             hits = packed.intersecting(envelope).tolist()
             return [items[i] for i in hits]
 
-        sched = parallel.get_scheduler(scheduler, workers)
-        if sched.workers == 1 or len(envelopes) == 1:
-            return [probe(envelope) for envelope in envelopes]
-        # Band the probes so each worker gets a few chunky tasks rather
-        # than one queue round-trip per probe.
-        bands = parallel.split_bands(len(envelopes), sched.workers * 2)
-        parts = sched.map(
-            lambda band: [probe(e) for e in envelopes[band[0]:band[1]]],
-            bands,
-        )
-        return [result for part in parts for result in part]
+        return [probe(envelope) for envelope in envelopes]
 
     def nearest(
         self,

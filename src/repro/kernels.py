@@ -1,4 +1,4 @@
-"""Vectorised stSPARQL FILTER lanes and the adaptive row-band tiler.
+"""Vectorised stSPARQL FILTER lanes.
 
 TELEIOS's bet is column-at-a-time execution *inside* the database.  SQL
 and SciQL statements get it from the executor itself
@@ -17,10 +17,6 @@ module closes the gap on the stSPARQL side, where solutions are rows:
   envelope-disjoint rows decide a predicate (or far rows a distance
   comparison) vectorised, and only undecided rows take the exact
   geometry test.
-* **Adaptive tiling** — :class:`AdaptiveTiler` decides row-band tiling
-  of the SciQL operators from observed cells/sec: bands engage only
-  when the predicted serial pass is long enough to amortise their
-  bookkeeping.
 
 Fallback contract: a compiler raises :class:`Unsupported` (internally)
 for any construct it does not lower, and the public ``compile_*``
@@ -30,7 +26,6 @@ at a time, which is also the path for single-row batches.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -80,8 +75,6 @@ __all__ = [
     "compile_spatial_filter",
     "run_spatial_filter",
     "SpatialFilterPlan",
-    "AdaptiveTiler",
-    "TILER",
     "filter_kernel_cache",
     "clear_caches",
 ]
@@ -673,72 +666,7 @@ def run_spatial_filter(
     return out
 
 
-# ---------------------------------------------------------------------------
-# adaptive tiling
-# ---------------------------------------------------------------------------
-
-
-class AdaptiveTiler:
-    """Decides row-band tiling from observed serial throughput.
-
-    Each operation name carries an EWMA of serial cells/sec.  Tiling
-    engages only when the predicted serial time is long enough that a
-    band is worth at least :data:`MIN_TASK_SECONDS` of work — the
-    adaptive replacement for the old static ``PARALLEL_MIN_CELLS``
-    floor, which tiled cheap numpy passes whose band bookkeeping cost
-    more than the pass itself.
-    """
-
-    #: Cold-start estimate: with no observation yet, ~65k cells predict
-    #: ~3.3ms of work — just under the tiling threshold, matching the
-    #: old static floor's behaviour until real rates arrive.
-    DEFAULT_RATE = 2e7
-    #: A band must be worth at least this much predicted serial time.
-    MIN_TASK_SECONDS = 0.002
-
-    def __init__(self) -> None:
-        self._rates: Dict[str, float] = {}
-        self._lock = threading.Lock()
-
-    def observe(self, op: str, cells: int, seconds: float) -> None:
-        """Record one *serial* pass (cells processed, wall seconds)."""
-        if cells <= 0 or seconds <= 0:
-            return
-        rate = cells / seconds
-        with self._lock:
-            previous = self._rates.get(op)
-            self._rates[op] = (
-                rate if previous is None else 0.7 * previous + 0.3 * rate
-            )
-        obs.gauge(f"kernels.tiler.rate.{op}").set(self._rates[op])
-
-    def rate(self, op: str) -> float:
-        with self._lock:
-            return self._rates.get(op, self.DEFAULT_RATE)
-
-    def parts(self, op: str, cells: int, workers: int) -> int:
-        """Number of row bands to split into (1 = stay serial)."""
-        estimate = cells / self.rate(op)
-        if estimate < 2 * self.MIN_TASK_SECONDS:
-            return 1
-        return max(
-            2,
-            min(workers * 2, int(estimate / self.MIN_TASK_SECONDS)),
-        )
-
-    def reset(self) -> None:
-        with self._lock:
-            self._rates.clear()
-
-
-#: Process-wide tiler shared by the SciQL operators.
-TILER = AdaptiveTiler()
-
-
 def clear_caches() -> None:
-    """Drop every compiled kernel and learned tiling rate (benchmarks
-    use this to measure cold-compile cost)."""
+    """Drop every compiled kernel (benchmarks use this to measure
+    cold-compile cost)."""
     filter_kernel_cache.clear()
-    TILER.reset()
-
-

@@ -114,8 +114,8 @@ class Database:
         # of catalog-serving workloads) skip the lexer and parser.
         self.plan_cache = LRUCache(maxsize=256, name="mdb.plan_cache")
         # One statement executes at a time: the executor and catalog are
-        # not internally concurrent, so the worker pool (parallel NOA
-        # batches) serialises on this re-entrant lock.  Callers doing
+        # not internally concurrent, so callers' threads serialise on
+        # this re-entrant lock.  Callers doing
         # multi-statement catalog surgery may hold it across statements.
         self.lock = threading.RLock()
 

@@ -16,34 +16,23 @@ relational tables.  This module provides:
   updates, all executing directly on numpy storage;
 * ``UPDATE array SET attr = expr WHERE ...`` — the SciQL idiom for pixel
   classification, evaluated by the same SQL expression engine as table
-  statements, over the cells;
-* parallel tiled execution — the cell-local bulk operators (``map``,
-  ``tile_aggregate``, ``count_where``) partition the leading dimension
-  into row-band tiles and evaluate the bands on the shared worker pool
-  (:mod:`repro.parallel`), merging band results in band order.  Because
-  every band computes exactly the values the full-array pass would, the
-  merged result is bit-identical to serial execution; ``workers=1`` (the
-  default without ``REPRO_WORKERS``) runs the untiled code path.
+  statements, over the cells.
+
+Every operator is one whole-plane numpy pass on the calling thread.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import kernels, obs, parallel, resilience
+from repro import obs, resilience
 from repro.mdb.errors import CatalogError, ExecutionError, SQLTypeError
 from repro.mdb.sql import ast
 from repro.mdb.sql.executor import Evaluator, Frame, column_refs, is_wanted
 from repro.mdb.sql.vectors import all_valid, bool_mask
 from repro.mdb.types import ColumnType, type_by_name
-
-# Auto-tiling is adaptive: kernels.TILER predicts the serial wall time
-# of an operation from its observed cells/sec and tiles only when the
-# bands are worth their bookkeeping.  An explicit ``workers=`` argument
-# always tiles (tests exercise tiny tiles).
 
 
 class Dimension:
@@ -308,95 +297,23 @@ class SciArray:
             ].copy()
         return out
 
-    def _row_bands(
-        self,
-        sched: "parallel.TaskScheduler",
-        explicit: bool,
-        total: int,
-        multiple: int = 1,
-        op: str = "sciql",
-    ) -> Optional[List[Tuple[int, int]]]:
-        """Row-band tiling of ``[0, total)`` for ``sched``, or None when
-        the operation should take the serial path.
-
-        Implicit tiling (no ``workers=``/``scheduler=`` argument) is
-        adaptive: :data:`repro.kernels.TILER` predicts the serial wall
-        time of ``op`` over this array from observed cells/sec and only
-        tiles when the bands amortise their bookkeeping.  Explicit
-        requests keep the fixed ``workers * 2`` band count.
-        """
-        if sched.workers == 1:
-            return None
-        if explicit:
-            parts = sched.workers * 2
-        else:
-            parts = kernels.TILER.parts(op, self.cell_count, sched.workers)
-            if parts == 1:
-                return None
-        bands = parallel.split_bands(total, parts, multiple)
-        if len(bands) <= 1:
-            return None
-        return bands
-
     def map(
         self, fn: Callable[[np.ndarray], np.ndarray],
         attr: Optional[str] = None,
         out_attr: Optional[str] = None,
-        workers: Optional[int] = None,
-        scheduler: Optional["parallel.TaskScheduler"] = None,
     ) -> "SciArray":
         """Apply a vectorised function to one attribute plane in place
-        (or into ``out_attr``).
-
-        With more than one worker (``workers=``, a ``scheduler=``, or the
-        ``REPRO_WORKERS`` default) the plane is split into row-band tiles
-        evaluated concurrently and concatenated in band order.  Tiled
-        evaluation requires ``fn`` to be cell-local (each output cell a
-        function of the same input cell only) — true of every SciQL map
-        expression; window operators must stay on the serial path.
-        """
+        (or into ``out_attr``)."""
         source = attr.lower() if attr else self.attributes[0][0]
         target = (out_attr or source).lower()
         ctype = self.attribute_type(target)
-        data = self._values[source]
-        sched = parallel.get_scheduler(scheduler, workers)
-        bands = self._row_bands(
-            sched, workers is not None or scheduler is not None,
-            self.shape[0], op="sciql.map",
-        )
-        # Soft-timeout checkpoint: an ambient deadline is honoured at
-        # the kernel boundary and again at every tile band (the band
-        # closure carries the Deadline object into the worker threads).
         deadline = resilience.active_deadline()
         if deadline is not None:
             deadline.check("sciql.map")
         obs.counter("sciql.map.calls").inc()
         obs.counter("sciql.map.cells").inc(self.cell_count)
-        obs.counter("sciql.map.tiles").inc(len(bands) if bands else 1)
-
-        def map_band(band: Tuple[int, int]) -> np.ndarray:
-            if deadline is not None:
-                deadline.check("sciql.map")
-            return np.asarray(fn(data[band[0]:band[1]]))
-
         with obs.span("sciql.map", array=self.name):
-            if bands is None:
-                started = time.perf_counter()
-                result = np.asarray(fn(data))
-                kernels.TILER.observe(
-                    "sciql.map",
-                    self.cell_count,
-                    time.perf_counter() - started,
-                )
-            else:
-                parts = sched.map(map_band, bands)
-                for band, part in zip(bands, parts):
-                    if part.shape != (band[1] - band[0],) + self.shape[1:]:
-                        raise ExecutionError(
-                            "map function changed the array shape "
-                            f"({self.shape} -> band {band} {part.shape})"
-                        )
-                result = np.concatenate(parts, axis=0)
+            result = np.asarray(fn(self._values[source]))
         if result.shape != self.shape:
             raise ExecutionError(
                 "map function changed the array shape "
@@ -417,25 +334,19 @@ class SciArray:
         tile: Sequence[int],
         func: str = "mean",
         attr: Optional[str] = None,
-        workers: Optional[int] = None,
-        scheduler: Optional["parallel.TaskScheduler"] = None,
     ) -> "SciArray":
         """Aggregate non-overlapping tiles — SciQL's structural grouping.
 
         ``tile`` gives the tile size per dimension; the result array has
         one cell per tile (truncated at the edges).  ``func`` is one of
         mean/sum/min/max.  This is the resampling primitive of the NOA
-        chain.  With more than one worker the output tile-rows are split
-        into bands reduced concurrently; each tile is always reduced
-        whole by one worker, so band results are bit-identical to the
-        serial reduction.
+        chain.
         """
         attr_name = attr.lower() if attr else self.attributes[0][0]
         if len(tile) != self.ndim:
             raise ExecutionError(
                 f"tile needs {self.ndim} sizes, got {len(tile)}"
             )
-        data = self._values[attr_name]
         trimmed_shape = [
             (s // t) * t for s, t in zip(self.shape, tile)
         ]
@@ -451,54 +362,24 @@ class SciArray:
             reducer = reducers[func]
         except KeyError:
             raise ExecutionError(f"unknown tile aggregate {func!r}") from None
-        axes = tuple(range(1, 2 * self.ndim, 2))
-        tail = tuple(slice(0, s) for s in trimmed_shape[1:])
         deadline = resilience.active_deadline()
         if deadline is not None:
             deadline.check("sciql.tile_aggregate")
-
-        def reduce_rows(row_range: Tuple[int, int]) -> np.ndarray:
-            """Reduce output tile-rows ``[start, stop)`` of dimension 0."""
-            if deadline is not None:
-                deadline.check("sciql.tile_aggregate")
-            start, stop = row_range
-            block = data[(slice(start * tile[0], stop * tile[0]),) + tail]
-            block_shape: List[int] = [stop - start, tile[0]]
-            for s, t in zip(trimmed_shape[1:], tile[1:]):
+        obs.counter("sciql.tile_aggregate.calls").inc()
+        obs.counter("sciql.tile_aggregate.cells").inc(self.cell_count)
+        with obs.span("sciql.tile_aggregate", array=self.name, func=func):
+            block = self._values[attr_name][
+                tuple(slice(0, s) for s in trimmed_shape)
+            ]
+            block_shape: List[int] = []
+            for s, t in zip(trimmed_shape, tile):
                 block_shape.extend([s // t, t])
             block = block.reshape(block_shape)
             # A float64 block reduces as it is: astype would only copy it,
             # axes in the same order, for the same result.
             if block.dtype != np.float64:
                 block = block.astype(float)
-            return reducer(block, axis=axes)
-
-        out_rows = trimmed_shape[0] // tile[0]
-        sched = parallel.get_scheduler(scheduler, workers)
-        bands = self._row_bands(
-            sched,
-            workers is not None or scheduler is not None,
-            out_rows,
-            op="sciql.tile_aggregate",
-        )
-        obs.counter("sciql.tile_aggregate.calls").inc()
-        obs.counter("sciql.tile_aggregate.cells").inc(self.cell_count)
-        obs.counter("sciql.tile_aggregate.tiles").inc(
-            len(bands) if bands else 1
-        )
-        with obs.span("sciql.tile_aggregate", array=self.name, func=func):
-            if bands is None:
-                started = time.perf_counter()
-                reduced = reduce_rows((0, out_rows))
-                kernels.TILER.observe(
-                    "sciql.tile_aggregate",
-                    self.cell_count,
-                    time.perf_counter() - started,
-                )
-            else:
-                reduced = np.concatenate(
-                    sched.map(reduce_rows, bands), axis=0
-                )
+            reduced = reducer(block, axis=tuple(range(1, 2 * self.ndim, 2)))
         dims = [
             Dimension(d.name, 0, s // t)
             for d, s, t in zip(self.dimensions, trimmed_shape, tile)
@@ -516,46 +397,16 @@ class SciArray:
     def count_where(
         self, predicate: Callable[[np.ndarray], np.ndarray],
         attr: Optional[str] = None,
-        workers: Optional[int] = None,
-        scheduler: Optional["parallel.TaskScheduler"] = None,
     ) -> int:
-        """Number of cells whose attribute satisfies ``predicate``.
-
-        ``predicate`` must be cell-local (see :meth:`map`); band counts
-        are summed, so the parallel result equals the serial count.
-        """
+        """Number of cells whose attribute satisfies ``predicate``."""
         name = attr.lower() if attr else self.attributes[0][0]
-        data = self._values[name]
-        sched = parallel.get_scheduler(scheduler, workers)
-        bands = self._row_bands(
-            sched, workers is not None or scheduler is not None,
-            self.shape[0], op="sciql.count_where",
-        )
         deadline = resilience.active_deadline()
         if deadline is not None:
             deadline.check("sciql.count_where")
         obs.counter("sciql.count_where.calls").inc()
         obs.counter("sciql.count_where.cells").inc(self.cell_count)
-        obs.counter("sciql.count_where.tiles").inc(
-            len(bands) if bands else 1
-        )
-
-        def count_band(band: Tuple[int, int]) -> int:
-            if deadline is not None:
-                deadline.check("sciql.count_where")
-            return int(np.count_nonzero(predicate(data[band[0]:band[1]])))
-
         with obs.span("sciql.count_where", array=self.name):
-            if bands is None:
-                started = time.perf_counter()
-                count = int(np.count_nonzero(predicate(data)))
-                kernels.TILER.observe(
-                    "sciql.count_where",
-                    self.cell_count,
-                    time.perf_counter() - started,
-                )
-                return count
-            return int(sum(sched.map(count_band, bands)))
+            return int(np.count_nonzero(predicate(self._values[name])))
 
     # -- relational view -----------------------------------------------------------
 
@@ -618,13 +469,11 @@ def update_array(array: SciArray, stmt: ast.Update) -> int:
     """Execute ``UPDATE array SET attr = expr [WHERE cond]``.
 
     The statement runs on the SQL :class:`~repro.mdb.sql.executor.
-    Evaluator`, the way a table UPDATE does.  Per row band, WHERE
-    evaluates over a frame of only the columns it names; the SET
-    expressions then evaluate over only the cells that passed, gathered
-    from only the columns they name.  A SET expression that would fail
-    only on cells WHERE rejects therefore succeeds.  Bands run on the
-    worker pool when :data:`repro.kernels.TILER` predicts the serial
-    pass is long enough to pay for them.
+    Evaluator`, the way a table UPDATE does.  WHERE evaluates over a
+    frame of only the columns it names; the SET expressions then
+    evaluate over only the cells that passed, gathered from only the
+    columns they name.  A SET expression that would fail only on cells
+    WHERE rejects therefore succeeds.
 
     Writes are **write-then-swap**: each assignment scatters into a
     private copy of the attribute plane and the finished copy replaces
@@ -642,74 +491,43 @@ def update_array(array: SciArray, stmt: ast.Update) -> int:
             if is_wanted(refs, binding, name)
         ]
 
-    where_columns = columns(stmt.where)
-    set_columns = columns(tuple(expr for _, expr in stmt.assignments))
     n = array.cell_count
     deadline = resilience.active_deadline()
     if deadline is not None:
         deadline.check("sciql.update")
     obs.counter("sciql.update.calls").inc()
     obs.counter("sciql.update.cells").inc(n)
-    row_size = n // array.shape[0]
-    sched = parallel.get_scheduler(None, None)
-    bands = array._row_bands(
-        sched, explicit=False, total=array.shape[0], op="sciql.update"
-    )
-    obs.counter("sciql.update.tiles").inc(len(bands) if bands else 1)
-
-    def run_band(band: Tuple[int, int]):
-        """→ (matched count, [(positions, values) per assignment])."""
-        if deadline is not None:
-            deadline.check("sciql.update")
-        lo, hi = band[0] * row_size, band[1] * row_size
-        if stmt.where is None:
-            idx = np.arange(hi - lo)
-            rows = slice(lo, hi)
-        else:
-            frame = array.to_frame(binding, where_columns, slice(lo, hi))
-            idx = np.flatnonzero(bool_mask(Evaluator(frame).eval(stmt.where)))
-            rows = idx + lo
-        writes = []
-        if idx.size:
-            evaluator = Evaluator(array.to_frame(binding, set_columns, rows))
-            for attr_name, expr in stmt.assignments:
-                ctype = array.attribute_type(attr_name)
-                data, valid = evaluator.eval(expr)
-                positions = idx[valid] + lo
-                if data.dtype == object:
-                    values = np.asarray(
-                        [ctype.coerce(v) for v in data[valid]]
-                    )
-                else:
-                    values = data[valid].astype(ctype.dtype)
-                writes.append((positions, values))
-        return int(idx.size), writes
 
     with obs.span("sciql.update", array=array.name):
-        if bands is None:
-            started = time.perf_counter()
-            results = [run_band((0, array.shape[0]))]
-            kernels.TILER.observe(
-                "sciql.update", n, time.perf_counter() - started
-            )
+        if stmt.where is None:
+            idx = np.arange(n)
+            rows = slice(None)
         else:
-            results = sched.map(run_band, bands)
-
-    matched = sum(count for count, _ in results)
-    if matched == 0:
-        return 0
-    # Stage one plane copy per assignment (all computed from the
-    # original planes), then swap: the last assignment to an attribute
-    # wins.
-    staged = []
-    for i, (attr_name, _) in enumerate(stmt.assignments):
-        current = array.attribute(attr_name)
-        plane = current.reshape(-1).copy()
-        for _, writes in results:
-            if writes:
-                positions, values = writes[i]
-                plane[positions] = values
-        staged.append((attr_name.lower(), plane.reshape(current.shape)))
+            frame = array.to_frame(binding, columns(stmt.where))
+            idx = np.flatnonzero(bool_mask(Evaluator(frame).eval(stmt.where)))
+            rows = idx
+        if idx.size == 0:
+            return 0
+        evaluator = Evaluator(array.to_frame(
+            binding,
+            columns(tuple(expr for _, expr in stmt.assignments)),
+            rows,
+        ))
+        # Stage one plane copy per assignment (all computed from the
+        # original planes), then swap: the last assignment to an
+        # attribute wins.
+        staged = []
+        for attr_name, expr in stmt.assignments:
+            ctype = array.attribute_type(attr_name)
+            data, valid = evaluator.eval(expr)
+            if data.dtype == object:
+                values = np.asarray([ctype.coerce(v) for v in data[valid]])
+            else:
+                values = data[valid].astype(ctype.dtype)
+            current = array.attribute(attr_name)
+            plane = current.reshape(-1).copy()
+            plane[idx[valid]] = values
+            staged.append((attr_name.lower(), plane.reshape(current.shape)))
     for key, plane in staged:
         array.store_plane(key, plane)
-    return matched
+    return int(idx.size)

@@ -6,8 +6,7 @@ historical :mod:`repro.ingest.features` extractor loops over the raw
 computes the whole patch grid through the database — derived planes
 (squares, gradient energy, local contrast) are written as attribute
 planes and every per-patch statistic is one ``tile_aggregate`` call, so
-the SciQL tiled reduction is the hot loop and the extraction
-parallelises over row bands like any other SciQL reduction.
+the SciQL tiled reduction is the hot loop.
 
 The descriptor (:data:`MINING_FEATURE_NAMES`) is chosen so that every
 element is a composition of tile means/maxima and elementwise
@@ -21,7 +20,7 @@ arithmetic:
 Variance (not standard deviation) keeps the pipeline closed under
 rational arithmetic: for dyadic inputs every feature is *exact*, which
 is what lets the testkit's brute-force pure-python oracle demand
-bit-identical feature matrices across worker counts.
+bit-identical feature matrices.
 Gradient energy is the tile mean of ``gx^2 + gy^2`` with ``np.gradient``
 central differences; contrast is the tile mean of the squared horizontal
 forward difference (a one-offset approximation of GLCM contrast that
@@ -30,11 +29,11 @@ needs no quantisation).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro import obs, parallel
+from repro import obs
 from repro.geometry import Envelope, Polygon
 from repro.ingest.features import Patch, PatchGrid
 from repro.mdb.sciql import Dimension, SciArray
@@ -149,8 +148,6 @@ def extract_patch_grid(
     array: SciArray,
     window: Tuple[float, float, float, float],
     patch_size: int = 8,
-    workers: Optional[int] = None,
-    scheduler: Optional["parallel.TaskScheduler"] = None,
 ) -> PatchGrid:
     """Cut an ingested scene array into a georeferenced patch grid.
 
@@ -161,10 +158,8 @@ def extract_patch_grid(
     extent.  Partial patches at the south/east edges are dropped, like
     the historical in-memory extractor.
 
-    Every statistic runs through ``SciArray.tile_aggregate`` — row-band
-    parallel under ``workers`` — and the result is bit-identical across
-    worker counts because tiles are always reduced whole over float64
-    planes.
+    Every statistic runs through ``SciArray.tile_aggregate`` over
+    float64 planes.
     """
     size = int(patch_size)
     if size < 1:
@@ -181,10 +176,7 @@ def extract_patch_grid(
         tile = (size, size)
 
         def agg(attr: str, func: str = "mean") -> np.ndarray:
-            out = scratch.tile_aggregate(
-                tile, func, attr, workers=workers, scheduler=scheduler
-            )
-            return out.attribute(attr)
+            return scratch.tile_aggregate(tile, func, attr).attribute(attr)
 
         m039 = agg("t039")
         m108 = agg("t108")

@@ -22,7 +22,7 @@ from typing import (
     Tuple,
 )
 
-from repro import parallel, resilience
+from repro import resilience
 from repro.eo.products import Product
 from repro.ingest.features import PatchGrid
 from repro.mining.annotate import DEFAULT_VALIDITY, SemanticAnnotator
@@ -97,8 +97,6 @@ class MiningPipeline(StageRunner):
     def run_batch(
         self,
         paths: Sequence[str],
-        workers: Optional[int] = None,
-        scheduler: Optional["parallel.TaskScheduler"] = None,
     ) -> List["MiningResult | ChainFailure"]:
         """Mine a whole acquisition series with one merged RDF emit.
 
@@ -107,7 +105,7 @@ class MiningPipeline(StageRunner):
         :class:`ChainFailure` and contributes no annotations (see
         :meth:`~repro.stages.StageRunner._run_batch`).
         """
-        return self._run_batch(paths, workers, scheduler)
+        return self._run_batch(paths)
 
     def _execute(
         self,

@@ -28,7 +28,7 @@ from typing import (
 
 import numpy as np
 
-from repro import parallel, resilience
+from repro import resilience
 from repro.eo.products import ProcessingLevel, Product
 from repro.geometry import Polygon
 from repro.geometry.gridpoly import cells_to_geometry
@@ -211,22 +211,17 @@ class ProcessingChain(StageRunner):
         self,
         paths: Sequence[str],
         output_dir: Optional[str] = None,
-        workers: Optional[int] = None,
-        scheduler: Optional["parallel.TaskScheduler"] = None,
     ) -> List["ChainResult | ChainFailure"]:
         """Execute the chain over a whole acquisition series.
 
-        The every-5-minutes batch shape of the NOA service: one task per
-        acquisition on the shared worker pool and one merged stRDF bulk
-        emit (see :meth:`~repro.stages.StageRunner._run_batch`).
+        The every-5-minutes batch shape of the NOA service: the
+        acquisitions in path order and one merged stRDF bulk emit (see :meth:`~repro.stages.StageRunner._run_batch`).
         Results are in ``paths`` order and identical to sequential
         :meth:`run` calls (hotspots, confidences, RDF), except that a
         failing acquisition gets a :class:`ChainFailure` in its slot
         instead of raising.
         """
-        return self._run_batch(
-            paths, workers, scheduler, output_dir=output_dir
-        )
+        return self._run_batch(paths, output_dir=output_dir)
 
     def _execute(
         self,

@@ -11,10 +11,10 @@ fault-site prefix (:attr:`StageRunner.site`) and a metric prefix
   at the boundary, the ``<site>.<stage>`` fault point per attempt,
   retry with the guard re-acquired per attempt, the
   ``<metric>.stage.<stage>`` span and the stage timing;
-* :meth:`StageRunner._run_batch` — the batch loop: acquisitions mapped
-  over the worker pool inside one :meth:`StrabonStore.bulk`, each
-  failure isolated as a :class:`ChainFailure`, the survivors' RDF
-  loaded in path order, and ``<metric>.batch.ok``/``.failed`` counted.
+* :meth:`StageRunner._run_batch` — the batch loop: acquisitions run in
+  path order inside one :meth:`StrabonStore.bulk`, each failure
+  isolated as a :class:`ChainFailure`, the survivors' RDF loaded in
+  path order, and ``<metric>.batch.ok``/``.failed`` counted.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import time
 from contextlib import nullcontext
 from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence
 
-from repro import faults, obs, parallel, resilience
+from repro import faults, obs, resilience
 
 
 class ChainFailure:
@@ -136,23 +136,20 @@ class StageRunner:
     def _run_batch(
         self,
         paths: Sequence[str],
-        workers: Optional[int],
-        scheduler: Optional[parallel.TaskScheduler],
         **options: Any,
     ) -> List[Any]:
         """Run ``_execute`` over every path with one merged RDF emit.
 
-        Every acquisition runs as one task on the shared worker pool
-        (serially on the calling thread at one worker); its locked
-        stages serialise on the database lock.  All stRDF output goes
-        through one :meth:`StrabonStore.bulk` context, so the spatial
-        index is STR-rebuilt once per batch at any worker count.
+        Acquisitions run one after another on the calling thread; their
+        locked stages hold the database lock, so batches that callers
+        run on their own threads against one database serialise there.
+        All stRDF output goes through one :meth:`StrabonStore.bulk`
+        context, so the spatial index is STR-rebuilt once per batch.
         Results come back in ``paths`` order; a failing acquisition
         occupies its slot as a :class:`ChainFailure` and contributes no
         RDF.
         """
         paths = list(paths)
-        sched = parallel.get_scheduler(scheduler, workers)
         store = self.ingestor.store
         lock = self.ingestor.db.lock
 
@@ -165,7 +162,7 @@ class StageRunner:
 
         with obs.span(f"{self.metric}.run_batch", acquisitions=len(paths)):
             with store.bulk():
-                results = sched.map(guarded, paths)
+                results = [guarded(p) for p in paths]
                 for result in results:
                     if result.ok:
                         store.load_graph(result.rdf)

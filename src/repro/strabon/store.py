@@ -59,8 +59,8 @@ class StrabonStore:
         self.geometries = strdf.GeometryInterner()
         # Bulk-load state: when > 0, R-tree inserts are deferred to one
         # STR rebuild at the end.  The lock serialises depth changes and
-        # the rebuild: processing chains run scheduler workers inside a
-        # bulk context.
+        # the rebuild when callers open bulk contexts from several
+        # threads.
         self._bulk_depth = 0
         self._bulk_lock = threading.RLock()
         # Updates retry a transiently refused write (``strabon.update``).

@@ -113,14 +113,12 @@ def _compare_spatial(entries, probes, trees, phase: str) -> Optional[str]:
                     f"{phase}/{label} query probe {j}: "
                     f"{got} != oracle {expected[j]}"
                 )
-        for workers in (1, 3):
-            batched = tree.query_batch(probes, workers=workers)
-            for j, got in enumerate(batched):
-                if sorted(got) != expected[j]:
-                    return (
-                        f"{phase}/{label} query_batch(workers={workers}) "
-                        f"probe {j}: {sorted(got)} != oracle {expected[j]}"
-                    )
+        for j, got in enumerate(tree.query_batch(probes)):
+            if sorted(got) != expected[j]:
+                return (
+                    f"{phase}/{label} query_batch probe {j}: "
+                    f"{sorted(got)} != oracle {expected[j]}"
+                )
     return None
 
 
@@ -135,7 +133,7 @@ def _check_spatial(spec: Dict[str, Any]) -> Optional[str]:
         tree.insert(env, item)
     if probes:
         # Prime the packed snapshot so later inserts must invalidate it.
-        tree.query_batch(probes, workers=1)
+        tree.query_batch(probes)
     for env, item in entries[half:]:
         tree.insert(env, item)
 
@@ -148,7 +146,7 @@ def _check_spatial(spec: Dict[str, Any]) -> Optional[str]:
 
     removed = set(spec["removals"])
     if probes:
-        tree.query_batch(probes, workers=1)  # re-prime before removals
+        tree.query_batch(probes)  # re-prime before removals
     for index in sorted(removed):
         tree.remove(entries[index][0], index)
     live = [(env, item) for env, item in entries if item not in removed]
@@ -337,17 +335,6 @@ def _check_stsparql(spec: Dict[str, Any]) -> Optional[str]:
 
     store = fresh_store()
 
-    def with_workers(n: int):
-        previous = os.environ.get("REPRO_WORKERS")
-        os.environ["REPRO_WORKERS"] = str(n)
-        try:
-            return _store_rows(store, query, variables)
-        finally:
-            if previous is None:
-                del os.environ["REPRO_WORKERS"]
-            else:
-                os.environ["REPRO_WORKERS"] = previous
-
     def with_per_row_filters():
         previous = kernels.FILTER_BATCH_MIN_SOLUTIONS
         kernels.FILTER_BATCH_MIN_SOLUTIONS = sys.maxsize
@@ -386,7 +373,6 @@ def _check_stsparql(spec: Dict[str, Any]) -> Optional[str]:
             "bulk-loaded",
             lambda: _store_rows(fresh_store(bulk=True), query, variables),
         ),
-        ("workers-4", lambda: with_workers(4)),
         ("obs-flipped", with_obs_flipped),
         ("per-row-filters", with_per_row_filters),
         (
@@ -452,7 +438,7 @@ def _check_stsparql(spec: Dict[str, Any]) -> Optional[str]:
 # -- SciQL ---------------------------------------------------------------------
 
 
-def _sciql_engine_run(spec: Dict[str, Any], workers: int) -> Tuple[str, Any]:
+def _sciql_engine_run(spec: Dict[str, Any]) -> Tuple[str, Any]:
     db = Database()
     height, width = spec["shape"]
     ctype = "DOUBLE" if spec["dtype"] == "float" else "INT"
@@ -499,16 +485,14 @@ def _sciql_engine_run(spec: Dict[str, Any], workers: int) -> Tuple[str, Any]:
             array = array.slice(x=tuple(op["x"]), y=tuple(op["y"]))
         elif name == "map":
             mul, add = op["mul"], op["add"]
-            array.map(lambda plane: plane * mul + add, workers=workers)
+            array.map(lambda plane: plane * mul + add)
         elif name == "tile":
-            array = array.tile_aggregate(
-                op["t"], op["func"], workers=workers
-            )
+            array = array.tile_aggregate(op["t"], op["func"])
         elif name == "count":
             gt = op["gt"]
             return (
                 "count",
-                array.count_where(lambda plane: plane > gt, workers=workers),
+                array.count_where(lambda plane: plane > gt),
             )
         elif name == "select":
             exprs = {
@@ -537,13 +521,9 @@ def _sciql_engine_run(spec: Dict[str, Any], workers: int) -> Tuple[str, Any]:
 
 def _check_sciql(spec: Dict[str, Any]) -> Optional[str]:
     expected = _outcome(lambda: oracles.naive_sciql_run(spec))
-    for label, variant in [
-        ("serial", lambda: _sciql_engine_run(spec, workers=1)),
-        ("tiled-4", lambda: _sciql_engine_run(spec, workers=4)),
-    ]:
-        got = _outcome(variant)
-        if got != expected:
-            return f"{label}: {got} != oracle {expected}"
+    got = _outcome(lambda: _sciql_engine_run(spec))
+    if got != expected:
+        return f"engine: {got} != oracle {expected}"
     return None
 
 
@@ -612,13 +592,11 @@ def _check_chain(spec: Dict[str, Any]) -> Optional[str]:
             paths.append(path)
 
         baseline_chain = fresh_chain()
-        baseline = baseline_chain.run_batch(paths, workers=1)
+        baseline = baseline_chain.run_batch(paths)
 
         chaos_chain = fresh_chain()
         with faults.injected(spec["faults"]):
-            chaos = chaos_chain.run_batch(
-                paths, workers=spec["workers"]
-            )
+            chaos = chaos_chain.run_batch(paths)
 
     base_summary = _chain_summarize(baseline)
     chaos_summary = _chain_summarize(chaos)
@@ -638,7 +616,7 @@ def _check_chain(spec: Dict[str, Any]) -> Optional[str]:
 # -- mining: SciQL patch features + classifiers vs pure-python oracle ----------
 
 
-def _mining_grid(blocks, patch: int, name: str, workers: int):
+def _mining_grid(blocks, patch: int, name: str):
     """Engine-side patch grid of blocks stacked into one SciQL array."""
     from repro.mdb.sciql import Dimension, SciArray
     from repro.mdb.types import DOUBLE
@@ -662,9 +640,7 @@ def _mining_grid(blocks, patch: int, name: str, workers: int):
     array.set_attribute("t108", t108)
     # Unit-degree pixels: the patch footprints come out on exact floats.
     window = (0.0, 0.0, float(w), float(h))
-    return extract_patch_grid(
-        array, window, patch_size=patch, workers=workers
-    )
+    return extract_patch_grid(array, window, patch_size=patch)
 
 
 def _check_mining(spec: Dict[str, Any]) -> Optional[str]:
@@ -685,29 +661,21 @@ def _check_mining(spec: Dict[str, Any]) -> Optional[str]:
     oracle_train = oracles.naive_mining_features(spec["train"], patch)
     oracle_test = oracles.naive_mining_features(spec["test"], patch)
 
-    # (1) feature extraction: serial and on 4 workers, both must
-    # reproduce the pure-python features bit for bit.
-    grids: Dict[str, Any] = {}
-    for label, workers in [("serial", 1), ("workers-4", 4)]:
-        train_grid = _mining_grid(
-            spec["train"], patch, "mining_case_train", workers
-        )
-        test_grid = _mining_grid(
-            spec["test"], patch, "mining_case_test", workers
-        )
-        grids[label] = (train_grid, test_grid)
-        for split, grid, expected in [
-            ("train", train_grid, oracle_train),
-            ("test", test_grid, oracle_test),
-        ]:
-            got = grid.feature_matrix().tolist()
-            if got != expected:
-                diff = oracles.first_difference(got, expected)
-                return f"{label}/{split} features != oracle: {diff}"
+    # (1) feature extraction must reproduce the pure-python features
+    # bit for bit.
+    train_grid = _mining_grid(spec["train"], patch, "mining_case_train")
+    test_grid = _mining_grid(spec["test"], patch, "mining_case_test")
+    for split, grid, expected in [
+        ("train", train_grid, oracle_train),
+        ("test", test_grid, oracle_test),
+    ]:
+        got = grid.feature_matrix().tolist()
+        if got != expected:
+            diff = oracles.first_difference(got, expected)
+            return f"{split} features != oracle: {diff}"
 
     # (2) classification: numpy classifier vs the mirrored pure-python
     # oracle, plus a JSON state round trip (what ModelStore persists).
-    train_grid, test_grid = grids["serial"]
     train_labels = [block["label"] for block in spec["train"]]
     clf = (
         KNNClassifier(1)

@@ -503,7 +503,7 @@ def gen_sciql_spec(seed: int) -> Dict[str, Any]:
     }
 
 
-# -- NOA chain (fault-free sequential vs retried parallel batch) ---------------
+# -- NOA chain (fault-free batch vs retried chaos batch) ----------------------
 
 
 def gen_chain_spec(seed: int) -> Dict[str, Any]:
@@ -512,7 +512,7 @@ def gen_chain_spec(seed: int) -> Dict[str, Any]:
     Fault probabilities stay at or below 10% so the default retry
     policy absorbs every transient with overwhelming probability; the
     check then demands bitwise-equal hotspots and RDF against a
-    fault-free sequential baseline.
+    fault-free baseline batch.
     """
     rng = random.Random(("chain", seed).__repr__())
     scenes = [
@@ -526,14 +526,13 @@ def gen_chain_spec(seed: int) -> Dict[str, Any]:
         for _ in range(rng.randint(1, 3))
     ]
     sites = rng.sample(
-        ["chain.*", "scheduler.task", "ingest.file"],
+        ["chain.*", "ingest.file"],
         rng.randint(1, 2),
     )
     p = rng.choice([0.02, 0.05, 0.1])
     rules = ";".join(f"{site}:p={p}" for site in sites)
     return {
         "scenes": scenes,
-        "workers": rng.choice([2, 3]),
         "faults": f"{rules};seed={rng.randint(0, 99_999)}",
     }
 
@@ -647,8 +646,8 @@ def gen_mining_spec(seed: int) -> Dict[str, Any]:
     """Labelled patch blocks plus a classifier and a temporal probe.
 
     Each block is one ``patch x patch`` pair of band planes; the check
-    stacks them vertically into a SciQL array and extracts features with
-    kernels on/off and 1/4 workers.  Cell values are class base levels
+    stacks them vertically into a SciQL array and extracts its features.
+    Cell values are class base levels
     (integers at least 16 K apart) plus quarter-unit noise, so every
     feature in :data:`repro.mining.features.MINING_FEATURE_NAMES` is an
     exact dyadic and the pure-python oracle compares with ``==``; the

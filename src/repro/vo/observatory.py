@@ -139,7 +139,6 @@ class VirtualEarthObservatory:
         classifier=None,
         train_paths: Optional[List[str]] = None,
         model_name: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> List:
         """Knowledge discovery over an acquisition series.
 
@@ -153,9 +152,7 @@ class VirtualEarthObservatory:
             classifier = self.data_mining.train_classifier(
                 train_paths or scene_paths, model_name=model_name
             )
-        return self.data_mining.mine_batch(
-            scene_paths, classifier, workers=workers
-        )
+        return self.data_mining.mine_batch(scene_paths, classifier)
 
     def compare_chains(
         self, scene_path: str, classifiers: List[str]

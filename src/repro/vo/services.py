@@ -174,13 +174,10 @@ class DataMiningService:
         self,
         paths: Sequence[str],
         classifier: "Classifier | str",
-        workers: Optional[int] = None,
         **kwargs,
     ) -> List["MiningResult | ChainFailure"]:
         """Mine an acquisition series; annotations land as one bulk."""
-        return self.pipeline(classifier, **kwargs).run_batch(
-            paths, workers=workers
-        )
+        return self.pipeline(classifier, **kwargs).run_batch(paths)
 
 
 class MetricsService:

@@ -5,9 +5,6 @@ import random
 import pytest
 
 from repro.geometry import Envelope, PackedEnvelopes, RTree
-from repro.parallel import TaskScheduler
-
-WORKER_COUNTS = [1, 2, 4]
 
 
 def random_envelope(rng, span=100.0, max_side=6.0):
@@ -39,19 +36,11 @@ def probe_set(seed=99, n=60):
 
 
 class TestQueryBatchEquality:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_matches_query_order_and_content(self, workers):
+    def test_matches_query_order_and_content(self):
         for tree in build_trees():
             probes = probe_set()
-            batched = tree.query_batch(probes, workers=workers)
+            batched = tree.query_batch(probes)
             assert batched == [tree.query(p) for p in probes]
-
-    def test_explicit_scheduler(self):
-        tree, _ = build_trees(n=200)
-        probes = probe_set(seed=5)
-        with TaskScheduler(workers=3) as sched:
-            batched = tree.query_batch(probes, scheduler=sched)
-        assert batched == [tree.query(p) for p in probes]
 
     def test_empty_tree(self):
         tree = RTree()

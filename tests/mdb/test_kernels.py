@@ -14,7 +14,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import kernels, parallel
 from repro.mdb import Database
 from repro.mdb.errors import CatalogError, SQLTypeError
 from repro.mdb.sql import vectors
@@ -128,12 +127,8 @@ def expected_update(sql):
     return count, planes
 
 
-def run_update(monkeypatch, sql, workers=None):
+def run_update(sql):
     """Rowcount + final planes of ``sql`` run on the engine."""
-    if workers is None:
-        monkeypatch.delenv(parallel.WORKERS_ENV, raising=False)
-    else:
-        monkeypatch.setenv(parallel.WORKERS_ENV, str(workers))
     db = seeded_db()
     count = db.execute(sql).rowcount
     arr = db.array("img")
@@ -148,24 +143,8 @@ def assert_same_update(got, want):
 
 class TestUpdateEquality:
     @pytest.mark.parametrize("sql", UPDATES)
-    def test_compiled_matches_interpreted(self, monkeypatch, sql):
-        assert_same_update(run_update(monkeypatch, sql), expected_update(sql))
-
-    @pytest.mark.parametrize("sql", UPDATES)
-    def test_tiled_matches_serial(self, monkeypatch, sql):
-        # Force the tiler to split even a 30-cell array so the
-        # gather/scatter band path is exercised.
-        kernels.TILER.reset()
-        # Drag the observed rate down to ~10 cells/sec so a 30-cell
-        # array estimates well past the tiling threshold.
-        for _ in range(40):
-            kernels.TILER.observe("sciql.update", 10, 1.0)
-        assert kernels.TILER.parts("sciql.update", 30, 4) > 1
-        try:
-            got = run_update(monkeypatch, sql, workers=4)
-        finally:
-            kernels.TILER.reset()
-        assert_same_update(got, expected_update(sql))
+    def test_compiled_matches_interpreted(self, sql):
+        assert_same_update(run_update(sql), expected_update(sql))
 
     def test_unknown_attribute_same_error_both_modes(self):
         db = seeded_db()
@@ -368,29 +347,6 @@ class TestVectorPrimitives:
         data, out_valid = vectors.vec_arith("+", ldata, rdata, valid)
         assert data[0] == 11.0
         assert not out_valid[1]
-
-
-class TestAdaptiveTiler:
-    @pytest.fixture(autouse=True)
-    def fresh(self):
-        kernels.TILER.reset()
-        yield
-        kernels.TILER.reset()
-
-    def test_cold_start_uses_default_rate(self):
-        assert kernels.TILER.rate("sciql.map") == (
-            kernels.AdaptiveTiler.DEFAULT_RATE
-        )
-
-    def test_observation_moves_rate_and_parts(self):
-        assert kernels.TILER.parts("op", 1000, 4) == 1
-        kernels.TILER.observe("op", 1000, 1.0)  # brutally slow: 1k c/s
-        assert kernels.TILER.rate("op") < 1e5
-        assert kernels.TILER.parts("op", 1000, 4) > 1
-
-    def test_parts_bounded_by_workers(self):
-        kernels.TILER.observe("op", 1000, 1.0)
-        assert kernels.TILER.parts("op", 10**9, 4) == 8
 
 
 # ---------------------------------------------------------------------------

@@ -84,25 +84,24 @@ class TestDescriptor:
 class TestBitIdentity:
     """One matrix, every engine configuration."""
 
-    def test_kernels_and_workers_invariant(self, tmp_path, monkeypatch):
+    def test_kernels_invariant(self, tmp_path, monkeypatch):
         _, array, window = ingested_array(tmp_path)
         baseline = extract_patch_grid(
             array, window, patch_size=8
         ).feature_matrix()
         batch_min = kernels.FILTER_BATCH_MIN_SOLUTIONS
-        for workers in (1, 4):
-            for per_row in (False, True):
-                monkeypatch.setattr(
-                    kernels,
-                    "FILTER_BATCH_MIN_SOLUTIONS",
-                    sys.maxsize if per_row else batch_min,
-                )
-                got = extract_patch_grid(
-                    array, window, patch_size=8, workers=workers
-                ).feature_matrix()
-                assert got.tolist() == baseline.tolist(), (
-                    f"per_row_filters={per_row} workers={workers}"
-                )
+        for per_row in (False, True):
+            monkeypatch.setattr(
+                kernels,
+                "FILTER_BATCH_MIN_SOLUTIONS",
+                sys.maxsize if per_row else batch_min,
+            )
+            got = extract_patch_grid(
+                array, window, patch_size=8
+            ).feature_matrix()
+            assert got.tolist() == baseline.tolist(), (
+                f"per_row_filters={per_row}"
+            )
 
 
 class TestTruthFractions:

@@ -14,7 +14,6 @@ from repro.noa import ChainFailure
 from repro.strabon import StrabonStore
 
 WORLD = GreeceLikeWorld()
-WORKER_COUNTS = [1, 2, 4]
 
 
 def scene_paths(tmp_path, count=3):
@@ -97,8 +96,7 @@ class TestSingleRun:
 
 
 class TestBatchEquality:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_matches_sequential_run(self, tmp_path, workers):
+    def test_matches_sequential_run(self, tmp_path):
         paths = scene_paths(tmp_path)
         clf = trained_classifier(paths)
 
@@ -106,7 +104,7 @@ class TestBatchEquality:
         baseline = [baseline_pipe.run(p) for p in paths]
 
         batch_pipe = fresh_pipeline(clf)
-        batched = batch_pipe.run_batch(paths, workers=workers)
+        batched = batch_pipe.run_batch(paths)
 
         assert summarize(batched) == summarize(baseline)
         assert set(batch_pipe.ingestor.store.triples()) == set(
@@ -116,17 +114,15 @@ class TestBatchEquality:
     def test_results_in_path_order(self, tmp_path):
         paths = scene_paths(tmp_path)
         clf = trained_classifier(paths)
-        results = fresh_pipeline(clf).run_batch(paths, workers=4)
+        results = fresh_pipeline(clf).run_batch(paths)
         assert [r.product.path for r in results] == paths
 
     def test_empty_batch(self, tmp_path):
         clf = trained_classifier(scene_paths(tmp_path, count=1))
-        assert fresh_pipeline(clf).run_batch([], workers=4) == []
+        assert fresh_pipeline(clf).run_batch([]) == []
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_single_merged_bulk_emit(self, tmp_path, monkeypatch, workers):
-        """A batch reaches the store in exactly one flush at any worker
-        count."""
+    def test_single_merged_bulk_emit(self, tmp_path, monkeypatch):
+        """A batch reaches the store in exactly one flush."""
         paths = scene_paths(tmp_path)
         clf = trained_classifier(paths)
         pipe = fresh_pipeline(clf)
@@ -138,21 +134,20 @@ class TestBatchEquality:
             "_flush_bulk",
             lambda: (flushes.append(1), orig())[1],
         )
-        results = pipe.run_batch(paths, workers=workers)
+        results = pipe.run_batch(paths)
         assert all(isinstance(r, MiningResult) for r in results)
         assert len(flushes) == 1
 
 
 class TestFailureIsolation:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_bad_path_isolated(self, tmp_path, workers):
+    def test_bad_path_isolated(self, tmp_path):
         paths = scene_paths(tmp_path)
         clf = trained_classifier(paths)
         bad = str(tmp_path / "missing.nat")
         mixed = [paths[0], bad, paths[1], paths[2]]
 
         pipe = fresh_pipeline(clf)
-        results = pipe.run_batch(mixed, workers=workers)
+        results = pipe.run_batch(mixed)
 
         assert len(results) == 4
         assert isinstance(results[1], ChainFailure)
@@ -167,8 +162,7 @@ class TestFailureIsolation:
             baseline_pipe.ingestor.store.triples()
         )
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_batch_counters_recorded(self, tmp_path, workers):
+    def test_batch_counters_recorded(self, tmp_path):
         from repro import obs
 
         registry = obs.get_registry()
@@ -180,9 +174,7 @@ class TestFailureIsolation:
             paths = scene_paths(tmp_path, count=2)
             clf = trained_classifier(paths)
             bad = str(tmp_path / "nope.nat")
-            fresh_pipeline(clf).run_batch(
-                paths + [bad], workers=workers
-            )
+            fresh_pipeline(clf).run_batch(paths + [bad])
             ok = obs.counter("mining.batch.ok").value - ok0
             failed = obs.counter("mining.batch.failed").value - failed0
         finally:
@@ -205,7 +197,7 @@ class TestChaos:
         clf = trained_classifier(paths)
         pipe = fresh_pipeline(clf)
         with faults.injected("mining.classify:nth=2,hard"):
-            results = pipe.run_batch(paths, workers=1)
+            results = pipe.run_batch(paths)
         assert [type(r) for r in results] == [
             MiningResult,
             ChainFailure,
@@ -218,20 +210,6 @@ class TestChaos:
         }
         assert annotated_products(pipe.ingestor.store) == survivors
 
-    def test_classify_fault_parallel(self, tmp_path):
-        paths = scene_paths(tmp_path)
-        clf = trained_classifier(paths)
-        pipe = fresh_pipeline(clf)
-        with faults.injected("mining.classify:nth=2,hard"):
-            results = pipe.run_batch(paths, workers=4)
-        failures = [r for r in results if isinstance(r, ChainFailure)]
-        survivors = [r for r in results if isinstance(r, MiningResult)]
-        assert len(failures) == 1 and len(survivors) == 2
-        # No triple in the store mentions the faulted acquisition.
-        assert annotated_products(pipe.ingestor.store) == {
-            str(product_uri(r.product)) for r in survivors
-        }
-
     def test_extract_fault_transient_retried(self, tmp_path):
         """A soft fault at mining.extract is absorbed by the retry
         envelope: the batch still succeeds end to end."""
@@ -239,5 +217,5 @@ class TestChaos:
         clf = trained_classifier(paths)
         pipe = fresh_pipeline(clf)
         with faults.injected("mining.extract:nth=1"):
-            results = pipe.run_batch(paths, workers=1)
+            results = pipe.run_batch(paths)
         assert all(isinstance(r, MiningResult) for r in results)

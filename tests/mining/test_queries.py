@@ -34,7 +34,7 @@ def catalogue(tmp_path_factory):
     classifier = service.train_classifier(paths)
     chain = ProcessingChain(service.ingestor)
     chain_results = [chain.run(p) for p in paths]
-    mining_results = service.mine_batch(paths, classifier, workers=2)
+    mining_results = service.mine_batch(paths, classifier)
     return {
         "store": service.ingestor.store,
         "chain": chain_results,

@@ -143,8 +143,7 @@ class TestBurnScarChain:
         ).run(path)
         assert "burnscars" in result.derived_product.product_id
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_run_batch_matches_sequential(self, tmp_path, workers):
+    def test_run_batch_matches_sequential(self, tmp_path):
         paths = [
             scar_scene(tmp_path, seed=seed)[1] for seed in SCAR_SEEDS
         ]
@@ -155,7 +154,7 @@ class TestBurnScarChain:
         batch_chain = BurnScarChain(
             Ingestor(Database(), StrabonStore())
         )
-        batched = batch_chain.run_batch(paths, workers=workers)
+        batched = batch_chain.run_batch(paths)
         assert [
             [(h.geometry.wkt, h.pixel_count) for h in r.hotspots]
             for r in batched

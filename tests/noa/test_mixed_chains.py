@@ -6,8 +6,6 @@ ingestor, each with per-acquisition failure isolation and exactly one
 merged RDF bulk emit per chain batch.
 """
 
-import pytest
-
 from repro.eo import GreeceLikeWorld, SceneSpec, generate_scene, write_scene
 from repro.ingest import Ingestor
 from repro.ingest.metadata import NOA_PREFIXES
@@ -46,16 +44,11 @@ def count_by_class(store, cls):
 
 
 class TestMixedBatches:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_both_chains_land_in_one_store(self, tmp_path, workers):
+    def test_both_chains_land_in_one_store(self, tmp_path):
         paths = scene_paths(tmp_path)
         ingestor = shared_ingestor()
-        fire = ProcessingChain(ingestor).run_batch(
-            paths, workers=workers
-        )
-        scars = BurnScarChain(ingestor).run_batch(
-            paths, workers=workers
-        )
+        fire = ProcessingChain(ingestor).run_batch(paths)
+        scars = BurnScarChain(ingestor).run_batch(paths)
         assert all(isinstance(r, ChainResult) for r in fire + scars)
         store = ingestor.store
         assert count_by_class(store, "Hotspot") == sum(
@@ -72,27 +65,22 @@ class TestMixedBatches:
     def test_batch_order_does_not_change_the_store(self, tmp_path):
         paths = scene_paths(tmp_path)
         a = shared_ingestor()
-        ProcessingChain(a).run_batch(paths, workers=4)
-        BurnScarChain(a).run_batch(paths, workers=4)
+        ProcessingChain(a).run_batch(paths)
+        BurnScarChain(a).run_batch(paths)
         b = shared_ingestor()
-        BurnScarChain(b).run_batch(paths, workers=4)
-        ProcessingChain(b).run_batch(paths, workers=4)
+        BurnScarChain(b).run_batch(paths)
+        ProcessingChain(b).run_batch(paths)
         assert set(a.store.triples()) == set(b.store.triples())
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_failure_isolated_per_chain(self, tmp_path, workers):
+    def test_failure_isolated_per_chain(self, tmp_path):
         """A bad acquisition fails its slot in *each* chain's batch but
         never suppresses the other scenes' products."""
         paths = scene_paths(tmp_path)
         bad = str(tmp_path / "missing.nat")
         mixed = [paths[0], bad, paths[1], paths[2]]
         ingestor = shared_ingestor()
-        fire = ProcessingChain(ingestor).run_batch(
-            mixed, workers=workers
-        )
-        scars = BurnScarChain(ingestor).run_batch(
-            mixed, workers=workers
-        )
+        fire = ProcessingChain(ingestor).run_batch(mixed)
+        scars = BurnScarChain(ingestor).run_batch(mixed)
         for results in (fire, scars):
             assert isinstance(results[1], ChainFailure)
             assert results[1].path == bad
@@ -102,16 +90,13 @@ class TestMixedBatches:
             )
 
         clean = shared_ingestor()
-        ProcessingChain(clean).run_batch(paths, workers=workers)
-        BurnScarChain(clean).run_batch(paths, workers=workers)
+        ProcessingChain(clean).run_batch(paths)
+        BurnScarChain(clean).run_batch(paths)
         assert set(ingestor.store.triples()) == set(
             clean.store.triples()
         )
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_one_bulk_emit_per_chain_batch(
-        self, tmp_path, monkeypatch, workers
-    ):
+    def test_one_bulk_emit_per_chain_batch(self, tmp_path, monkeypatch):
         paths = scene_paths(tmp_path)
         ingestor = shared_ingestor()
         store = ingestor.store
@@ -122,7 +107,7 @@ class TestMixedBatches:
             "_flush_bulk",
             lambda: (flushes.append(1), orig())[1],
         )
-        ProcessingChain(ingestor).run_batch(paths, workers=workers)
+        ProcessingChain(ingestor).run_batch(paths)
         assert len(flushes) == 1
-        BurnScarChain(ingestor).run_batch(paths, workers=workers)
+        BurnScarChain(ingestor).run_batch(paths)
         assert len(flushes) == 2

@@ -1,4 +1,4 @@
-"""run_batch must reproduce sequential run() exactly, at any worker count."""
+"""run_batch must reproduce sequential run() exactly."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.strabon import StrabonStore
 
 WORLD = GreeceLikeWorld()
 FIRE_SEEDS = [(21.63, 37.7), (22.5, 38.5), (23.4, 38.05)]
-WORKER_COUNTS = [1, 2, 4]
 
 
 def scene_paths(tmp_path, count=3):
@@ -51,15 +50,14 @@ def summarize(results):
 
 
 class TestRunBatchEquality:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_matches_sequential_run(self, tmp_path, workers):
+    def test_matches_sequential_run(self, tmp_path):
         paths = scene_paths(tmp_path)
 
         baseline_chain = fresh_chain()
         baseline = [baseline_chain.run(p) for p in paths]
 
         batch_chain = fresh_chain()
-        batched = batch_chain.run_batch(paths, workers=workers)
+        batched = batch_chain.run_batch(paths)
 
         assert summarize(batched) == summarize(baseline)
         # Both stores end up with the identical triple set.
@@ -70,22 +68,21 @@ class TestRunBatchEquality:
             baseline_chain.ingestor.store
         )
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_contextual_classifier(self, tmp_path, workers):
+    def test_contextual_classifier(self, tmp_path):
         paths = scene_paths(tmp_path, count=2)
 
         baseline_chain = fresh_chain("contextual")
         baseline = [baseline_chain.run(p) for p in paths]
 
         batch_chain = fresh_chain("contextual")
-        batched = batch_chain.run_batch(paths, workers=workers)
+        batched = batch_chain.run_batch(paths)
 
         assert summarize(batched) == summarize(baseline)
 
     def test_results_in_path_order(self, tmp_path):
         paths = scene_paths(tmp_path)
         chain = fresh_chain()
-        results = chain.run_batch(paths, workers=4)
+        results = chain.run_batch(paths)
         assert [r.source_product.product_id for r in results] == [
             fresh_chain().run(p).source_product.product_id for p in paths
         ]
@@ -93,7 +90,7 @@ class TestRunBatchEquality:
     def test_all_stages_timed(self, tmp_path):
         paths = scene_paths(tmp_path, count=2)
         chain = fresh_chain()
-        for result in chain.run_batch(paths, workers=2):
+        for result in chain.run_batch(paths):
             assert set(result.timings) == {
                 "ingestion",
                 "cropping",
@@ -107,7 +104,7 @@ class TestRunBatchEquality:
 
         paths = scene_paths(tmp_path)
         chain = fresh_chain()
-        results = chain.run_batch(paths, workers=4)
+        results = chain.run_batch(paths)
         r = chain.ingestor.store.query(
             NOA_PREFIXES
             + "SELECT ?h WHERE { ?h a noa:Hotspot ; noa:hasConfidence ?c }"
@@ -115,12 +112,12 @@ class TestRunBatchEquality:
         assert len(r) == sum(len(res.hotspots) for res in results)
 
     def test_empty_batch(self, tmp_path):
-        assert fresh_chain().run_batch([], workers=4) == []
+        assert fresh_chain().run_batch([]) == []
 
     def test_single_path_batch(self, tmp_path):
         paths = scene_paths(tmp_path, count=1)
         chain = fresh_chain()
-        results = chain.run_batch(paths, workers=4)
+        results = chain.run_batch(paths)
         baseline = fresh_chain().run(paths[0])
         assert summarize(results) == summarize([baseline])
 
@@ -130,7 +127,7 @@ class TestRunBatchEquality:
         paths = scene_paths(tmp_path)
         out = str(tmp_path / "out")
         chain = fresh_chain()
-        results = chain.run_batch(paths, output_dir=out, workers=4)
+        results = chain.run_batch(paths, output_dir=out)
         shp_paths = [r.shapefile_path for r in results]
         assert all(p and os.path.exists(p) for p in shp_paths)
         assert len(set(shp_paths)) == len(paths)
@@ -139,14 +136,13 @@ class TestRunBatchEquality:
 class TestRunBatchFailureIsolation:
     """One failing acquisition must not take the rest of the batch down."""
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_bad_path_isolated(self, tmp_path, workers):
+    def test_bad_path_isolated(self, tmp_path):
         paths = scene_paths(tmp_path)
         bad = str(tmp_path / "missing_scene.nat")
         mixed = [paths[0], bad, paths[1], paths[2]]
 
         chain = fresh_chain()
-        results = chain.run_batch(mixed, workers=workers)
+        results = chain.run_batch(mixed)
 
         assert len(results) == len(mixed)
         assert isinstance(results[1], ChainFailure)
@@ -166,8 +162,7 @@ class TestRunBatchFailureIsolation:
             baseline_chain.ingestor.store.triples()
         )
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_failure_counters_recorded(self, tmp_path, workers):
+    def test_failure_counters_recorded(self, tmp_path):
         from repro import obs
 
         registry = obs.get_registry()
@@ -178,7 +173,7 @@ class TestRunBatchFailureIsolation:
             failed0 = obs.counter("noa.batch.failed").value
             paths = scene_paths(tmp_path, count=2)
             bad = str(tmp_path / "nope.nat")
-            fresh_chain().run_batch(paths + [bad], workers=workers)
+            fresh_chain().run_batch(paths + [bad])
             ok = obs.counter("noa.batch.ok").value - ok0
             failed = obs.counter("noa.batch.failed").value - failed0
         finally:
@@ -192,7 +187,7 @@ class TestRunBatchFailureIsolation:
 
     def test_all_failures_still_returns_slots(self, tmp_path):
         bads = [str(tmp_path / f"ghost_{k}.nat") for k in range(3)]
-        results = fresh_chain().run_batch(bads, workers=4)
+        results = fresh_chain().run_batch(bads)
         assert len(results) == 3
         assert all(isinstance(r, ChainFailure) for r in results)
         assert [r.path for r in results] == bads

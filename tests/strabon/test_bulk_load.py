@@ -1,6 +1,7 @@
 """Bulk R-tree loading: spatial results must be identical to the
 incremental path, and clear() must fully reset the store."""
 
+import threading
 
 from repro.geometry import Envelope, Point
 from repro.rdf import Literal, Namespace, URIRef
@@ -130,3 +131,47 @@ class TestClear:
         store.add((EX.a, EX.p, EX.b))
         assert len(store) == 1
         assert list(store.triples()) == [(EX.a, EX.p, EX.b)]
+
+
+class TestBulkFlushSerialisation:
+    def test_concurrent_bulk_windows_do_not_double_emit(self):
+        store = StrabonStore()
+        errors = []
+
+        def load(k):
+            try:
+                with store.bulk():
+                    for i in range(40):
+                        store.add(
+                            (
+                                URIRef(f"http://example.org/s{k}_{i}"),
+                                URIRef("http://example.org/p"),
+                                URIRef(f"http://example.org/o{k}_{i}"),
+                            )
+                        )
+                    store.add(
+                        (
+                            URIRef(f"http://example.org/s{k}"),
+                            URIRef("http://example.org/geom"),
+                            geometry_literal(Point(k, k)),
+                        )
+                    )
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=load, args=(k,)) for k in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert errors == []
+        assert all(not t.is_alive() for t in threads)
+        assert len(store) == len(set(store.triples())) == 8 * 41
+        # The last window out rebuilt the R-tree over every thread's
+        # geometry.
+        assert store._bulk_depth == 0
+        assert store.spatial_candidates(Envelope(0, 0, 7, 7)) == {
+            geometry_literal(Point(k, k)) for k in range(8)
+        }

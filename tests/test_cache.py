@@ -1,4 +1,6 @@
-"""LRUCache eviction order, statistics and invalidation."""
+"""LRUCache eviction order, statistics, invalidation and locking."""
+
+import threading
 
 import pytest
 
@@ -202,3 +204,40 @@ def test_reset_stats_zeroes_refusals():
     cache.reset_stats()
     assert cache.stats.refusals == 0
     assert cache.stats.hits == 0
+
+
+class TestThreadSafeLRUCache:
+    def test_concurrent_hammer(self):
+        cache = LRUCache(maxsize=32)
+        errors = []
+
+        def worker(seed):
+            try:
+                for i in range(300):
+                    key = (seed * 7 + i) % 64
+                    value = cache.get_or_compute(key, lambda k=key: k * 2)
+                    assert value == key * 2
+                    if i % 50 == 0:
+                        assert cache.stats.lookups >= 0
+                        cache.invalidate(key)
+            except Exception as exc:  # pragma: no cover - failure capture
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(s,)) for s in range(6)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert len(cache) <= 32
+
+    def test_get_or_compute_reentrant(self):
+        cache = LRUCache(maxsize=8)
+
+        def outer():
+            return cache.get_or_compute("inner", lambda: 41) + 1
+
+        assert cache.get_or_compute("outer", outer) == 42
+        assert cache.get("inner") == 41

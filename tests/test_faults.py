@@ -339,32 +339,6 @@ class TestChainFaults:
             chain.run(paths[0])
 
 
-class TestSchedulerFaults:
-    def test_serial_map_absorbs_transient_faults(self):
-        from repro.parallel import TaskScheduler
-
-        with faults.injected("scheduler.task:nth=2"):
-            out = TaskScheduler(workers=1).map(
-                lambda x: x * 2, [1, 2, 3]
-            )
-        assert out == [2, 4, 6]
-
-    def test_pool_map_absorbs_transient_faults(self):
-        from repro.parallel import TaskScheduler
-
-        with TaskScheduler(workers=2) as sched:
-            with faults.injected("scheduler.task:nth=2"):
-                out = sched.map(lambda x: x * 2, list(range(8)))
-        assert out == [x * 2 for x in range(8)]
-
-    def test_permanent_task_fault_propagates(self):
-        from repro.parallel import TaskScheduler
-
-        with faults.injected("scheduler.task:nth=1,hard"):
-            with pytest.raises(PermanentFault):
-                TaskScheduler(workers=1).map(lambda x: x, [1, 2])
-
-
 class TestStrabonFaults:
     def test_transient_update_fault_retried(self):
         store = StrabonStore()

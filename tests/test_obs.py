@@ -7,7 +7,6 @@ import pytest
 
 from repro import obs
 from repro.cache import LRUCache
-from repro.parallel import TaskScheduler
 
 
 @pytest.fixture
@@ -33,15 +32,18 @@ class TestCounter:
             registry.counter("x").inc(-1)
 
     def test_concurrent_increments_not_lost(self, registry):
-        """Hammer one counter from the worker pool: no lost updates."""
+        """Hammer one counter from 16 threads: no lost updates."""
         c = registry.counter("hammer")
-        with TaskScheduler(workers=4) as sched:
-            def work(_):
-                for _k in range(500):
-                    c.inc()
-                return True
 
-            assert all(sched.map(work, range(16)))
+        def work():
+            for _k in range(500):
+                c.inc()
+
+        threads = [threading.Thread(target=work) for _ in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
         assert c.value == 16 * 500
 
 
@@ -94,11 +96,18 @@ class TestHistogram:
 
     def test_concurrent_observations_not_lost(self, registry):
         h = registry.histogram("conc")
-        with TaskScheduler(workers=4) as sched:
-            sched.map(
-                lambda seed: [h.observe(seed + k) for k in range(200)],
-                range(12),
+        threads = [
+            threading.Thread(
+                target=lambda seed=seed: [
+                    h.observe(seed + k) for k in range(200)
+                ]
             )
+            for seed in range(12)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
         assert h.count == 12 * 200
 
 
@@ -243,13 +252,13 @@ class TestSnapshotAndRender:
 
     def test_render_sections(self, registry):
         registry.counter("noa.batch.ok").inc(2)
-        registry.gauge("parallel.utilization").set(0.75)
+        registry.gauge("server.queue_depth").set(0.75)
         registry.histogram("noa.stage.cropping").observe(0.01)
         text = registry.render()
         assert "# counters" in text
         assert "noa.batch.ok 2" in text
         assert "# gauges" in text
-        assert "parallel.utilization 0.75" in text
+        assert "server.queue_depth 0.75" in text
         assert "noa.stage.cropping count=1" in text
 
     def test_reset_clears_metrics_keeps_caches(self, registry):

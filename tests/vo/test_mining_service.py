@@ -30,7 +30,7 @@ def scene_paths(tmp_path, vo, count=2):
 class TestRunMining:
     def test_trains_and_mines_in_one_call(self, tmp_path, observatory):
         paths = scene_paths(tmp_path, observatory)
-        results = observatory.run_mining(paths, workers=2)
+        results = observatory.run_mining(paths)
         assert len(results) == 2
         assert all(isinstance(r, MiningResult) for r in results)
         assert all(len(r.labels) == 144 for r in results)
