@@ -5,13 +5,11 @@ DESIGN.md §4 for the experiment index).  Builders are module-scoped so the
 expensive synthetic archives are constructed once per file.
 """
 
-import json
 import os
 from datetime import datetime, timedelta
 
 import pytest
 
-from repro import obs
 from repro.eo import SceneSpec, generate_scene, write_scene
 from repro.vo import VirtualEarthObservatory
 
@@ -55,22 +53,3 @@ def observatory(tmp_path_factory):
     vo.ingest_archive(str(tmp))
     return vo, paths
 
-
-@pytest.fixture(scope="session", autouse=True)
-def metrics_snapshot():
-    """Dump the observability snapshot next to the timing reports.
-
-    After the benchmark session, everything the instrumented tiers
-    recorded (kernel counters, stage histograms, cache hit rates)
-    lands in ``BENCH_metrics.json`` so a timing
-    regression can be read together with the runtime behavior that
-    produced it.
-    """
-    yield
-    snap = obs.snapshot()
-    if not snap["enabled"]:
-        return
-    out = os.path.join(os.path.dirname(__file__), "BENCH_metrics.json")
-    with open(out, "w") as fh:
-        json.dump(snap, fh, indent=2, sort_keys=True)
-    print(f"\n[bench] metrics snapshot -> {out}")

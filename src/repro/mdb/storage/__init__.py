@@ -7,7 +7,8 @@ The public surface:
   :class:`~repro.mdb.database.Database`;
 * :class:`WriteAheadLog` — the framed, fsync-ordered mutation log;
 * :func:`write_snapshot` / :func:`load_snapshot` — the checkpoint format
-  (raw ``.npy`` columns, memmapped on load);
+  (raw ``.npy`` columns, numeric ones memmapped on load, object ones as
+  codes plus a heap of distinct values);
 * :class:`StorageError` — the storage-layer error type.
 
 Chaos-testing hooks: the ``storage.wal``, ``storage.segment`` and

@@ -45,10 +45,11 @@ from repro.mdb.database import Database
 from repro.mdb.sciql import Dimension, SciArray
 from repro.mdb.storage.records import (
     StorageError,
-    decode_object_cell,
+    decode_object_column,
     decode_row,
     decode_value,
     encode_object_column,
+    encode_object_plane,
     encode_row,
     encode_value,
 )
@@ -67,6 +68,13 @@ DATA_DIR_ENV = "REPRO_DATA_DIR"
 #: Row batches at or above this size are journaled as binary column
 #: segments instead of JSON rows.
 SEGMENT_THRESHOLD = 256
+
+
+def _segment_array(archive, seg: str, key: str) -> np.ndarray:
+    """One array of a loaded segment; a missing key is corruption."""
+    if key not in archive.files:
+        raise StorageError(f"segment {seg} has no {key!r} array")
+    return archive[key]
 
 
 def _snap_name(snap_id: int) -> str:
@@ -323,6 +331,12 @@ class StorageEngine:
     def _segment_path(self, name: str) -> str:
         return os.path.join(self.directory, "segments", name)
 
+    def _open_segment(self, name: str):
+        path = self._segment_path(name)
+        if not os.path.exists(path):
+            raise StorageError(f"WAL references missing segment {name}")
+        return np.load(path, allow_pickle=False)
+
     # -- journal hooks (called by Table / Catalog / SciArray) -------------
 
     def _append(self, record: dict) -> None:
@@ -428,7 +442,9 @@ class StorageEngine:
             data, valid = prepared[col.name]
             valid = np.asarray(valid, dtype=bool)
             if col.ctype.dtype == np.dtype(object):
-                payload[f"d_{col.name}"] = encode_object_column(data, valid)
+                codes, heap = encode_object_column(data, valid, col.ctype)
+                payload[f"d_{col.name}"] = codes
+                payload[f"h_{col.name}"] = heap
             else:
                 payload[f"d_{col.name}"] = np.asarray(data)
             payload[f"v_{col.name}"] = valid
@@ -471,12 +487,10 @@ class StorageEngine:
     def _plane_segment(self, array: SciArray, attr: str) -> str:
         plane = array.attribute(attr)
         if plane.dtype == np.dtype(object):
-            flat = plane.reshape(-1)
-            valid = np.fromiter(
-                (v is not None for v in flat), count=flat.size, dtype=bool
+            codes, heap = encode_object_plane(
+                plane, array.attribute_type(attr)
             )
-            encoded = encode_object_column(flat, valid).reshape(plane.shape)
-            return self._write_segment({"plane": encoded, "object": np.array([True])})
+            return self._write_segment({"plane": codes, "heap": heap})
         return self._write_segment({"plane": plane})
 
     def log_plane(self, array_name: str, attr: str) -> None:
@@ -511,33 +525,32 @@ class StorageEngine:
     def _load_segment_columns(
         self, seg: str, table: Table, rows: int
     ) -> Dict[str, Any]:
-        archive = np.load(self._segment_path(seg), allow_pickle=False)
         out: Dict[str, Any] = {}
-        for col in table.columns:
-            data = archive[f"d_{col.name}"]
-            valid = archive[f"v_{col.name}"]
-            if col.ctype.dtype == np.dtype(object):
-                decoded = np.empty(rows, dtype=object)
-                for i in range(rows):
-                    decoded[i] = (
-                        decode_object_cell(str(data[i]), col.ctype)
-                        if valid[i]
-                        else None
+        with self._open_segment(seg) as archive:
+            for col in table.columns:
+                data = _segment_array(archive, seg, f"d_{col.name}")
+                valid = _segment_array(archive, seg, f"v_{col.name}")
+                if col.ctype.dtype == np.dtype(object):
+                    data = decode_object_column(
+                        data,
+                        _segment_array(archive, seg, f"h_{col.name}"),
+                        col.ctype,
                     )
-                data = decoded
-            out[col.name] = (data, valid.astype(bool))
+                if len(data) != rows or len(valid) != rows:
+                    raise StorageError(
+                        f"segment {seg} column {col.name} has "
+                        f"{len(data)} values for {rows} rows"
+                    )
+                out[col.name] = (data, valid.astype(bool))
         return out
 
     def _load_plane(self, seg: str, ctype) -> np.ndarray:
-        archive = np.load(self._segment_path(seg), allow_pickle=False)
-        plane = archive["plane"]
-        if "object" in archive.files:
-            flat = plane.reshape(-1)
-            decoded = np.empty(flat.size, dtype=object)
-            for i in range(flat.size):
-                text = str(flat[i])
-                decoded[i] = decode_object_cell(text, ctype) if text else None
-            plane = decoded.reshape(plane.shape)
+        with self._open_segment(seg) as archive:
+            plane = _segment_array(archive, seg, "plane")
+            if ctype.dtype == np.dtype(object):
+                plane = decode_object_column(
+                    plane, _segment_array(archive, seg, "heap"), ctype
+                )
         return plane
 
     def _apply_record(self, record: dict) -> None:

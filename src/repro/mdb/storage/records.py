@@ -14,8 +14,13 @@ Cell values cross the JSON boundary with one tagged escape: a
 ``datetime`` becomes ``{"t": "<isoformat>"}``; numpy scalars are
 unwrapped to their Python values.  JSON round-trips Python floats
 exactly (``repr``-based), so decoded rows re-coerce bit-identically.
-Object columns in snapshots and segments are stored as arrays of those
-JSON texts (:func:`encode_object_column`).
+
+Object columns (STRING, TIMESTAMP) cross the disk everywhere else —
+snapshot columns, bulk segments, object-typed array planes — through
+one column codec, MonetDB-style: ``int32`` codes into a deduplicated
+heap of the column's distinct values (:func:`encode_object_column`).
+Decoding costs one ``json.loads`` per column and one gather, never a
+parse per cell.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import json
 import struct
 import zlib
 from datetime import datetime
-from typing import Any, BinaryIO, Iterator, List, Sequence, Tuple
+from typing import Any, BinaryIO, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,26 +62,75 @@ def decode_value(value: Any) -> Any:
     return value
 
 
-def encode_object_column(values, valid) -> np.ndarray:
-    """Object column → JSON-string array ("" for NULLs)."""
-    out = np.empty(len(values), dtype=object)
-    for i, (value, ok) in enumerate(zip(values, valid)):
-        if not ok:
-            out[i] = ""
-            continue
-        if isinstance(value, datetime):
-            out[i] = json.dumps({"t": value.isoformat()})
-        else:
-            out[i] = json.dumps(value)
-    return out.astype(str)
+def encode_object_column(
+    values: Sequence[Any], valid: Sequence[bool], ctype: ColumnType
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Object column → ``(codes, heap)`` in one dictionary pass.
+
+    ``codes`` holds one ``int32`` per cell: the index of its value among
+    the column's distinct non-NULL values in first-appearance order, or
+    ``-1`` for NULL.  ``heap`` is the ASCII ``json.dumps`` of that
+    distinct-value list as a ``uint8`` array, exact for every Python
+    ``str`` (NULs and lone surrogates included), which a numpy ``U``
+    array is not: it strips trailing NULs.  TIMESTAMP values are keyed
+    and stored by ``isoformat()``, so equal instants with different UTC
+    offsets stay distinct.
+    """
+    valid = np.asarray(valid, dtype=bool)
+    present = np.asarray(values, dtype=object)[valid]
+    if ctype.py_type is datetime:
+        present = [ctype.coerce(v).isoformat() for v in present]
+    index: Dict[Any, int] = {}
+    codes = np.full(len(valid), -1, dtype=np.int32)
+    codes[valid] = [index.setdefault(v, len(index)) for v in present]
+    heap = np.frombuffer(
+        json.dumps(list(index)).encode("ascii"), dtype=np.uint8
+    )
+    return codes, heap
 
 
-def decode_object_cell(text: str, ctype: ColumnType):
-    """Inverse of :func:`encode_object_column` for one non-NULL cell."""
-    doc = json.loads(text)
-    if isinstance(doc, dict) and "t" in doc:
-        return datetime.fromisoformat(doc["t"])
-    return ctype.coerce(doc)
+def encode_object_plane(
+    plane: np.ndarray, ctype: ColumnType
+) -> Tuple[np.ndarray, np.ndarray]:
+    """An object-typed array plane → ``(codes, heap)``; ``None`` cells
+    are NULL and the codes keep the plane's shape."""
+    flat = plane.reshape(-1)
+    codes, heap = encode_object_column(
+        flat, np.not_equal(flat, None), ctype
+    )
+    return codes.reshape(plane.shape), heap
+
+
+def decode_object_column(
+    codes: np.ndarray, heap: np.ndarray, ctype: ColumnType
+) -> np.ndarray:
+    """Inverse of :func:`encode_object_column` (any ``codes`` shape).
+
+    One ``json.loads`` of the heap, one ``fromisoformat`` per distinct
+    TIMESTAMP, then an object gather; code ``-1`` decodes to ``None``.
+    """
+    try:
+        distinct = json.loads(
+            np.asarray(heap, dtype=np.uint8).tobytes().decode("ascii")
+        )
+    except ValueError as exc:  # bad JSON or non-ASCII bytes
+        raise StorageError(f"corrupt object-column heap: {exc}") from None
+    if not isinstance(distinct, list):
+        raise StorageError("corrupt object-column heap: not a list")
+    if ctype.py_type is datetime:
+        distinct = [datetime.fromisoformat(v) for v in distinct]
+    codes = np.asarray(codes)
+    if codes.size and (
+        int(codes.min()) < -1 or int(codes.max()) >= len(distinct)
+    ):
+        raise StorageError(
+            f"object-column codes out of range for a heap of "
+            f"{len(distinct)} values"
+        )
+    # The extra last slot stays None: it is what the NULL code -1 reads.
+    lookup = np.empty(len(distinct) + 1, dtype=object)
+    lookup[:-1] = distinct
+    return lookup[codes]
 
 
 def encode_row(row: Sequence[Any]) -> List[Any]:

@@ -4,16 +4,19 @@ Layout::
 
     snap-<nnnnnn>/
       manifest.json                     # schema + meta, written last
-      t_<table>__<column>.data.npy      # raw column values
+      t_<table>__<column>.data.npy      # column values (codes if object)
       t_<table>__<column>.valid.npy     # NULL mask
-      a_<array>__<attr>.npy             # attribute plane
+      t_<table>__<column>.heap.npy      # object columns: distinct values
+      a_<array>__<attr>.npy             # attribute plane (codes if object)
+      a_<array>__<attr>.heap.npy        # object planes: distinct values
 
 Columns are raw ``.npy`` files (never ``.npz``) so numeric columns can
 be **memmapped** on load — a cold open of a multi-gigabyte catalog maps
 the segments read-only and pays for pages only as scans touch them.
-Object columns (strings, timestamps) are stored as JSON-string arrays
+Object columns and planes (STRING, TIMESTAMP) are stored as ``int32``
+codes plus a heap of their distinct values
 (:func:`~repro.mdb.storage.records.encode_object_column`) and
-materialised on load.
+materialised on load by one heap parse and one gather.
 
 A snapshot directory is written under a temporary name and renamed into
 place by the engine only after every file and the directory itself have
@@ -35,13 +38,14 @@ from repro.mdb.database import Database
 from repro.mdb.sciql import Dimension, SciArray
 from repro.mdb.storage.records import (
     StorageError,
-    decode_object_cell,
+    decode_object_column,
     encode_object_column,
+    encode_object_plane,
 )
 from repro.mdb.table import Column, Table
 from repro.mdb.types import type_by_name
 
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 
 def fsync_path(path: str) -> None:
@@ -94,7 +98,12 @@ def write_snapshot(
             bat = table.column(column.name)
             data = bat.values
             if data.dtype == np.dtype(object):
-                data = encode_object_column(data, bat.validity)
+                data, heap = encode_object_column(
+                    data, bat.validity, column.ctype
+                )
+                _save_array(
+                    directory, f"t_{name}__{column.name}.heap.npy", heap
+                )
             _save_array(directory, f"t_{name}__{column.name}.data.npy", data)
             _save_array(
                 directory,
@@ -119,15 +128,8 @@ def write_snapshot(
         for attr, ctype in array.attributes:
             plane = array.attribute(attr)
             if plane.dtype == np.dtype(object):
-                flat = plane.reshape(-1)
-                valid = np.fromiter(
-                    (v is not None for v in flat),
-                    count=flat.size,
-                    dtype=bool,
-                )
-                plane = encode_object_column(flat, valid).reshape(
-                    plane.shape
-                )
+                plane, heap = encode_object_plane(plane, ctype)
+                _save_array(directory, f"a_{name}__{attr}.heap.npy", heap)
             _save_array(directory, f"a_{name}__{attr}.npy", plane)
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path, "w") as f:
@@ -137,31 +139,31 @@ def write_snapshot(
     fsync_path(directory)
 
 
+def _load_array(directory: str, name: str, mmap_mode=None) -> np.ndarray:
+    path = os.path.join(directory, name)
+    if not os.path.exists(path):
+        raise StorageError(f"snapshot {directory!r} has no {name}")
+    return np.load(path, mmap_mode=mmap_mode, allow_pickle=False)
+
+
 def _load_column(
     directory: str, table: str, column: Column, rows: int
 ) -> BAT:
-    data_path = os.path.join(
-        directory, f"t_{table}__{column.name}.data.npy"
-    )
-    valid_path = os.path.join(
-        directory, f"t_{table}__{column.name}.valid.npy"
-    )
+    stem = f"t_{table}__{column.name}"
     # Zero-length arrays cannot be memmapped; load them eagerly.
     mmap_mode = "r" if rows else None
-    valid = np.load(valid_path, mmap_mode=mmap_mode, allow_pickle=False)
+    valid = _load_array(directory, f"{stem}.valid.npy", mmap_mode)
     if column.ctype.dtype == np.dtype(object):
-        encoded = np.load(data_path, allow_pickle=False)
-        data = np.empty(rows, dtype=object)
-        for i in range(rows):
-            data[i] = (
-                decode_object_cell(str(encoded[i]), column.ctype)
-                if valid[i]
-                else None
-            )
+        data = decode_object_column(
+            _load_array(directory, f"{stem}.data.npy"),
+            _load_array(directory, f"{stem}.heap.npy"),
+            column.ctype,
+        )
         # Object columns are materialised; copy the mask so the BAT is
         # immediately writable.
-        return BAT.adopt(column.ctype, data, np.array(valid, dtype=bool))
-    data = np.load(data_path, mmap_mode=mmap_mode, allow_pickle=False)
+        valid = np.array(valid, dtype=bool)
+    else:
+        data = _load_array(directory, f"{stem}.data.npy", mmap_mode)
     if len(data) != rows or len(valid) != rows:
         raise StorageError(
             f"snapshot column {table}.{column.name} has "
@@ -210,19 +212,12 @@ def load_snapshot(directory: str) -> Tuple[Database, Dict[str, Any]]:
         ]
         array = SciArray(spec["name"], dims, attrs)
         for attr_name, ctype in attrs:
-            plane = np.load(
-                os.path.join(directory, f"a_{spec['name']}__{attr_name}.npy"),
-                allow_pickle=False,
-            )
+            stem = f"a_{spec['name']}__{attr_name}"
+            plane = _load_array(directory, f"{stem}.npy")
             if ctype.dtype == np.dtype(object):
-                flat = plane.reshape(-1)
-                decoded = np.empty(flat.size, dtype=object)
-                for i in range(flat.size):
-                    text = str(flat[i])
-                    decoded[i] = (
-                        decode_object_cell(text, ctype) if text else None
-                    )
-                plane = decoded.reshape(plane.shape)
+                plane = decode_object_column(
+                    plane, _load_array(directory, f"{stem}.heap.npy"), ctype
+                )
             array._values[attr_name] = plane.astype(ctype.dtype, copy=True)
         db.catalog.add_array(array)
     return db, dict(manifest.get("meta", {}))

@@ -30,7 +30,12 @@ from repro.strabon.stsparql.iterators import (
 )
 from repro.strabon.stsparql.parser import parse_query
 from repro.testkit import oracles
-from repro.testkit.generators import SPEC_DOMAINS, case_seed, gen_spec
+from repro.testkit.generators import (
+    SPEC_DOMAINS,
+    case_seed,
+    gen_spec,
+    storage_bulk_cells,
+)
 
 #: Default sweep schedule.  The chain domain is an order of magnitude
 #: slower per case than the in-memory domains, so it runs once per
@@ -742,7 +747,7 @@ def _check_mining(spec: Dict[str, Any]) -> Optional[str]:
 
 # -- storage: durable engine vs in-memory oracle -------------------------------
 
-_STORAGE_SCHEMA = "(id INT, name STRING, v DOUBLE)"
+_STORAGE_SCHEMA = "(id INT, name STRING, v DOUBLE, at TIMESTAMP)"
 
 
 def storage_apply(db: Database, op: Dict[str, Any]) -> None:
@@ -761,15 +766,15 @@ def storage_apply(db: Database, op: Dict[str, Any]) -> None:
     elif kind == "insert":
         db.insert_rows(table, [tuple(r) for r in op["rows"]])
     elif kind == "bulk":
-        base, count = op["base"], op["count"]
+        ids = range(op["base"], op["base"] + op["count"])
+        names, ats = zip(*(storage_bulk_cells(i) for i in ids))
         db.insert_columns(
             table,
             {
-                "id": list(range(base, base + count)),
-                "name": [f"b{i}" for i in range(base, base + count)],
-                "v": [
-                    (i % 64) * 0.25 for i in range(base, base + count)
-                ],
+                "id": list(ids),
+                "name": list(names),
+                "v": [(i % 64) * 0.25 for i in ids],
+                "at": list(ats),
             },
         )
     elif kind == "update":

@@ -542,6 +542,44 @@ def gen_chain_spec(seed: int) -> Dict[str, Any]:
 #: Table names a storage schedule may create/drop.
 STORAGE_TABLES = ("t_a", "t_b", "t_c")
 
+#: STRING cells that stress the object-column codec: "" beside NULL,
+#: embedded and trailing NULs, a lone surrogate, non-ASCII and JSON
+#: metacharacters.
+STORAGE_STRINGS = (
+    "",
+    "a\x00",
+    "\x00",
+    "\ud800x",
+    "Πελοπόννησος 火",
+    'q"uo\\te',
+)
+
+#: TIMESTAMP cells as ISO texts (a spec stays JSON; the columns coerce
+#: them): one instant at three UTC offsets, and a naive timestamp with
+#: microseconds.
+STORAGE_TIMESTAMPS = (
+    "2007-08-25T12:30:15.123456+00:00",
+    "2007-08-25T15:30:15.123456+03:00",
+    "2007-08-25T07:00:15.123456-05:30",
+    "2007-08-25T12:30:15.999999",
+)
+
+
+def storage_bulk_cells(i: int) -> tuple:
+    """The ``(name, at)`` cells of row ``i`` of a ``bulk`` op."""
+    if i % 7 == 0:
+        name = None
+    elif i % 2:
+        name = STORAGE_STRINGS[i % len(STORAGE_STRINGS)]
+    else:
+        name = f"b{i}"
+    at = (
+        None
+        if i % 5 == 0
+        else STORAGE_TIMESTAMPS[i % len(STORAGE_TIMESTAMPS)]
+    )
+    return name, at
+
 
 def gen_storage_spec(seed: int) -> Dict[str, Any]:
     """A random mutation schedule over a few fixed-schema tables.
@@ -550,10 +588,14 @@ def gen_storage_spec(seed: int) -> Dict[str, Any]:
     a durable engine (reopened at the scheduled ``reload`` points); the
     check demands identical relational state at every comparison.
     ``bulk`` counts straddle the segment threshold so both the per-row
-    WAL path and the binary segment path are exercised; float payloads
-    are multiples of 0.25 so states compare with ``==``.
+    WAL path and the binary segment path are exercised, each writing
+    :data:`STORAGE_STRINGS` and :data:`STORAGE_TIMESTAMPS`; float
+    payloads are multiples of 0.25 so states compare exactly.
     """
     rng = random.Random(("storage", seed).__repr__())
+    # Cell contents draw from their own stream, so a seed's schedule
+    # (ops, tables, counts) does not depend on how cells are chosen.
+    cells = random.Random(("storage-cells", seed).__repr__())
     live: List[str] = []
     next_id: Dict[str, int] = {}
     program: List[Dict[str, Any]] = []
@@ -590,10 +632,15 @@ def gen_storage_spec(seed: int) -> Dict[str, Any]:
                 rows.append(
                     [
                         i,
-                        None if rng.random() < 0.15 else f"s{i}",
+                        None
+                        if rng.random() < 0.15
+                        else cells.choice(STORAGE_STRINGS + (f"s{i}",) * 3),
                         None
                         if rng.random() < 0.15
                         else rng.randint(-16, 16) * 0.25,
+                        None
+                        if cells.random() < 0.15
+                        else cells.choice(STORAGE_TIMESTAMPS),
                     ]
                 )
             program.append(

@@ -581,6 +581,8 @@ def database_state(db: Any) -> Dict[str, Any]:
     Schema (column names and types) plus the full row multiset of every
     table, rendered order-independently — two databases are
     storage-equivalent iff their ``database_state`` values are equal.
+    Rows are rendered by ``repr``, which tells apart what ``==`` does
+    not: equal instants at different UTC offsets, ``-0.0`` and ``0.0``.
     """
     state: Dict[str, Any] = {}
     for name in sorted(db.tables()):
@@ -589,6 +591,8 @@ def database_state(db: Any) -> Dict[str, Any]:
             "schema": [
                 (c.name, c.ctype.name) for c in table.columns
             ],
-            "rows": multiset(db.query(f"SELECT * FROM {name}")),
+            "rows": multiset(
+                repr(row) for row in db.query(f"SELECT * FROM {name}")
+            ),
         }
     return state

@@ -23,7 +23,6 @@ from repro.mining.classify import Classifier, KNNClassifier
 from repro.mining.features import extract_patch_grid
 from repro.mining.models import ModelStore
 from repro.mining.pipeline import MiningPipeline, MiningResult
-from repro.noa.burnscar import BurnScarChain
 from repro.noa.chain import ChainFailure, ChainResult, ProcessingChain
 from repro.noa.mapping import FireMap, FireMapBuilder
 from repro.noa.refinement import RefinementReport, Refiner

@@ -1,14 +1,19 @@
 """Durable storage engine tests: WAL framing, recovery, crash exactness."""
 
 import io
+import json
 import os
-from datetime import datetime
+import tempfile
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import faults
 from repro.mdb.bat import BAT
+from repro.mdb.sciql import Dimension, SciArray
 from repro.mdb.storage import (
     StorageEngine,
     StorageError,
@@ -16,8 +21,13 @@ from repro.mdb.storage import (
     open_database,
     resolve_sync_policy,
 )
-from repro.mdb.storage.records import iter_records, pack_record
-from repro.mdb.types import INT
+from repro.mdb.storage.records import (
+    decode_object_column,
+    encode_object_column,
+    iter_records,
+    pack_record,
+)
+from repro.mdb.types import INT, STRING, TIMESTAMP
 
 
 class TestRecordFraming:
@@ -323,3 +333,209 @@ class TestCrashExactness:
         eng2 = reopen(data_dir)
         assert eng2.db.scalar("SELECT count(*) FROM t") == 20
         eng2.close()
+
+
+#: Strings a per-cell or fixed-width encoding gets wrong: empty vs NULL,
+#: embedded and trailing NULs, a lone surrogate, non-ASCII, JSON
+#: metacharacters.
+HOSTILE_STRINGS = [
+    "",
+    None,
+    "a\x00",
+    "\x00",
+    "\ud800x",
+    "Πελοπόννησος 火",
+    'q"uo\\te',
+    "\\",
+]
+#: One instant at three UTC offsets, a naive timestamp with microseconds
+#: and a NULL: equal instants must keep their own ``utcoffset()``.
+INSTANT = datetime(2007, 8, 25, 12, 30, 15, 123456, tzinfo=timezone.utc)
+HOSTILE_TIMESTAMPS = [
+    INSTANT,
+    INSTANT.astimezone(timezone(timedelta(hours=3))),
+    INSTANT.astimezone(timezone(timedelta(hours=-5, minutes=-30))),
+    datetime(2007, 8, 25, 12, 30, 15, 999999),
+    None,
+]
+
+strings = st.one_of(
+    st.none(), st.sampled_from(HOSTILE_STRINGS), st.text(max_size=8)
+)
+# ``isoformat()`` has no ``fold`` (neither has the WAL's row encoding),
+# so generated timestamps pin it to 0.
+naive = st.datetimes().map(lambda dt: dt.replace(fold=0))
+aware = st.builds(
+    lambda dt, minutes: dt.replace(
+        tzinfo=timezone(timedelta(minutes=minutes))
+    ),
+    naive,
+    st.integers(-(23 * 60 + 59), 23 * 60 + 59),
+)
+timestamps = st.one_of(
+    st.none(), st.sampled_from(HOSTILE_TIMESTAMPS), naive, aware
+)
+rows = st.lists(st.tuples(strings, timestamps), min_size=1, max_size=12)
+
+
+def exact(values):
+    """Values as type + repr: tells "" from None, keeps NULs and
+    surrogates visible, and tells equal instants at different offsets
+    apart (``==`` does not)."""
+    return [(type(v).__name__, repr(v)) for v in values]
+
+
+def object_plane(values):
+    """An object array holding ``values`` as-is (``np.asarray`` would
+    make a ``U`` array and strip trailing NULs)."""
+    plane = np.empty(len(values), dtype=object)
+    plane[:] = values
+    return plane
+
+
+def write_rows(db, data):
+    db.execute("CREATE TABLE c (s STRING, t TIMESTAMP)")
+    db.insert_columns(
+        "c", {"s": [r[0] for r in data], "t": [r[1] for r in data]}
+    )
+
+
+def read_rows(db):
+    table = db.table("c")
+    return exact(table.column("s").to_list()), exact(
+        table.column("t").to_list()
+    )
+
+
+def expected_rows(data):
+    return exact([r[0] for r in data]), exact([r[1] for r in data])
+
+
+class TestObjectColumnCodec:
+    def test_codes_index_a_first_appearance_heap(self):
+        codes, heap = encode_object_column(
+            object_plane(["x", "y", "x", None, ""]),
+            [True, True, True, False, True],
+            STRING,
+        )
+        assert codes.dtype == np.int32
+        assert codes.tolist() == [0, 1, 0, -1, 2]
+        assert heap.dtype == np.uint8
+        assert json.loads(heap.tobytes().decode("ascii")) == ["x", "y", ""]
+
+    def test_equal_instants_keep_their_offsets(self):
+        values = object_plane(HOSTILE_TIMESTAMPS)
+        valid = [v is not None for v in HOSTILE_TIMESTAMPS]
+        codes, heap = encode_object_column(values, valid, TIMESTAMP)
+        # Three equal instants, three heap entries.
+        assert codes.tolist() == [0, 1, 2, 3, -1]
+        decoded = decode_object_column(codes, heap, TIMESTAMP)
+        assert exact(decoded) == exact(HOSTILE_TIMESTAMPS)
+        assert [
+            v.utcoffset() for v in decoded[:3]
+        ] == [v.utcoffset() for v in HOSTILE_TIMESTAMPS[:3]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=rows)
+    def test_codec_roundtrip(self, data):
+        for ctype, column in ((STRING, 0), (TIMESTAMP, 1)):
+            values = [r[column] for r in data]
+            codes, heap = encode_object_column(
+                object_plane(values), [v is not None for v in values], ctype
+            )
+            decoded = decode_object_column(codes, heap, ctype)
+            assert exact(decoded) == exact(values)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=rows)
+    def test_roundtrip_through_segment(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            eng = open_database(tmp)
+            write_rows(eng.db, data)
+            eng.close()
+            assert os.listdir(os.path.join(tmp, "segments"))
+            eng2 = open_database(tmp)
+            assert eng2.snap_id == 0
+            assert read_rows(eng2.db) == expected_rows(data)
+            eng2.close()
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=rows)
+    def test_roundtrip_through_snapshot(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            eng = open_database(tmp)
+            write_rows(eng.db, data)
+            eng.checkpoint()
+            eng.close()
+            assert not os.listdir(os.path.join(tmp, "segments"))
+            eng2 = open_database(tmp)
+            assert eng2.replayed_records == 0
+            assert read_rows(eng2.db) == expected_rows(data)
+            eng2.close()
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=rows)
+    def test_roundtrip_through_array_plane(self, data):
+        strings_in = [r[0] for r in data]
+        times_in = [r[1] for r in data]
+        with tempfile.TemporaryDirectory() as tmp:
+            eng = open_database(tmp)
+            array = SciArray(
+                "meta",
+                [Dimension("i", 0, len(data))],
+                [("s", STRING), ("t", TIMESTAMP)],
+            )
+            eng.db.catalog.add_array(array)
+            array.set_attribute("s", object_plane(strings_in))
+            array.set_attribute("t", object_plane(times_in))
+            eng.close()
+            # Planes replayed from their WAL segments...
+            eng2 = open_database(tmp)
+            replayed = eng2.db.array("meta")
+            assert exact(replayed.attribute("s")) == exact(strings_in)
+            assert exact(replayed.attribute("t")) == exact(times_in)
+            eng2.checkpoint()
+            eng2.close()
+            # ...and loaded from the snapshot.
+            eng3 = open_database(tmp)
+            loaded = eng3.db.array("meta")
+            assert exact(loaded.attribute("s")) == exact(strings_in)
+            assert exact(loaded.attribute("t")) == exact(times_in)
+            eng3.close()
+
+    def test_corrupt_heap_or_codes_raise(self):
+        codes, heap = encode_object_column(
+            object_plane(["x"]), [True], STRING
+        )
+        with pytest.raises(StorageError, match="out of range"):
+            decode_object_column(codes + 1, heap, STRING)
+        with pytest.raises(StorageError, match="heap"):
+            decode_object_column(codes, heap[:-1], STRING)
+
+    def test_format_1_snapshot_is_refused(self, data_dir):
+        eng = open_database(data_dir)
+        eng.db.execute("CREATE TABLE t (s STRING)")
+        snap_dir = eng.checkpoint()
+        eng.close()
+        manifest_path = os.path.join(snap_dir, "manifest.json")
+        with open(manifest_path) as f:
+            manifest = json.load(f)
+        manifest["format"] = 1
+        with open(manifest_path, "w") as f:
+            json.dump(manifest, f)
+        with pytest.raises(StorageError, match="format 1"):
+            open_database(data_dir)
+
+    def test_segment_without_heap_names_the_segment(self, data_dir):
+        eng = open_database(data_dir)
+        write_rows(eng.db, [("a", None)])
+        eng.close()
+        seg_dir = os.path.join(data_dir, "segments")
+        (seg,) = os.listdir(seg_dir)
+        path = os.path.join(seg_dir, seg)
+        with np.load(path) as archive:
+            kept = {k: archive[k] for k in archive.files if k != "h_s"}
+        with open(path, "wb") as f:
+            np.savez(f, **kept)
+        with pytest.raises(StorageError, match=seg):
+            open_database(data_dir)

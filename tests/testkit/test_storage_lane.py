@@ -49,7 +49,7 @@ class TestLane:
         spec = {
             "program": [
                 {"op": "create", "table": "t_a"},
-                {"op": "insert", "table": "t_a", "rows": [[1, "x", 0.5]]},
+                {"op": "insert", "table": "t_a", "rows": [[1, "x", 0.5, None]]},
                 {"op": "reload"},
             ],
             "faults": None,
