@@ -3,8 +3,9 @@
 A from-scratch computational-geometry substrate providing the spatial
 semantics that TELEIOS obtains from PostGIS/JTS: the simple-features type
 hierarchy, WKT and GML serialisation, topological predicates, overlay
-operations, measurement, simplification, buffering, an R-tree spatial index
-and coordinate-reference-system transforms.
+operations, measurement, simplification, buffering, packed envelope
+columns for vectorised spatial pre-filters and coordinate-reference-system
+transforms.
 
 Quick example::
 
@@ -29,7 +30,6 @@ from repro.geometry.multi import (
 from repro.geometry.wkt import WKTParseError, from_wkt, to_wkt
 from repro.geometry.gml import from_gml, to_gml
 from repro.geometry.geojson import from_geojson, to_geojson
-from repro.geometry.rtree import RTree
 from repro.geometry.srs import (
     CRS,
     SRID_CRS84,
@@ -54,7 +54,6 @@ __all__ = [
     "PackedEnvelopes",
     "Point",
     "Polygon",
-    "RTree",
     "SRID_CRS84",
     "SRID_WEB_MERCATOR",
     "SRID_WGS84",

@@ -1,11 +1,12 @@
 """Axis-aligned bounding boxes (envelopes).
 
-Envelopes are the currency of the R-tree index and of every cheap spatial
-pre-filter in the system: predicates first reject on envelopes before running
-the exact geometry test.  :class:`PackedEnvelopes` stores many envelopes as
-numpy struct-of-arrays so batch workloads (``RTree.query_batch``, the
-stSPARQL batched spatial FILTERs) test thousands of envelopes with four
-array comparisons instead of a Python loop.
+Envelopes are the currency of every cheap spatial pre-filter in the
+system: predicates first reject on envelopes before running the exact
+geometry test.  :class:`PackedEnvelopes` stores many envelopes as numpy
+struct-of-arrays so batch workloads (the Strabon store's spatial index, a
+packed envelope column probed with ``intersects & live``, and the stSPARQL
+batched spatial FILTERs) test thousands of envelopes with four array
+comparisons instead of a Python loop.
 """
 
 from __future__ import annotations
@@ -153,10 +154,7 @@ class Envelope:
         )
 
     def enlargement(self, other: "Envelope") -> float:
-        """Area increase needed for this envelope to cover ``other``.
-
-        Used by the R-tree insertion heuristic.
-        """
+        """Area increase needed for this envelope to cover ``other``."""
         return self.union(other).area - self.area
 
     def distance(self, other: "Envelope") -> float:
@@ -241,6 +239,15 @@ class PackedEnvelopes:
 
     def __len__(self) -> int:
         return self.minx.shape[0]
+
+    def concat(self, other: "PackedEnvelopes") -> "PackedEnvelopes":
+        """These entries followed by ``other``'s."""
+        return PackedEnvelopes(
+            np.concatenate([self.minx, other.minx]),
+            np.concatenate([self.miny, other.miny]),
+            np.concatenate([self.maxx, other.maxx]),
+            np.concatenate([self.maxy, other.maxy]),
+        )
 
     def take(self, indices: np.ndarray) -> "PackedEnvelopes":
         """The entries at ``indices``, gathered in that order."""

@@ -11,7 +11,7 @@ follow OGC Simple Features (as implemented by PostGIS):
 * ``crosses`` / ``overlaps`` / ``equals`` — the usual DE-9IM derivations.
 
 All predicates first reject on envelopes, so they stay cheap for the
-R-tree-refined candidate sets that the Strabon store feeds them.
+index-refined candidate sets that the Strabon store feeds them.
 """
 
 from __future__ import annotations

@@ -392,28 +392,21 @@ class StorageEngine:
         self._append({"op": "drop_array", "name": name})
 
     def log_insert(self, table: str, rows: List[List[Any]]) -> None:
+        """Journal rows the table has just appended to its BATs.
+
+        A batch of at least ``segment_threshold`` rows becomes one
+        segment built from the BATs' last ``len(rows)`` slots, which
+        already hold the coerced values; smaller ones are a JSON record.
+        """
         if self._replaying or not rows:
             return
-        if len(rows) >= self.segment_threshold:
+        n = len(rows)
+        if n >= self.segment_threshold:
             table_obj = self.db.table(table)
-            n = len(rows)
             prepared: Dict[str, Any] = {}
-            for j, col in enumerate(table_obj.columns):
-                data = col.ctype.empty_array(n)
-                valid = np.empty(n, dtype=bool)
-                coerce = col.ctype.coerce
-                filler = (
-                    None if col.ctype.dtype == np.dtype(object) else 0
-                )
-                for i, row in enumerate(rows):
-                    value = coerce(row[j])
-                    if value is None:
-                        valid[i] = False
-                        data[i] = filler
-                    else:
-                        valid[i] = True
-                        data[i] = value
-                prepared[col.name] = (data, valid)
+            for col in table_obj.columns:
+                bat = table_obj.column(col.name)
+                prepared[col.name] = (bat.values[-n:], bat.validity[-n:])
             self.log_insert_columns(table, prepared, n)
             return
         self._append(

@@ -4,8 +4,8 @@ The knowledge-discovery pillar on the shared
 :class:`~repro.stages.StageRunner`: each acquisition runs extract →
 classify → annotate as retried, deadline-checked stages with the
 ``mining.<stage>`` fault-injection sites, and
-:meth:`MiningPipeline.run_batch` merges every annotation graph into one
-:meth:`StrabonStore.bulk` emit.  Failures degrade per acquisition to
+:meth:`MiningPipeline.run_batch` loads every annotation graph into the
+store after the batch's last acquisition.  Failures degrade per acquisition to
 :class:`~repro.stages.ChainFailure` — a faulted scene contributes
 *zero* annotation triples (no orphans), the rest of the batch lands.
 """

@@ -12,9 +12,9 @@ fault-site prefix (:attr:`StageRunner.site`) and a metric prefix
   retry with the guard re-acquired per attempt, the
   ``<metric>.stage.<stage>`` span and the stage timing;
 * :meth:`StageRunner._run_batch` — the batch loop: acquisitions run in
-  path order inside one :meth:`StrabonStore.bulk`, each failure
-  isolated as a :class:`ChainFailure`, the survivors' RDF loaded in
-  path order, and ``<metric>.batch.ok``/``.failed`` counted.
+  path order, each failure isolated as a :class:`ChainFailure`, the
+  survivors' RDF loaded in path order after the last acquisition, and
+  ``<metric>.batch.ok``/``.failed`` counted.
 """
 
 from __future__ import annotations
@@ -143,9 +143,9 @@ class StageRunner:
         Acquisitions run one after another on the calling thread; their
         locked stages hold the database lock, so batches that callers
         run on their own threads against one database serialise there.
-        All stRDF output goes through one :meth:`StrabonStore.bulk`
-        context, so the spatial index is STR-rebuilt once per batch.
-        Results come back in ``paths`` order; a failing acquisition
+        The survivors' stRDF is loaded after the last acquisition, so the
+        store's spatial index packs the batch's geometries in one fold at
+        the next probe.  Results come back in ``paths`` order; a failing acquisition
         occupies its slot as a :class:`ChainFailure` and contributes no
         RDF.
         """
@@ -161,11 +161,10 @@ class StageRunner:
                 return ChainFailure(path, exc)
 
         with obs.span(f"{self.metric}.run_batch", acquisitions=len(paths)):
-            with store.bulk():
-                results = [guarded(p) for p in paths]
-                for result in results:
-                    if result.ok:
-                        store.load_graph(result.rdf)
+            results = [guarded(p) for p in paths]
+            for result in results:
+                if result.ok:
+                    store.load_graph(result.rdf)
             ok = sum(1 for r in results if r.ok)
             obs.counter(f"{self.metric}.batch.ok").inc(ok)
             obs.counter(f"{self.metric}.batch.failed").inc(len(results) - ok)

@@ -4,8 +4,8 @@ The reproduction of the system at http://www.strabon.di.uoa.gr — an RDF
 store for *stRDF* (RDF extended with geospatial geometries and valid time)
 queried with *stSPARQL* (SPARQL 1.1 extended with spatial filter functions,
 spatial aggregates and updates).  The store keeps its triples in
-in-memory permutation indexes and accelerates spatial selections with an
-R-tree over geometry literals; storing them in MonetDB-style
+in-memory permutation indexes and accelerates spatial selections with a
+packed envelope column over geometry literals; storing them in MonetDB-style
 dictionary-encoded id columns, as the paper's Strabon does, is ROADMAP
 item 2(b).
 

@@ -1,21 +1,22 @@
 """The Strabon store: stRDF triples plus a spatial index.
 
 Triples live once, in in-memory permutation indexes
-(:class:`repro.rdf.Graph`), and an R-tree over the envelopes of geometry
-literals accelerates spatial selections.  The paper's Strabon keeps its
-triples in MonetDB; dictionary-encoded id columns as the store itself
-are ROADMAP item 2(b).
+(:class:`repro.rdf.Graph`), and a packed column of geometry literals'
+envelopes, with tombstones for removed literals, accelerates spatial
+selections.  The paper's Strabon keeps its triples in MonetDB;
+dictionary-encoded id columns as the store itself are ROADMAP item 2(b).
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+
+import numpy as np
 
 from repro import faults, obs, resilience
 from repro.cache import LRUCache
-from repro.geometry import Envelope, RTree
+from repro.geometry import Envelope, PackedEnvelopes
 from repro.rdf.graph import Graph, Triple
 from repro.rdf.term import Literal, RDFTerm
 from repro.rdf.turtle import parse_turtle, serialize_turtle
@@ -37,8 +38,16 @@ QueryResult = Union[SelectResult, AskResult, ConstructResult]
 class StrabonStore:
     """A semantic geospatial triple store queryable with stSPARQL.
 
-    ``use_spatial_index=False`` disables the R-tree pre-filter (used by
-    benchmark A1 to measure the index's effect).
+    ``use_spatial_index=False`` disables the spatial index pre-filter
+    (used by benchmark A1 to measure the index's effect).
+
+    The spatial index is a packed envelope column: one slot per distinct
+    indexed geometry literal, a live bit per slot, and an unpacked tail
+    of literals added since the last probe.  An add appends to the tail
+    and a remove clears the literal's live bit, both O(1).  A probe first
+    folds the index: it packs the tail onto the column, and compacts the
+    column once dead slots pass half of it.  Each probe envelope is then
+    one vectorised ``intersects & live`` pass over the column.
     """
 
     def __init__(self, use_spatial_index: bool = True):
@@ -48,21 +57,16 @@ class StrabonStore:
         # tokens (repro.server) embed it so a suspended query can never
         # resume its scan cursors against a store that changed under it.
         self.version = 0
-        # Spatial index over geometry literals.
-        self._rtree = RTree(max_entries=16)
-        self._geo_envelopes: Dict[RDFTerm, Envelope] = {}
-        self._geo_refcount: Dict[RDFTerm, int] = {}
+        # Spatial index (see the class docstring).  The store lock
+        # serialises writes (graph, version, refcounts, index) and folds,
+        # so callers may add and remove from several threads.
+        self._lock = threading.Lock()
+        self._reset_index()
         # Performance layer: prepared-plan cache (query text → parsed
         # algebra) and geometry-literal interner (WKT literal → parsed
         # geometry + envelope), both shared across queries.
         self.plan_cache = LRUCache(maxsize=256, name="strabon.plan_cache")
         self.geometries = strdf.GeometryInterner()
-        # Bulk-load state: when > 0, R-tree inserts are deferred to one
-        # STR rebuild at the end.  The lock serialises depth changes and
-        # the rebuild when callers open bulk contexts from several
-        # threads.
-        self._bulk_depth = 0
-        self._bulk_lock = threading.RLock()
         # Updates retry a transiently refused write (``strabon.update``).
         self.retry_policy = resilience.DEFAULT_RETRY
 
@@ -82,49 +86,42 @@ class StrabonStore:
 
     def add(self, triple: Triple) -> bool:
         """Insert a triple; returns True when new."""
-        if not self._graph.add(triple):
-            return False
-        self.version += 1
-        o = triple[2]
-        if strdf.is_geometry_literal(o):
-            self._index_geometry(o)
-        return True
-
-    @contextmanager
-    def bulk(self) -> Iterator["StrabonStore"]:
-        """Batch ingestion context: the R-tree is rebuilt once with STR
-        packing instead of per-triple incremental inserts.  Nestable; the
-        flush happens when the outermost context exits."""
-        with self._bulk_lock:
-            self._bulk_depth += 1
-        try:
-            yield self
-        finally:
-            with self._bulk_lock:
-                self._bulk_depth -= 1
-                if self._bulk_depth == 0:
-                    self._flush_bulk()
-
-    def _flush_bulk(self) -> None:
-        """Rebuild the spatial index from scratch with STR bulk loading."""
-        self._rtree = RTree.bulk_load(
-            ((env, lit) for lit, env in self._geo_envelopes.items()),
-            max_entries=16,
-        )
+        with self._lock:
+            if not self._graph.add(triple):
+                return False
+            self.version += 1
+            o = triple[2]
+            if strdf.is_geometry_literal(o):
+                self._index_geometry(o)
+            return True
 
     def remove(self, pattern: Tuple) -> int:
         """Remove triples matching the (wildcardable) pattern."""
-        victims = list(self._graph.triples(pattern))
-        if victims:
-            self.version += 1
-        for triple in victims:
-            self._graph.remove(triple)
-            o = triple[2]
-            if strdf.is_geometry_literal(o):
-                self._unindex_geometry(o)
-        return len(victims)
+        with self._lock:
+            victims = list(self._graph.triples(pattern))
+            if victims:
+                self.version += 1
+            for triple in victims:
+                self._graph.remove(triple)
+                o = triple[2]
+                if strdf.is_geometry_literal(o):
+                    self._unindex_geometry(o)
+            return len(victims)
+
+    def _reset_index(self) -> None:
+        self._column = PackedEnvelopes.pack([])
+        self._literals: List[RDFTerm] = []
+        self._live = np.zeros(0, dtype=bool)
+        # Literal → slot, for live literals only.  A slot at or past
+        # ``len(self._literals)`` is a tail position not yet folded.
+        self._slots: Dict[RDFTerm, int] = {}
+        self._tail: List[Tuple[Envelope, RDFTerm]] = []
+        self._dead = 0
+        self._geo_refcount: Dict[RDFTerm, int] = {}
 
     def _index_geometry(self, literal: Literal) -> None:
+        """Count one more reference; a new literal joins the tail.
+        Caller holds ``_lock``."""
         count = self._geo_refcount.get(literal, 0)
         self._geo_refcount[literal] = count + 1
         if count > 0:
@@ -135,22 +132,69 @@ class StrabonStore:
             return  # malformed WKT: stored but not spatially indexed
         if env.is_empty:
             return
-        self._geo_envelopes[literal] = env
-        if not self._bulk_depth:  # bulk flush rebuilds the tree instead
-            self._rtree.insert(env, literal)
+        self._slots[literal] = len(self._literals) + len(self._tail)
+        self._tail.append((env, literal))
 
     def _unindex_geometry(self, literal: Literal) -> None:
+        """Drop one reference; the last clears the literal's live bit.
+        Caller holds ``_lock``."""
         count = self._geo_refcount.get(literal, 0)
-        if count <= 1:
-            self._geo_refcount.pop(literal, None)
-            env = self._geo_envelopes.pop(literal, None)
-            if env is not None:
-                self._rtree.remove(env, literal)
-            # Last reference gone: drop the interned parse to bound
-            # memory (re-adding the literal re-parses it).
-            self.geometries.discard(literal)
-        else:
+        if count > 1:
             self._geo_refcount[literal] = count - 1
+            return
+        self._geo_refcount.pop(literal, None)
+        slot = self._slots.pop(literal, None)
+        if slot is not None:
+            if slot < len(self._literals):
+                self._live[slot] = False
+            # A tail slot dies when the fold finds it missing from
+            # ``_slots``.
+            self._dead += 1
+        # Last reference gone: drop the interned parse to bound
+        # memory (re-adding the literal re-parses it).
+        self.geometries.discard(literal)
+
+    def _fold_index(self) -> None:
+        """Pack the tail onto the column; compact once more than half of
+        the column is dead.  Caller holds ``_lock``."""
+        if not self._tail and self._dead * 2 <= len(self._literals):
+            return
+        obs.counter("strabon.index.folds").inc()
+        if self._tail:
+            base = len(self._literals)
+            envelopes, literals = zip(*self._tail)
+            fresh = PackedEnvelopes.pack(envelopes)
+            self._column = self._column.concat(fresh)
+            # A tail entry is live unless its literal was removed (or
+            # removed and re-added at a later tail position) since.
+            live = [
+                self._slots.get(lit) == base + k
+                for k, lit in enumerate(literals)
+            ]
+            self._live = np.concatenate([self._live, live])
+            self._literals.extend(literals)
+            self._tail = []
+        if self._dead * 2 > len(self._literals):
+            keep = np.flatnonzero(self._live)
+            self._column = self._column.take(keep)
+            self._literals = [self._literals[i] for i in keep.tolist()]
+            self._live = np.ones(len(self._literals), dtype=bool)
+            self._slots = {lit: i for i, lit in enumerate(self._literals)}
+            self._dead = 0
+
+    def _probe(self, envelopes: List[Envelope]) -> List[Set[RDFTerm]]:
+        with self._lock:
+            self._fold_index()
+            literals = self._literals
+            found = []
+            for envelope in envelopes:
+                mask = self._column.intersects(envelope)
+                mask &= self._live
+                # tolist() converts indices to plain ints in one C pass.
+                found.append(
+                    {literals[i] for i in np.flatnonzero(mask).tolist()}
+                )
+            return found
 
     def spatial_candidates(
         self, envelope: Envelope
@@ -162,24 +206,21 @@ class StrabonStore:
         """
         if not self.use_spatial_index:
             return None
-        return set(self._rtree.query(envelope))
+        return self._probe([envelope])[0]
 
     def spatial_candidates_batch(
         self, envelopes: List[Envelope]
     ) -> Optional[List[Set[RDFTerm]]]:
         """One candidate set per probe envelope (vectorised).
 
-        Batch counterpart of :meth:`spatial_candidates`: probes are
-        answered against the R-tree's packed leaf snapshot
-        (:meth:`repro.geometry.RTree.query_batch`), so a query with
-        several indexable spatial FILTERs pays one snapshot pass instead
-        of one tree walk per filter.  None when the index is disabled.
+        Batch counterpart of :meth:`spatial_candidates`: the index is
+        folded once, then each probe is one pass over the packed column,
+        so a query with several indexable spatial FILTERs folds once.
+        None when the index is disabled.
         """
         if not self.use_spatial_index:
             return None
-        return [
-            set(found) for found in self._rtree.query_batch(envelopes)
-        ]
+        return self._probe(envelopes)
 
     # -- graph API ------------------------------------------------------------------
 
@@ -198,27 +239,25 @@ class StrabonStore:
         return self._graph
 
     def load_graph(self, graph: Graph) -> int:
-        """Bulk-add every triple of ``graph``; returns count added.
+        """Add every triple of ``graph``; returns count added.
 
-        Runs inside :meth:`bulk`: the R-tree is rebuilt once with STR
-        packing.
+        New geometry literals wait in the spatial index's tail until the
+        next probe packs them in one fold.
         """
-        with self.bulk():
-            return sum(1 for t in graph if self.add(t))
+        return sum(1 for t in graph if self.add(t))
 
     def clear(self) -> None:
         """Remove every triple, resetting all indexes and caches.
 
-        The R-tree is replaced wholesale rather than emptied entry by
-        entry; prepared plans survive (they do not depend on the data)
-        but interned geometries are dropped.
+        The spatial index is replaced wholesale; prepared plans survive
+        (they do not depend on the data) but interned geometries are
+        dropped.
         """
-        self._graph.clear()
-        self.version += 1
-        self._rtree = RTree(max_entries=16)
-        self._geo_envelopes.clear()
-        self._geo_refcount.clear()
-        self.geometries.clear()
+        with self._lock:
+            self._graph.clear()
+            self.version += 1
+            self._reset_index()
+            self.geometries.clear()
 
     def load_turtle(self, text: str) -> int:
         return self.load_graph(parse_turtle(text))
@@ -310,5 +349,5 @@ class StrabonStore:
     def __repr__(self) -> str:
         return (
             f"<StrabonStore triples={len(self)} "
-            f"geometries={len(self._geo_envelopes)}>"
+            f"geometries={len(self._slots)}>"
         )

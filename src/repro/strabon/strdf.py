@@ -98,7 +98,7 @@ class GeometryInterner:
 
     A WKT literal's geometry is a pure function of its lexical form, so
     entries can never go stale; the interner exists to stop spatial
-    FILTERs and R-tree maintenance from re-parsing the same literal per
+    FILTERs and spatial indexing from re-parsing the same literal per
     row.  The owning store still drops entries when the last triple
     referencing a literal is removed (and on :meth:`clear`) to bound
     memory across workload shifts.

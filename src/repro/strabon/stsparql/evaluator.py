@@ -3,8 +3,8 @@
 Solutions are dictionaries ``{var_name: RDFTerm}``.  Every basic graph
 pattern runs through the join of :mod:`repro.strabon.stsparql.iterators`
 — its planner orders the patterns, places each FILTER on the scan that
-binds its last variable and narrows indexable spatial FILTERs to R-tree
-candidates — seeded with the solutions of the group so far.  This module
+binds its last variable and narrows indexable spatial FILTERs to
+spatial-index candidates — seeded with the solutions of the group so far.  This module
 evaluates what has no streaming form around it: OPTIONAL, UNION, BIND,
 VALUES, property paths, aggregates, ORDER BY, CONSTRUCT/ASK/DESCRIBE and
 update templates, and every expression.  A FILTER over many solutions

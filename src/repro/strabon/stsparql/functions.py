@@ -422,7 +422,7 @@ DISTANCE_FUNCTIONS = {
     str(GEO) + "distance",
 }
 
-#: Spatial predicate IRIs usable for R-tree pre-filtering and the
+#: Spatial predicate IRIs usable for spatial-index pre-filtering and the
 #: batched spatial FILTER lane: envelope intersection is a necessary
 #: condition for all of these.
 INDEXABLE_PREDICATES = {

@@ -23,7 +23,7 @@ Design points:
 
 * **One plan, computed once.**  :func:`plan_join` orders the patterns
   greedily by a cost key — estimated matches
-  (:meth:`repro.rdf.Graph.count_estimate`, capped by the R-tree hint of
+  (:meth:`repro.rdf.Graph.count_estimate`, capped by the spatial-index hint of
   an unbound object), then boundness, then hinted variables — evaluated
   on a probe solution that each chosen pattern extends with its first
   match, so a pattern joined through a bound variable is costed by that
@@ -44,7 +44,7 @@ Design points:
   *drained* into the page instead of being saved, so every page
   advances by at least one block.  DISTINCT adds the keys it has seen.
 * **Deterministic replay.**  Blocks and cursors index deterministically
-  ordered match lists (store iteration order; an R-tree hint walked in
+  ordered match lists (store iteration order; a spatial-index hint walked in
   n3-sorted order), which is only sound while the store is unchanged;
   tokens therefore embed :attr:`repro.strabon.StrabonStore.version` and
   resumption against a mutated store is refused by the serving tier.
@@ -578,9 +578,9 @@ def _triple_vars(pattern: alg.TriplePattern) -> Set[str]:
 def _positive_conjuncts(expr: alg.Expr):
     """The sub-expressions a FILTER asserts true of every solution it
     keeps: the expression itself or, recursively, an operand of ``&&``.
-    Nothing under ``!``, ``||`` or a function argument qualifies, so an
-    R-tree hint never narrows a variable the FILTER may keep outside
-    the probe."""
+    Nothing under ``!``, ``||`` or a function argument qualifies, so a
+    spatial-index hint never narrows a variable the FILTER may keep
+    outside the probe."""
     if isinstance(expr, alg.EBinary) and expr.op == "&&":
         yield from _positive_conjuncts(expr.left)
         yield from _positive_conjuncts(expr.right)
@@ -614,7 +614,7 @@ def _indexable_call_spec(
 def _spatial_hints(
     evaluator, filters: Sequence[alg.Expr]
 ) -> Dict[str, Set[RDFTerm]]:
-    """R-tree candidate sets for the variables that indexable
+    """Spatial-index candidate sets for the variables that indexable
     predicates in positive conjunctive position constrain against a
     constant geometry (see :func:`_positive_conjuncts`); one
     packed-snapshot pass answers every probe."""
@@ -778,7 +778,7 @@ def plan_join(
     """The cached join plan for ``triples`` over ``seeds``, judged by
     ``filters`` — FILTERs whose verdict is final once the join has run,
     so each indexable one in positive position may also narrow its
-    variable to R-tree candidates.  A variable every seed binds is
+    variable to spatial-index candidates.  A variable every seed binds is
     looked up; one only some seeds bind is read where present and bound
     where not."""
     bound = frozenset(seeds[0]).intersection(*seeds[1:])

@@ -1,7 +1,7 @@
 """Differential-oracle conformance testing for the TELEIOS stack.
 
 Every optimisation in the repository (plan caches, BGP join ordering,
-R-tree prefilters, vectorised SciQL kernels, retried chain runs) is
+spatial-index prefilters, vectorised SciQL kernels, retried chain runs) is
 continuously checked against a slow, obviously-correct reference:
 
 * :mod:`repro.testkit.generators` — seeded, deterministic input

@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import kernels, obs
-from repro.geometry import RTree, from_wkt
+from repro.geometry import from_wkt
 from repro.mdb import Database
 from repro.server import decode_token, encode_token
 from repro.strabon import StrabonStore
@@ -53,6 +53,9 @@ DOMAINS = (
     "mining",
     "chain",
 )
+
+#: Predicate of the spatial lane's geometry triples.
+_GEOM = oracles.term_from_json(["u", "geom"])
 
 PREFIXES = (
     "PREFIX ex: <http://example.org/>\n"
@@ -105,60 +108,56 @@ def _outcome(fn: Callable[[], Any]) -> Tuple[str, Any]:
 # -- spatial -------------------------------------------------------------------
 
 
-def _compare_spatial(entries, probes, trees, phase: str) -> Optional[str]:
-    expected = [
-        sorted(oracles.naive_spatial_query(entries, probe))
-        for probe in probes
+def _check_spatial(spec: Dict[str, Any]) -> Optional[str]:
+    """Drive a store's spatial index through the spec's geometries.
+
+    Geometry ``i`` is the triple ``(ex:g<i>, ex:geom, <its WKT
+    literal>)``; equal WKT texts share one literal, so removals exercise
+    the literal refcount.  The phases interleave probes with writes so a
+    probe folds a tail onto an already packed column, tombstones hide
+    removed literals, removed literals come back, removing all but the
+    last geometry drives the dead slots past half the column, which
+    compacts it, and the last phase removes literals it re-added while
+    they are still in the unfolded tail.  Every probe batch is compared
+    with an all-pairs ``Envelope.intersects`` scan over the live triples.
+    """
+    texts = spec["geometries"]
+    literals = [oracles.term_from_json(["w", text]) for text in texts]
+    envelopes = [from_wkt(text).envelope for text in texts]
+    triples = [
+        (oracles.term_from_json(["u", f"g{i}"]), _GEOM, literal)
+        for i, literal in enumerate(literals)
     ]
-    for label, tree in trees:
-        for j, probe in enumerate(probes):
-            got = sorted(tree.query(probe))
-            if got != expected[j]:
+    probes = [from_wkt(text).envelope for text in spec["probes"]]
+    n = len(triples)
+    half = (n + 1) // 2
+    removals = spec["removals"]
+    phases = [
+        ("half-added", [(i, True) for i in range(half)]),
+        ("grown", [(i, True) for i in range(half, n)]),
+        ("removed", [(i, False) for i in removals]),
+        ("re-added", [(i, True) for i in removals]),
+        ("all-but-last-removed", [(i, False) for i in range(n - 1)]),
+        (
+            "re-added-then-removed-from-tail",
+            [(i, True) for i in range(n)] + [(i, False) for i in removals],
+        ),
+    ]
+    store = StrabonStore()
+    live = set()
+    for phase, ops in phases:
+        for i, add in ops:
+            (store.add if add else store.remove)(triples[i])
+            (live.add if add else live.discard)(i)
+        entries = [(envelopes[i], literals[i]) for i in sorted(live)]
+        for j, got in enumerate(store.spatial_candidates_batch(probes)):
+            expected = set(oracles.naive_spatial_query(entries, probes[j]))
+            if got != expected:
                 return (
-                    f"{phase}/{label} query probe {j}: "
-                    f"{got} != oracle {expected[j]}"
-                )
-        for j, got in enumerate(tree.query_batch(probes)):
-            if sorted(got) != expected[j]:
-                return (
-                    f"{phase}/{label} query_batch probe {j}: "
-                    f"{sorted(got)} != oracle {expected[j]}"
+                    f"{phase} probe {j}: {sorted(map(str, got))} != "
+                    f"oracle {sorted(map(str, expected))}"
                 )
     return None
-
-
-def _check_spatial(spec: Dict[str, Any]) -> Optional[str]:
-    geoms = [from_wkt(text) for text in spec["geometries"]]
-    entries = [(g.envelope, i) for i, g in enumerate(geoms)]
-    probes = [from_wkt(text).envelope for text in spec["probes"]]
-
-    tree = RTree(max_entries=4)
-    half = (len(entries) + 1) // 2
-    for env, item in entries[:half]:
-        tree.insert(env, item)
-    if probes:
-        # Prime the packed snapshot so later inserts must invalidate it.
-        tree.query_batch(probes)
-    for env, item in entries[half:]:
-        tree.insert(env, item)
-
-    bulk = RTree.bulk_load(entries, max_entries=4)
-    detail = _compare_spatial(
-        entries, probes, [("incremental", tree), ("bulk", bulk)], "grown"
-    )
-    if detail:
-        return detail
-
-    removed = set(spec["removals"])
-    if probes:
-        tree.query_batch(probes)  # re-prime before removals
-    for index in sorted(removed):
-        tree.remove(entries[index][0], index)
-    live = [(env, item) for env, item in entries if item not in removed]
-    rebuilt = RTree.bulk_load(live, max_entries=4)
-    return _compare_spatial(
-        live, probes, [("incremental", tree), ("rebuilt", rebuilt)], "shrunk"
-    )
 
 
 # -- stSPARQL ------------------------------------------------------------------
@@ -327,15 +326,15 @@ def _check_stsparql(spec: Dict[str, Any]) -> Optional[str]:
             )
         )
 
-    def fresh_store(use_spatial_index=True, bulk=False, triple_set=triples):
+    def fresh_store(
+        use_spatial_index=True, fold_per_add=False, triple_set=triples
+    ):
         store = StrabonStore(use_spatial_index=use_spatial_index)
-        if bulk:
-            with store.bulk():
-                for triple in triple_set:
-                    store.add(triple)
-        else:
-            for triple in triple_set:
-                store.add(triple)
+        for triple in triple_set:
+            store.add(triple)
+            if fold_per_add:
+                # An empty probe batch still folds the spatial index.
+                store.spatial_candidates_batch([])
         return store
 
     store = fresh_store()
@@ -375,8 +374,10 @@ def _check_stsparql(spec: Dict[str, Any]) -> Optional[str]:
             ),
         ),
         (
-            "bulk-loaded",
-            lambda: _store_rows(fresh_store(bulk=True), query, variables),
+            "folded-per-add",
+            lambda: _store_rows(
+                fresh_store(fold_per_add=True), query, variables
+            ),
         ),
         ("obs-flipped", with_obs_flipped),
         ("per-row-filters", with_per_row_filters),
@@ -418,7 +419,7 @@ def _check_stsparql(spec: Dict[str, Any]) -> Optional[str]:
                 return f"after-extra/{label}: {got} != oracle {expected}"
 
     # Removal maintenance: drop one subject's triples and the indexes
-    # (triple indexes, R-tree, interner) must all shed them.
+    # (triple indexes, spatial index, interner) must all shed them.
     everything = triples + extra
     if everything:
         victim = everything[0][0]

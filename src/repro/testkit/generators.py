@@ -182,15 +182,16 @@ def gen_wkt(
     return to_wkt(gen_geometry(rng, kinds))
 
 
-# -- spatial (R-tree vs all-pairs scan) ----------------------------------------
+# -- spatial (the store's spatial index vs an all-pairs scan) ------------------
 
 
 def gen_spatial_spec(seed: int) -> Dict[str, Any]:
     """Indexed geometries, probe envelopes, and a removal schedule.
 
-    The differential check inserts half, snapshots (via a batch query),
-    inserts the rest, compares, then removes and compares again — the
-    phase structure that catches stale-snapshot/invalidation bugs.
+    The differential check adds them to a store in phases — half, then
+    the rest, then removals, re-adds and compaction — and compares a
+    batch probe with an all-pairs scan after each, the structure that
+    catches stale-column and tombstone bugs.
     """
     rng = random.Random(("spatial", seed).__repr__())
     n = rng.randint(2, 10)
@@ -322,7 +323,7 @@ def _vary_spatial_filter(
     filter_spec: Dict[str, Any],
     patterns: List[List[Any]],
 ) -> None:
-    """Turn some spatial FILTERs into the shapes an R-tree hint must not
+    """Turn some spatial FILTERs into the shapes an index hint must not
     narrow, and some into spatial joins, in place:
 
     * ``negate`` — ``!strdf:pred(...)``;

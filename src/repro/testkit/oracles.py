@@ -59,7 +59,7 @@ def triples_from_json(
 def naive_spatial_query(
     entries: Sequence[Tuple[Envelope, Any]], probe: Envelope
 ) -> List[Any]:
-    """All-pairs envelope scan: what any R-tree query must return."""
+    """All-pairs envelope scan: what any spatial index probe must return."""
     return [item for env, item in entries if env.intersects(probe)]
 
 

@@ -10,7 +10,6 @@ from repro.geometry import (
     LineString,
     Point,
     Polygon,
-    RTree,
     from_wkt,
     to_wkt,
 )
@@ -163,48 +162,6 @@ class TestEnvelopeProperties:
         if not inter.is_empty:
             assert a.contains(inter)
             assert b.contains(inter)
-
-
-class TestRTreeProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        boxes=st.lists(
-            st.tuples(small, small, st.floats(0, 10), st.floats(0, 10)),
-            min_size=1,
-            max_size=80,
-        ),
-        probe=st.tuples(small, small, st.floats(0, 20), st.floats(0, 20)),
-    )
-    def test_query_equals_brute_force(self, boxes, probe):
-        items = [
-            (Envelope(x, y, x + w, y + h), i)
-            for i, (x, y, w, h) in enumerate(boxes)
-        ]
-        tree = RTree(max_entries=4)
-        for env, i in items:
-            tree.insert(env, i)
-        px, py, pw, ph = probe
-        q = Envelope(px, py, px + pw, py + ph)
-        expected = {i for env, i in items if env.intersects(q)}
-        assert set(tree.query(q)) == expected
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        boxes=st.lists(
-            st.tuples(small, small, st.floats(0, 10), st.floats(0, 10)),
-            min_size=1,
-            max_size=80,
-        )
-    )
-    def test_bulk_load_matches_incremental(self, boxes):
-        items = [
-            (Envelope(x, y, x + w, y + h), i)
-            for i, (x, y, w, h) in enumerate(boxes)
-        ]
-        packed = RTree.bulk_load(items, max_entries=4)
-        probe = Envelope(-50, -50, 50, 50)
-        expected = {i for env, i in items if env.intersects(probe)}
-        assert set(packed.query(probe)) == expected
 
 
 class TestSimplifyProperties:

@@ -1,10 +1,17 @@
-"""Batched R-tree probes must reproduce per-envelope query() exactly."""
+"""Batched spatial-index probes must reproduce per-envelope probes
+exactly, and the packed column must never go stale."""
 
 import random
+import threading
 
 import pytest
 
-from repro.geometry import Envelope, PackedEnvelopes, RTree
+from repro import obs
+from repro.geometry import Envelope, PackedEnvelopes, Polygon
+from repro.rdf import Namespace
+from repro.strabon import StrabonStore, geometry_literal, literal_geometry
+
+EX = Namespace("http://example.org/")
 
 
 def random_envelope(rng, span=100.0, max_side=6.0):
@@ -13,17 +20,26 @@ def random_envelope(rng, span=100.0, max_side=6.0):
     return Envelope(x, y, x + w, y + h)
 
 
-def build_trees(n=400, seed=17):
-    """The same item set as an insert-built and an STR bulk-loaded tree."""
+def box_triple(rng, k):
+    """``(ex:item<k>, ex:geom, <a random box literal>)``."""
+    polygon = Polygon.from_envelope(random_envelope(rng))
+    return (EX[f"item{k}"], EX.geom, geometry_literal(polygon))
+
+
+def build_store(n=400, seed=17):
     rng = random.Random(seed)
-    entries = [
-        (random_envelope(rng), f"item-{k}") for k in range(n)
-    ]
-    incremental = RTree(max_entries=8)
-    for env, item in entries:
-        incremental.insert(env, item)
-    packed = RTree.bulk_load(entries, max_entries=8)
-    return incremental, packed
+    store = StrabonStore()
+    triples = [box_triple(rng, k) for k in range(n)]
+    for triple in triples:
+        store.add(triple)
+    return store, triples
+
+
+def brute_force(triples, probe):
+    return {
+        o for _, _, o in triples
+        if literal_geometry(o).envelope.intersects(probe)
+    }
 
 
 def probe_set(seed=99, n=60):
@@ -35,117 +51,120 @@ def probe_set(seed=99, n=60):
     return probes
 
 
+@pytest.fixture
+def folds():
+    """Read ``strabon.index.folds`` with the metrics registry on."""
+    registry = obs.get_registry()
+    was_enabled = registry.enabled
+    registry.set_enabled(True)
+    yield lambda: obs.counter("strabon.index.folds").value
+    registry.set_enabled(was_enabled)
+
+
 class TestQueryBatchEquality:
     def test_matches_query_order_and_content(self):
-        for tree in build_trees():
-            probes = probe_set()
-            batched = tree.query_batch(probes)
-            assert batched == [tree.query(p) for p in probes]
+        store, triples = build_store()
+        probes = probe_set()
+        batched = store.spatial_candidates_batch(probes)
+        assert batched == [store.spatial_candidates(p) for p in probes]
+        assert batched == [brute_force(triples, p) for p in probes]
 
     def test_empty_tree(self):
-        tree = RTree()
-        assert tree.query_batch(probe_set()) == [
-            [] for _ in probe_set()
+        assert StrabonStore().spatial_candidates_batch(probe_set()) == [
+            set() for _ in probe_set()
         ]
 
     def test_no_probes(self):
-        tree, _ = build_trees(n=50)
-        assert tree.query_batch([]) == []
+        store, _ = build_store(n=50)
+        assert store.spatial_candidates_batch([]) == []
 
     def test_snapshot_invalidated_by_insert(self):
-        tree, _ = build_trees(n=100)
+        store, triples = build_store(n=100)
         probe = Envelope(0, 0, 100, 100)
-        before = tree.query_batch([probe])[0]
-        tree.insert(Envelope(10, 10, 11, 11), "fresh")
-        after = tree.query_batch([probe])[0]
-        assert "fresh" in after
-        assert after == tree.query(probe)
+        before = store.spatial_candidates_batch([probe])[0]
+        fresh = (
+            EX.fresh, EX.geom,
+            geometry_literal(Polygon.from_envelope(Envelope(10, 10, 11, 11))),
+        )
+        store.add(fresh)
+        after = store.spatial_candidates_batch([probe])[0]
+        assert fresh[2] in after
+        assert after == brute_force(triples + [fresh], probe)
         assert len(after) == len(before) + 1
 
     def test_snapshot_invalidated_by_remove(self):
-        tree, _ = build_trees(n=100)
+        store, triples = build_store(n=100)
         probe = Envelope(0, 0, 100, 100)
-        tree.query_batch([probe])  # warm the packed snapshot
-        rng = random.Random(17)
-        env = random_envelope(rng)
-        assert tree.remove(env, "item-0")
-        after = tree.query_batch([probe])[0]
-        assert "item-0" not in after
-        assert after == tree.query(probe)
+        store.spatial_candidates_batch([probe])  # fold the column
+        assert store.remove(triples[0]) == 1
+        after = store.spatial_candidates_batch([probe])[0]
+        assert triples[0][2] not in after
+        assert after == brute_force(triples[1:], probe)
 
-    def test_snapshot_reused_until_mutation(self):
-        tree, _ = build_trees(n=100)
-        first = tree.packed_entries()
-        assert tree.packed_entries() is first
-        tree.insert(Envelope(1, 1, 2, 2), "new")
-        assert tree.packed_entries() is not first
+    def test_snapshot_reused_until_mutation(self, folds):
+        store, _ = build_store(n=100)
+        probe = [Envelope(0, 0, 100, 100)]
+        store.spatial_candidates_batch(probe)
+        first = folds()
+        store.spatial_candidates_batch(probe)
+        assert folds() == first  # nothing changed: no fold
+        store.add(
+            (EX.new, EX.geom,
+             geometry_literal(Polygon.from_envelope(Envelope(1, 1, 2, 2))))
+        )
+        store.spatial_candidates_batch(probe)
+        assert folds() == first + 1
 
 
 class TestSnapshotConcurrencyRegression:
-    """A reader that rebuilds the packed snapshot while a structural
-    mutation is mid-flight must not pin a permanently stale snapshot.
+    """A reader probing while another thread writes must not pin a
+    stale column: once the writer is done, the next probe sees exactly
+    the writes."""
 
-    The pre-fix code invalidated the snapshot *before* mutating, so a
-    concurrent ``packed_entries()`` call landing inside the mutation
-    re-cached the pre-mutation item set — and nothing ever cleared it
-    again.  These tests force a reader into exactly that window.
-    """
+    def probe_while(self, store, write):
+        probe = [Envelope(0, 0, 200, 200)]
+        done = threading.Event()
+        errors = []
+
+        def reader():
+            try:
+                while not done.is_set():
+                    store.spatial_candidates_batch(probe)
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                errors.append(exc)
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            write()
+        finally:
+            done.set()
+            thread.join(timeout=60)
+        assert errors == []
+        return store.spatial_candidates_batch(probe)[0]
 
     def test_reader_during_insert_does_not_pin_stale_snapshot(self):
-        class ReaderDuringInsert(RTree):
-            def _insert(self, node, envelope, item):
-                if node is self._root:
-                    # A concurrent query_batch rebuilding the snapshot
-                    # while this insert is structurally mid-flight.
-                    self.packed_entries()
-                return super()._insert(node, envelope, item)
-
         rng = random.Random(11)
-        tree = ReaderDuringInsert(max_entries=8)
-        for k in range(60):
-            tree.insert(random_envelope(rng), f"item-{k}")
-        probe = Envelope(0, 0, 200, 200)
-        tree.query_batch([probe])  # warm the snapshot
-        tree.insert(Envelope(40, 40, 41, 41), "mid-flight")
-        found = tree.query_batch([probe])[0]
-        assert "mid-flight" in found
-        assert sorted(found) == sorted(tree.query(probe))
+        store = StrabonStore()
+        triples = [box_triple(rng, k) for k in range(300)]
+
+        def insert():
+            for triple in triples:
+                store.add(triple)
+
+        found = self.probe_while(store, insert)
+        assert found == brute_force(triples, Envelope(0, 0, 200, 200))
 
     def test_reader_during_remove_does_not_pin_stale_snapshot(self):
-        tree_ref = {}
+        store, triples = build_store(n=300, seed=12)
+        removed = triples[::2]
 
-        class Spy:
-            """An item whose equality check (hit by remove's leaf-entry
-            filtering) doubles as a concurrent snapshot reader."""
+        def remove():
+            for triple in removed:
+                store.remove(triple)
 
-            def __init__(self, label):
-                self.label = label
-
-            def __eq__(self, other):
-                tree = tree_ref.get("tree")
-                if tree is not None:
-                    tree.packed_entries()
-                return isinstance(other, Spy) and other.label == self.label
-
-            def __hash__(self):
-                return hash(self.label)
-
-        rng = random.Random(12)
-        tree = RTree(max_entries=8)
-        entries = [
-            (random_envelope(rng), Spy(f"item-{k}")) for k in range(40)
-        ]
-        for env, item in entries:
-            tree.insert(env, item)
-        probe = Envelope(0, 0, 200, 200)
-        tree.query_batch([probe])  # warm the snapshot
-        tree_ref["tree"] = tree
-        env0, item0 = entries[0]
-        assert tree.remove(env0, item0)
-        tree_ref.clear()
-        labels = {s.label for s in tree.query_batch([probe])[0]}
-        assert "item-0" not in labels
-        assert labels == {s.label for s in tree.query(probe)}
+        found = self.probe_while(store, remove)
+        assert found == brute_force(triples[1::2], Envelope(0, 0, 200, 200))
 
 
 class TestPackedEnvelopes:
@@ -170,6 +189,15 @@ class TestPackedEnvelopes:
             assert packed.intersecting(probe).tolist() == [
                 i for i, hit in enumerate(expected) if hit
             ]
+
+    def test_concat(self):
+        rng = random.Random(6)
+        envs = [random_envelope(rng) for _ in range(12)]
+        head = PackedEnvelopes.pack(envs[:5])
+        joined = head.concat(PackedEnvelopes.pack(envs[5:]))
+        assert joined.unpack() == envs
+        assert len(head) == 5  # the operands are not modified
+        assert PackedEnvelopes.pack([]).concat(head).unpack() == envs[:5]
 
     def test_empty_probe_hits_nothing(self):
         packed = PackedEnvelopes.pack(

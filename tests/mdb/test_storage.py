@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults
+from repro.mdb import Database
 from repro.mdb.bat import BAT
 from repro.mdb.sciql import Dimension, SciArray
 from repro.mdb.storage import (
@@ -27,7 +28,7 @@ from repro.mdb.storage.records import (
     iter_records,
     pack_record,
 )
-from repro.mdb.types import INT, STRING, TIMESTAMP
+from repro.mdb.types import INT, STRING, TIMESTAMP, ColumnType
 
 
 class TestRecordFraming:
@@ -539,3 +540,62 @@ class TestObjectColumnCodec:
             np.savez(f, **kept)
         with pytest.raises(StorageError, match=seg):
             open_database(data_dir)
+
+
+class TestInsertRowsSegment:
+    """An ``insert_rows`` batch of at least ``SEGMENT_THRESHOLD`` rows is
+    journaled as one segment built from the BATs it was appended to."""
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_each_cell_coerced_once(self, data_dir, monkeypatch, durable):
+        eng = open_database(data_dir) if durable else None
+        db = eng.db if durable else Database()
+        db.execute("CREATE TABLE t (id INT, name STRING)")
+        calls = []
+        original = ColumnType.coerce
+
+        def counting(self, value):
+            calls.append(value)
+            return original(self, value)
+
+        monkeypatch.setattr(ColumnType, "coerce", counting)
+        db.insert_rows("t", [(i, f"n{i}") for i in range(1000)])
+        monkeypatch.undo()
+        assert len(calls) == 2000
+        if durable:
+            assert eng.wal_records == 2  # DDL + one segment record
+            eng.close()
+
+    def test_batch_with_nulls_reopens_identical(self, data_dir):
+        eng = open_database(data_dir)
+        db = eng.db
+        db.execute(
+            "CREATE TABLE t (id INT, name STRING, w DOUBLE, "
+            "at TIMESTAMP, ok BOOL)"
+        )
+        data = [
+            (
+                None if i % 7 == 0 else i,
+                HOSTILE_STRINGS[i % len(HOSTILE_STRINGS)],
+                None if i % 5 == 0 else i / 4,
+                HOSTILE_TIMESTAMPS[i % len(HOSTILE_TIMESTAMPS)],
+                None if i % 3 == 0 else i % 2 == 0,
+            )
+            for i in range(300)
+        ]
+        db.insert_rows("t", data)
+        assert len(os.listdir(os.path.join(data_dir, "segments"))) == 1
+
+        def table_state(database):
+            table = database.table("t")
+            return [
+                exact(table.column(name).to_list())
+                for name in table.column_names
+            ]
+
+        before = table_state(db)
+        assert before == [exact(column) for column in zip(*data)]
+        eng.close()
+        eng2 = reopen(data_dir)
+        assert table_state(eng2.db) == before
+        eng2.close()

@@ -1,9 +1,11 @@
-"""The mining pipeline: batch equivalence, fault isolation, bulk emit."""
+"""The mining pipeline: batch equivalence, fault isolation, one merged
+emit."""
 
 import pytest
 
-from repro import faults
+from repro import faults, obs
 from repro.eo import GreeceLikeWorld, SceneSpec, generate_scene, write_scene
+from repro.geometry import Envelope
 from repro.ingest import Ingestor
 from repro.ingest.metadata import NOA_PREFIXES, product_uri
 from repro.mdb import Database
@@ -121,22 +123,28 @@ class TestBatchEquality:
         clf = trained_classifier(scene_paths(tmp_path, count=1))
         assert fresh_pipeline(clf).run_batch([]) == []
 
-    def test_single_merged_bulk_emit(self, tmp_path, monkeypatch):
-        """A batch reaches the store in exactly one flush."""
+    def test_single_merged_bulk_emit(self, tmp_path):
+        """A batch reaches the spatial index in one fold before its
+        first probe."""
         paths = scene_paths(tmp_path)
         clf = trained_classifier(paths)
         pipe = fresh_pipeline(clf)
         store = pipe.ingestor.store
-        flushes = []
-        orig = store._flush_bulk
-        monkeypatch.setattr(
-            store,
-            "_flush_bulk",
-            lambda: (flushes.append(1), orig())[1],
-        )
-        results = pipe.run_batch(paths)
+        registry = obs.get_registry()
+        was_enabled = registry.enabled
+        registry.set_enabled(True)
+        try:
+            folds = obs.counter("strabon.index.folds")
+            before = folds.value
+            results = pipe.run_batch(paths)
+            (found,) = store.spatial_candidates_batch(
+                [Envelope(-180, -90, 180, 90)]
+            )
+            assert found  # the batch's geometries were folded in
+            assert folds.value - before == 1
+        finally:
+            registry.set_enabled(was_enabled)
         assert all(isinstance(r, MiningResult) for r in results)
-        assert len(flushes) == 1
 
 
 class TestFailureIsolation:

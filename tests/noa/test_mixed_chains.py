@@ -2,11 +2,13 @@
 
 The architecture-generality regression: two NOA-style chains (and the
 mining pipeline) batch over the same acquisitions against a shared
-ingestor, each with per-acquisition failure isolation and exactly one
-merged RDF bulk emit per chain batch.
+ingestor, each with per-acquisition failure isolation and one merged RDF
+emit per chain batch, which the spatial index packs in one fold.
 """
 
+from repro import obs
 from repro.eo import GreeceLikeWorld, SceneSpec, generate_scene, write_scene
+from repro.geometry import Envelope
 from repro.ingest import Ingestor
 from repro.ingest.metadata import NOA_PREFIXES
 from repro.mdb import Database
@@ -96,18 +98,24 @@ class TestMixedBatches:
             clean.store.triples()
         )
 
-    def test_one_bulk_emit_per_chain_batch(self, tmp_path, monkeypatch):
+    def test_one_bulk_emit_per_chain_batch(self, tmp_path):
+        """Each chain batch's geometries reach the spatial index in at
+        most one fold before its first probe."""
         paths = scene_paths(tmp_path)
         ingestor = shared_ingestor()
         store = ingestor.store
-        flushes = []
-        orig = store._flush_bulk
-        monkeypatch.setattr(
-            store,
-            "_flush_bulk",
-            lambda: (flushes.append(1), orig())[1],
-        )
-        ProcessingChain(ingestor).run_batch(paths)
-        assert len(flushes) == 1
-        BurnScarChain(ingestor).run_batch(paths)
-        assert len(flushes) == 2
+        registry = obs.get_registry()
+        was_enabled = registry.enabled
+        registry.set_enabled(True)
+        try:
+            folds = obs.counter("strabon.index.folds")
+            for chain in (ProcessingChain, BurnScarChain):
+                before = folds.value
+                chain(ingestor).run_batch(paths)
+                (found,) = store.spatial_candidates_batch(
+                    [Envelope(-180, -90, 180, 90)]
+                )
+                assert found  # the batch's geometries were folded in
+                assert folds.value - before == 1
+        finally:
+            registry.set_enabled(was_enabled)

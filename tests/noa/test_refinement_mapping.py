@@ -85,6 +85,29 @@ class TestRefinement:
         assert report.hotspots_before == report.hotspots_after
         assert report.step_count("delete-in-sea") == 0
 
+    def test_same_survivors_with_and_without_spatial_index(
+        self, tmp_path
+    ):
+        spec = SceneSpec(
+            width=128, height=128, seed=12, n_fires=4, n_glints=4
+        )
+        scene = generate_scene(spec, WORLD.land, fire_seeds=FIRE_SEEDS)
+        path = str(tmp_path / "scene_001.nat")
+        write_scene(scene, path)
+        stores, reports = [], []
+        for use_spatial_index in (True, False):
+            ingestor = Ingestor(
+                Database(), StrabonStore(use_spatial_index=use_spatial_index)
+            )
+            ingestor.store.load_graph(WORLD.to_rdf())
+            ProcessingChain(ingestor).run(path)
+            reports.append(Refiner(ingestor.store, WORLD).apply())
+            stores.append(set(ingestor.store.triples()))
+        indexed, plain = reports
+        assert indexed.steps == plain.steps
+        assert indexed.hotspots_after < indexed.hotspots_before
+        assert stores[0] == stores[1]
+
     def test_step_count_unknown(self, pipeline):
         _, ingestor, _ = pipeline
         report = Refiner(ingestor.store, WORLD).apply()

@@ -1,7 +1,5 @@
-"""Bulk R-tree loading: spatial results must be identical to the
-incremental path, and clear() must fully reset the store."""
-
-import threading
+"""Graph loading: spatial results must be identical to the incremental
+path, and clear() must fully reset the store."""
 
 from repro.geometry import Envelope, Point
 from repro.rdf import Literal, Namespace, URIRef
@@ -60,15 +58,6 @@ class TestBulkLoad:
             incremental, BGP_QUERY
         )
 
-    def test_bulk_load_builds_packed_rtree(self):
-        graph = catalog_graph()
-        bulk = StrabonStore()
-        bulk.load_graph(graph)
-        # The tree holds every distinct geometry and is actually packed
-        # (multi-level for 100+ entries at fan-out 16).
-        assert len(bulk._rtree) == len(bulk._geo_envelopes)
-        assert bulk._rtree.height() > 1
-
     def test_incremental_adds_after_bulk_load_are_indexed(self):
         bulk = StrabonStore()
         bulk.load_graph(catalog_graph())
@@ -77,27 +66,13 @@ class TestBulkLoad:
         )
         assert (EX.extra,) in set(bulk.query(SPATIAL_QUERY).rows())
 
-    def test_nested_bulk_flushes_once_at_outermost_exit(self):
-        store = StrabonStore()
-        with store.bulk():
-            with store.bulk():
-                store.add(
-                    (EX.a, EX.geom, geometry_literal(Point(30, 30)))
-                )
-            # Inner exit must not flush: still buffering.
-            assert store._bulk_depth == 1
-            store.add((EX.b, EX.geom, geometry_literal(Point(31, 31))))
-        assert store._bulk_depth == 0
-        assert len(store._rtree) == 2
-        assert len(store) == 2
-
     def test_backend_rows_match_after_bulk(self):
         graph = catalog_graph(30)
         bulk = StrabonStore()
         bulk.load_graph(graph)
         assert set(bulk.triples()) == set(graph)
         assert len(graph) == len(bulk)
-        # Every geometry literal is an R-tree candidate after the flush.
+        # Every geometry literal is an index candidate after the load.
         geoms = {o for _, p, o in graph if p == EX.geom}
         probe = Envelope(-1, -1, 101, 101)
         assert bulk.spatial_candidates(probe) == geoms
@@ -110,7 +85,6 @@ class TestClear:
         assert rows_set(store, SPATIAL_QUERY)
         store.clear()
         assert len(store) == 0
-        assert len(store._rtree) == 0
         assert list(store.triples()) == []
         assert store.spatial_candidates(Envelope(0, 0, 100, 100)) == set()
         assert rows_set(store, SPATIAL_QUERY) == set()
@@ -131,47 +105,3 @@ class TestClear:
         store.add((EX.a, EX.p, EX.b))
         assert len(store) == 1
         assert list(store.triples()) == [(EX.a, EX.p, EX.b)]
-
-
-class TestBulkFlushSerialisation:
-    def test_concurrent_bulk_windows_do_not_double_emit(self):
-        store = StrabonStore()
-        errors = []
-
-        def load(k):
-            try:
-                with store.bulk():
-                    for i in range(40):
-                        store.add(
-                            (
-                                URIRef(f"http://example.org/s{k}_{i}"),
-                                URIRef("http://example.org/p"),
-                                URIRef(f"http://example.org/o{k}_{i}"),
-                            )
-                        )
-                    store.add(
-                        (
-                            URIRef(f"http://example.org/s{k}"),
-                            URIRef("http://example.org/geom"),
-                            geometry_literal(Point(k, k)),
-                        )
-                    )
-            except Exception as exc:  # noqa: BLE001 — asserted below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=load, args=(k,)) for k in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert errors == []
-        assert all(not t.is_alive() for t in threads)
-        assert len(store) == len(set(store.triples())) == 8 * 41
-        # The last window out rebuilt the R-tree over every thread's
-        # geometry.
-        assert store._bulk_depth == 0
-        assert store.spatial_candidates(Envelope(0, 0, 7, 7)) == {
-            geometry_literal(Point(k, k)) for k in range(8)
-        }

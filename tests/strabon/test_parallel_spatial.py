@@ -1,4 +1,4 @@
-"""Vectorised spatial fast paths: R-tree hints and batched probes."""
+"""Vectorised spatial fast paths: spatial-index hints and batched probes."""
 
 import random
 
@@ -22,27 +22,26 @@ def build_store(n=120, seed=23, use_spatial_index=True):
     """Many point sites, with two bindings no geometry test can use."""
     rng = random.Random(seed)
     store = StrabonStore(use_spatial_index=use_spatial_index)
-    with store.bulk():
-        for k in range(n):
-            x, y = rng.uniform(0, 100), rng.uniform(0, 100)
-            store.add(
-                (EX[f"site{k}"], EX.geom, geometry_literal(Point(x, y)))
-            )
-        # A non-geometry binding and a malformed geometry literal: both
-        # must reach the exact filter untouched.
-        from repro.rdf.term import Literal
-        from repro.strabon import strdf
-
-        store.add((EX.odd, EX.geom, Literal("not a geometry")))
-        for k in range(0, n, 10):
-            store.add((EX[f"site{k}"], EX.kind, EX.Marked))
+    for k in range(n):
+        x, y = rng.uniform(0, 100), rng.uniform(0, 100)
         store.add(
-            (
-                EX.broken,
-                EX.geom,
-                Literal("POLYGON oops", datatype=strdf.WKT_DATATYPE),
-            )
+            (EX[f"site{k}"], EX.geom, geometry_literal(Point(x, y)))
         )
+    # A non-geometry binding and a malformed geometry literal: both
+    # must reach the exact filter untouched.
+    from repro.rdf.term import Literal
+    from repro.strabon import strdf
+
+    store.add((EX.odd, EX.geom, Literal("not a geometry")))
+    for k in range(0, n, 10):
+        store.add((EX[f"site{k}"], EX.kind, EX.Marked))
+    store.add(
+        (
+            EX.broken,
+            EX.geom,
+            Literal("POLYGON oops", datatype=strdf.WKT_DATATYPE),
+        )
+    )
     return store
 
 
@@ -93,7 +92,7 @@ QUERIES = [
 
 
 class TestEnvelopePrefilter:
-    """The same spatial FILTER with the R-tree index on and off."""
+    """The same spatial FILTER with the spatial index on and off."""
 
     @pytest.mark.parametrize("name,query", QUERIES)
     def test_indexed_equals_unindexed(self, name, query):
@@ -145,22 +144,21 @@ class TestGeometryLiteralsStillExact:
     def test_boundary_point_semantics_preserved(self):
         # Envelope decisions must not change OGC boundary semantics.
         store = StrabonStore()
-        with store.bulk():
-            for k in range(20):
-                store.add(
-                    (
-                        EX[f"p{k}"],
-                        EX.geom,
-                        geometry_literal(Point(float(k), 2.5)),
-                    )
-                )
+        for k in range(20):
             store.add(
                 (
-                    EX.edge,
+                    EX[f"p{k}"],
                     EX.geom,
-                    geometry_literal(Point(5.0, 5.0)),
+                    geometry_literal(Point(float(k), 2.5)),
                 )
             )
+        store.add(
+            (
+                EX.edge,
+                EX.geom,
+                geometry_literal(Point(5.0, 5.0)),
+            )
+        )
         query = (
             PREFIXES
             + "SELECT ?s WHERE { ?s ex:geom ?g . "

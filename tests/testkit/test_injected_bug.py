@@ -3,15 +3,15 @@ to a tiny counterexample, and replayable from its printed seed.
 
 Two classic bug shapes are injected:
 
-* ``RTree.insert`` stops invalidating the packed ``query_batch``
-  snapshot (the exact bug class fixed in an earlier release);
+* the store's spatial-index fold drops its tail once the packed column
+  holds any slot, so the column goes stale after the first probe (the
+  stale-snapshot bug class fixed in an earlier release);
 * ``StrabonStore.spatial_candidates_batch`` silently drops a candidate
   (a broken prefilter must never shrink the answer set).
 """
 
 import pytest
 
-from repro.geometry import RTree
 from repro.strabon import StrabonStore
 from repro.testkit import run_case, sweep
 from repro.testkit.generators import gen_spec
@@ -21,15 +21,15 @@ BASE_SEED = 20_260_806
 
 @pytest.fixture
 def stale_snapshot_insert(monkeypatch):
-    """Make RTree.insert skip packed-snapshot invalidation."""
-    original = RTree.insert
+    """Make the spatial-index fold drop its tail after the first fold."""
+    original = StrabonStore._fold_index
 
-    def buggy_insert(self, envelope, item):
-        packed = self._packed
-        original(self, envelope, item)
-        self._packed = packed  # BUG: stale snapshot survives the insert
+    def buggy_fold(self):
+        if self._literals:
+            self._tail = []  # BUG: adds after the first fold never land
+        original(self)
 
-    monkeypatch.setattr(RTree, "insert", buggy_insert)
+    monkeypatch.setattr(StrabonStore, "_fold_index", buggy_fold)
 
 
 @pytest.fixture
