@@ -14,7 +14,7 @@ from typing import Any, Iterable, Iterator, List, Optional
 import numpy as np
 
 from repro.mdb.errors import ExecutionError
-from repro.mdb.types import ColumnType
+from repro.mdb.types import ColumnType, column_values
 
 _GROWTH = 1.6
 _MIN_CAPACITY = 16
@@ -33,7 +33,7 @@ class BAT:
         # write materialises private copies (copy-on-write).
         self._frozen = False
         if values is not None:
-            self.extend(values)
+            self.extend_arrays(*ctype.coerce_column(values))
 
     @classmethod
     def adopt(
@@ -76,23 +76,6 @@ class BAT:
 
     # -- mutation ------------------------------------------------------------
 
-    def append(self, value: Any) -> None:
-        """Append one (possibly None) value."""
-        self._reserve(self._size + 1)
-        coerced = self.ctype.coerce(value)
-        if coerced is None:
-            self._valid[self._size] = False
-            # Keep a benign in-band filler for the numpy slot.
-            self._data[self._size] = self._filler()
-        else:
-            self._valid[self._size] = True
-            self._data[self._size] = coerced
-        self._size += 1
-
-    def extend(self, values: Iterable) -> None:
-        for v in values:
-            self.append(v)
-
     def extend_arrays(self, data: np.ndarray, valid: np.ndarray) -> None:
         """Vectorised bulk append of pre-coerced ``(data, valid)`` arrays.
 
@@ -112,22 +95,21 @@ class BAT:
         self._valid[self._size:self._size + n] = valid
         self._size += n
 
-    def set(self, position: int, value: Any) -> None:
-        """Overwrite the value at ``position``."""
-        self._check_position(position)
+    def assign(
+        self, positions: np.ndarray, data: np.ndarray, valid: np.ndarray
+    ) -> None:
+        """Overwrite the rows at ``positions`` with pre-coerced
+        ``(data, valid)`` arrays (see :meth:`ColumnType.coerce_column`)."""
+        positions = np.asarray(positions, dtype=np.int64)
+        if positions.size and not (
+            0 <= positions.min() and positions.max() < self._size
+        ):
+            raise ExecutionError(
+                f"positions out of range [0, {self._size})"
+            )
         self._thaw()
-        coerced = self.ctype.coerce(value)
-        if coerced is None:
-            self._valid[position] = False
-            self._data[position] = self._filler()
-        else:
-            self._valid[position] = True
-            self._data[position] = coerced
-
-    def _filler(self) -> Any:
-        if self.ctype.dtype == np.dtype(object):
-            return None
-        return self.ctype.dtype.type(0)
+        self._data[positions] = data
+        self._valid[positions] = valid
 
     def _reserve(self, needed: int) -> None:
         cap = len(self._data)
@@ -141,12 +123,6 @@ class BAT:
         self._data = data
         self._valid = valid
         self._frozen = False
-
-    def _check_position(self, position: int) -> None:
-        if not 0 <= position < self._size:
-            raise ExecutionError(
-                f"position {position} out of range [0, {self._size})"
-            )
 
     # -- bulk access -------------------------------------------------------
 
@@ -162,38 +138,28 @@ class BAT:
 
     def get(self, position: int) -> Any:
         """The Python value at ``position`` (None when NULL)."""
-        self._check_position(position)
-        if not self._valid[position]:
-            return None
-        value = self._data[position]
-        if isinstance(value, np.generic):
-            return value.item()
-        return value
+        if not 0 <= position < self._size:
+            raise ExecutionError(
+                f"position {position} out of range [0, {self._size})"
+            )
+        return self._data.item(position) if self._valid[position] else None
 
     def to_list(self) -> List[Any]:
-        return [self.get(i) for i in range(self._size)]
+        """Every value as a Python value (None where NULL)."""
+        return column_values(self.values, self.validity)
 
     def take(self, positions: np.ndarray) -> "BAT":
         """A new BAT with the rows at ``positions`` (MonetDB 'fetchjoin')."""
-        out = BAT(self.ctype)
-        n = len(positions)
-        out._reserve(n)
-        out._data[:n] = self._data[: self._size][positions]
-        out._valid[:n] = self._valid[: self._size][positions]
-        out._size = n
-        return out
+        return BAT.adopt(
+            self.ctype, self.values[positions], self.validity[positions]
+        )
 
     def select_mask(self, mask: np.ndarray) -> np.ndarray:
         """Positions where ``mask`` holds (a candidate list)."""
         return np.nonzero(mask)[0]
 
     def copy(self) -> "BAT":
-        out = BAT(self.ctype)
-        out._reserve(self._size)
-        out._data[: self._size] = self._data[: self._size]
-        out._valid[: self._size] = self._valid[: self._size]
-        out._size = self._size
-        return out
+        return BAT.adopt(self.ctype, self.values.copy(), self.validity.copy())
 
     # -- protocol -------------------------------------------------------------
 
@@ -201,8 +167,7 @@ class BAT:
         return self._size
 
     def __iter__(self) -> Iterator[Any]:
-        for i in range(self._size):
-            yield self.get(i)
+        return iter(self.to_list())
 
     def __repr__(self) -> str:
         return f"<BAT {self.ctype.name} n={self._size}>"

@@ -5,14 +5,13 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro import obs
 from repro.cache import LRUCache
 from repro.mdb.catalog import Catalog
 from repro.mdb.errors import ExecutionError
 from repro.mdb.sql.executor import Executor, Vector
 from repro.mdb.sql.parser import parse_script, parse_statement
+from repro.mdb.types import column_values
 
 
 class Result:
@@ -46,25 +45,7 @@ class Result:
 
     def rows(self) -> List[Tuple[Any, ...]]:
         """All result rows as Python tuples (NULL → None)."""
-        n = len(self)
-        out = []
-        for i in range(n):
-            out.append(
-                tuple(
-                    self._value(col, i) for col in self._columns
-                )
-            )
-        return out
-
-    @staticmethod
-    def _value(col: Vector, i: int):
-        data, valid = col
-        if not valid[i]:
-            return None
-        value = data[i]
-        if isinstance(value, np.generic):
-            return value.item()
-        return value
+        return list(zip(*(column_values(*col) for col in self._columns)))
 
     def column(self, name: str) -> List[Any]:
         """One column's values by result name."""
@@ -74,8 +55,7 @@ class Result:
             raise ExecutionError(
                 f"no result column {name!r}; have {self.names}"
             ) from None
-        col = self._columns[index]
-        return [self._value(col, i) for i in range(len(self))]
+        return column_values(*self._columns[index])
 
     def scalar(self) -> Any:
         """The single value of a 1x1 result."""
@@ -84,7 +64,7 @@ class Result:
                 f"scalar() needs a 1x1 result, got "
                 f"{len(self.names)}x{len(self)}"
             )
-        return self._value(self._columns[0], 0)
+        return column_values(*self._columns[0])[0]
 
     def dicts(self) -> Iterator[Dict[str, Any]]:
         for row in self.rows():

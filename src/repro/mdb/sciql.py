@@ -100,11 +100,8 @@ class SciArray:
         # build new SciArrays, which start with a fresh cache.
         self._dim_cols: Dict[str, np.ndarray] = {}
         for (attr_name, ctype), default in zip(self.attributes, defaults):
-            fill = ctype.coerce(default) if default is not None else (
-                None if ctype.dtype == np.dtype(object) else ctype.dtype.type(0)
-            )
-            arr = np.full(self.shape, fill, dtype=ctype.dtype)
-            self._values[attr_name] = arr
+            (fill,), _ = ctype.coerce_column([default])
+            self._values[attr_name] = np.full(self.shape, fill, ctype.dtype)
 
     @classmethod
     def from_ast(cls, stmt: ast.CreateArray) -> "SciArray":
@@ -219,10 +216,8 @@ class SciArray:
                 f"column {name!r} already exists in array {self.name!r}"
             )
         self.attributes.append((name, ctype))
-        fill = ctype.coerce(default) if default is not None else (
-            None if ctype.dtype == np.dtype(object) else ctype.dtype.type(0)
-        )
-        self._values[name] = np.full(self.shape, fill, dtype=ctype.dtype)
+        (fill,), _ = ctype.coerce_column([default])
+        self._values[name] = np.full(self.shape, fill, ctype.dtype)
         if self.journal is not None:
             self.journal.log_add_attribute(self.name, name, ctype.name)
         return self
@@ -245,10 +240,7 @@ class SciArray:
         index = tuple(
             d.index_of(c) for d, c in zip(self.dimensions, coords)
         )
-        value = self._values[attr_name][index]
-        if isinstance(value, np.generic):
-            return value.item()
-        return value
+        return self._values[attr_name].item(index)
 
     def set(
         self, coords: Sequence[int], value: Any, attr: Optional[str] = None
@@ -520,10 +512,7 @@ def update_array(array: SciArray, stmt: ast.Update) -> int:
         for attr_name, expr in stmt.assignments:
             ctype = array.attribute_type(attr_name)
             data, valid = evaluator.eval(expr)
-            if data.dtype == object:
-                values = np.asarray([ctype.coerce(v) for v in data[valid]])
-            else:
-                values = data[valid].astype(ctype.dtype)
+            values, _ = ctype.coerce_column(data[valid])
             current = array.attribute(attr_name)
             plane = current.reshape(-1).copy()
             plane[idx[valid]] = values

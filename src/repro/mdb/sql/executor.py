@@ -48,7 +48,7 @@ from repro.mdb.sql.vectors import (
     vec_inlist_literals,
 )
 from repro.mdb.table import Column, Table
-from repro.mdb.types import STRING, ColumnType, type_by_name
+from repro.mdb.types import STRING, ColumnType, column_values, type_by_name
 
 
 class Frame:
@@ -251,17 +251,8 @@ class Evaluator:
         return out, np.ones(len(out), dtype=bool)
 
     def _eval_cast(self, expr: ast.Cast) -> Vector:
-        data, valid = self.eval(expr.operand)
         ctype = type_by_name(expr.type_name)
-        out = np.empty(len(data), dtype=object)
-        for i in range(len(data)):
-            out[i] = ctype.coerce(data[i]) if valid[i] else None
-        if ctype.dtype != np.dtype(object):
-            typed = ctype.empty_array(len(data))
-            for i in range(len(data)):
-                typed[i] = out[i] if valid[i] else ctype.dtype.type(0)
-            return typed, valid.copy()
-        return out, valid.copy()
+        return ctype.coerce_column(column_values(*self.eval(expr.operand)))
 
     def _eval_case(self, expr: ast.Case) -> Vector:
         n = self.frame.nrows
@@ -490,49 +481,43 @@ class Executor:
         from repro.mdb.database import Result
 
         table = self.catalog.table(stmt.table)
-        columns = list(stmt.columns) or table.column_names
-        rows: List[Sequence[Any]] = []
         if stmt.select is not None:
-            _, out_columns = self.run_select(stmt.select)
-            n = len(out_columns[0][0]) if out_columns else 0
-            for i in range(n):
-                rows.append(
-                    [
-                        (col[0][i] if col[1][i] else None)
-                        for col in out_columns
-                    ]
-                )
+            _, vectors = self.run_select(stmt.select)
+            n = len(vectors[0][0]) if vectors else 0
+            widths = [len(vectors)] if n else []
+            given = [column_values(*vector) for vector in vectors]
         else:
-            empty = Frame(1)
-            evaluator = Evaluator(empty)
-            for row_exprs in stmt.rows:
-                row = []
-                for expr in row_exprs:
-                    data, valid = evaluator.eval(expr)
-                    row.append(data[0] if valid[0] else None)
-                rows.append(row)
-        columns = [c.lower() for c in columns]
+            evaluator = Evaluator(Frame(1))
+            rows = [
+                [evaluator.eval(expr) for expr in row_exprs]
+                for row_exprs in stmt.rows
+            ]
+            n = len(rows)
+            widths = [len(row) for row in rows]
+            given = [
+                [data[0] if valid[0] else None for data, valid in column]
+                for column in zip(*rows)
+            ]
+        columns = [c.lower() for c in stmt.columns or table.column_names]
         unknown = set(columns) - set(table.column_names)
         if unknown:
             raise CatalogError(
                 f"unknown columns {sorted(unknown)} for table "
                 f"{table.name!r}"
             )
-        full_rows: List[List[Any]] = []
-        for row in rows:
-            if len(row) != len(columns):
+        for width in widths:
+            if width != len(columns):
                 raise ExecutionError(
-                    f"INSERT expects {len(columns)} values, got {len(row)}"
+                    f"INSERT expects {len(columns)} values, got {width}"
                 )
-            mapping = dict(zip(columns, row))
-            full_rows.append(
-                [mapping.get(c.name) for c in table.columns]
-            )
-        # One insert_rows call = one journal record for the whole
+        values = dict(zip(columns, given))
+        # One insert_columns call = one journal record for the whole
         # statement: a multi-row INSERT is applied (and recovered)
         # atomically.
-        table.insert_rows(full_rows)
-        return Result.affected(len(full_rows))
+        table.insert_columns(
+            {c: values.get(c, [None] * n) for c in table.column_names}
+        )
+        return Result.affected(n)
 
     def _update(self, stmt: ast.Update):
         from repro.mdb.database import Result
@@ -555,13 +540,13 @@ class Executor:
             return Result.affected(0)
         sub = frame.take(positions)
         evaluator = Evaluator(sub)
-        assignments: Dict[str, List[Any]] = {}
-        for col_name, expr in stmt.assignments:
-            data, valid = evaluator.eval(expr)
-            assignments[col_name] = [
-                data[i] if valid[i] else None for i in range(len(positions))
-            ]
-        table.update_positions(positions, assignments)
+        table.update_positions(
+            positions,
+            {
+                col_name: column_values(*evaluator.eval(expr))
+                for col_name, expr in stmt.assignments
+            },
+        )
         return Result.affected(len(positions))
 
     def _delete(self, stmt: ast.Delete):

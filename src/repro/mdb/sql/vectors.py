@@ -59,7 +59,7 @@ def broadcast_literal(value: Any, nrows: int) -> Vector:
         return np.broadcast_to(data, (nrows,)), np.zeros(nrows, dtype=bool)
     if isinstance(value, bool):
         data = np.full(1, value, dtype=bool)
-    elif isinstance(value, int):
+    elif isinstance(value, int) and -(2**63) <= value < 2**63:
         data = np.full(1, value, dtype=np.int64)
     elif isinstance(value, float):
         data = np.full(1, value, dtype=np.float64)

@@ -16,12 +16,13 @@ partial rows, no lost acknowledged writes.
 
 Write ordering per mutation::
 
-    1. apply in memory (validation/coercion happens here)
-    2. [bulk only] write + fsync the segment file   (storage.segment)
-    3. append + fsync the WAL record                (storage.wal)
-    4. return to caller  -> the write is acknowledged
+    1. stage: coerce every column (a bad value stops here, unchanged)
+    2. apply the staged arrays in memory
+    3. [bulk only] write + fsync the segment file   (storage.segment)
+    4. append + fsync the WAL record                (storage.wal)
+    5. return to caller  -> the write is acknowledged
 
-A crash (injected ``hard`` fault, or a real kill) between 1 and 3 loses
+A crash (injected ``hard`` fault, or a real kill) between 2 and 4 loses
 an *unacknowledged* write — the process memory is gone anyway — and can
 never surface a partial one.  Checkpoints write a fresh snapshot under a
 temporary name, fsync it, rename it into place, create the paired empty
@@ -60,7 +61,7 @@ from repro.mdb.storage.snapshot import (
 )
 from repro.mdb.storage.wal import WriteAheadLog, resolve_sync_policy
 from repro.mdb.table import Column, Table
-from repro.mdb.types import type_by_name
+from repro.mdb.types import column_values, type_by_name
 
 #: Environment variable naming the default durable data directory.
 DATA_DIR_ENV = "REPRO_DATA_DIR"
@@ -391,61 +392,44 @@ class StorageEngine:
     def log_drop_array(self, name: str) -> None:
         self._append({"op": "drop_array", "name": name})
 
-    def log_insert(self, table: str, rows: List[List[Any]]) -> None:
-        """Journal rows the table has just appended to its BATs.
+    def log_insert(self, table: str, n: int) -> None:
+        """Journal the ``n`` rows the table has just appended.
 
-        A batch of at least ``segment_threshold`` rows becomes one
-        segment built from the BATs' last ``len(rows)`` slots, which
-        already hold the coerced values; smaller ones are a JSON record.
+        The record is built from the BATs' last ``n`` slots, which hold
+        the coerced values: a JSON row record below ``segment_threshold``
+        rows, one binary segment plus one record at or above it.
         """
-        if self._replaying or not rows:
-            return
-        n = len(rows)
-        if n >= self.segment_threshold:
-            table_obj = self.db.table(table)
-            prepared: Dict[str, Any] = {}
-            for col in table_obj.columns:
-                bat = table_obj.column(col.name)
-                prepared[col.name] = (bat.values[-n:], bat.validity[-n:])
-            self.log_insert_columns(table, prepared, n)
-            return
-        self._append(
-            {
-                "op": "insert",
-                "table": table,
-                "rows": [encode_row(r) for r in rows],
-            }
-        )
-
-    def log_insert_columns(
-        self, table: str, prepared: Dict[str, Any], rows: int
-    ) -> None:
-        """Bulk append journaled as one binary segment + one record.
-
-        ``prepared`` maps column name → ``(data, valid)`` arrays already
-        coerced to the column dtype (the shape :meth:`Table.insert_columns`
-        stages), so journaling is a straight binary write — this is the
-        no-per-row-cost path the catalog broker's 100k-scene ingest uses.
-        """
-        if self._replaying or not rows:
+        if self._replaying or not n:
             return
         table_obj = self.db.table(table)
-        payload: Dict[str, np.ndarray] = {}
+        tails = []
         for col in table_obj.columns:
-            data, valid = prepared[col.name]
-            valid = np.asarray(valid, dtype=bool)
+            bat = table_obj.column(col.name)
+            tails.append((col, bat.values[-n:], bat.validity[-n:]))
+        if n < self.segment_threshold:
+            columns = [column_values(data, valid) for _, data, valid in tails]
+            self._append(
+                {
+                    "op": "insert",
+                    "table": table,
+                    "rows": [encode_row(r) for r in zip(*columns)],
+                }
+            )
+            return
+        payload: Dict[str, np.ndarray] = {}
+        for col, data, valid in tails:
             if col.ctype.dtype == np.dtype(object):
                 codes, heap = encode_object_column(data, valid, col.ctype)
                 payload[f"d_{col.name}"] = codes
                 payload[f"h_{col.name}"] = heap
             else:
-                payload[f"d_{col.name}"] = np.asarray(data)
+                payload[f"d_{col.name}"] = data
             payload[f"v_{col.name}"] = valid
         seg = self._write_segment(payload)
         self._append(
-            {"op": "insert_seg", "table": table, "seg": seg, "rows": rows}
+            {"op": "insert_seg", "table": table, "seg": seg, "rows": n}
         )
-        obs.counter("storage.segment_rows").inc(rows)
+        obs.counter("storage.segment_rows").inc(n)
 
     def log_delete(self, table: str, positions: Sequence[int]) -> None:
         self._append(

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.mdb.bat import BAT
 from repro.mdb.errors import CatalogError, ExecutionError
-from repro.mdb.types import ColumnType
+from repro.mdb.types import ColumnType, column_values
 
 
 class Column:
@@ -48,8 +48,8 @@ class Table:
         }
         # Durability hook: when a StorageEngine owns this table it sets
         # ``journal`` and every mutation below reports itself as exactly
-        # one logical record *after* applying in memory (apply-then-log:
-        # validation errors never reach the WAL).
+        # one logical record: stage (coerce every column), apply, then
+        # journal, so a validation error changes nothing and logs nothing.
         self.journal = None
 
     # -- schema -----------------------------------------------------------
@@ -77,37 +77,27 @@ class Table:
 
     # -- mutation ------------------------------------------------------------
 
-    def _append_row(self, values: Sequence[Any]) -> None:
-        if len(values) != len(self.columns):
-            raise ExecutionError(
-                f"table {self.name!r} has {len(self.columns)} columns, "
-                f"got {len(values)} values"
-            )
-        for col, value in zip(self.columns, values):
-            self._bats[col.name].append(value)
-
-    def insert_row(self, values: Sequence[Any]) -> None:
-        """Append one full-width row."""
-        self._append_row(values)
-        if self.journal is not None:
-            self.journal.log_insert(self.name, [list(values)])
-
     def insert_rows(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Append many rows — journaled as one logical record."""
-        rows = [list(r) for r in rows]
+        """Append full-width rows: transposed, then :meth:`insert_columns`."""
+        rows = list(rows)
+        width = len(self.columns)
         for row in rows:
-            self._append_row(row)
-        if rows and self.journal is not None:
-            self.journal.log_insert(self.name, rows)
-        return len(rows)
+            if len(row) != width:
+                raise ExecutionError(
+                    f"table {self.name!r} has {width} columns, "
+                    f"got {len(row)} values"
+                )
+        if not rows:
+            return 0
+        return self.insert_columns(dict(zip(self.column_names, zip(*rows))))
 
     def insert_columns(self, columns: Dict[str, Sequence[Any]]) -> int:
-        """Columnar bulk append: one equal-length sequence per column.
+        """Append one equal-length sequence per column (all present).
 
-        Values are coerced column-at-a-time into staged ``(data, valid)``
-        arrays, appended vectorised (:meth:`BAT.extend_arrays`) and
-        journaled as one binary segment — the batched-metadata ingest
-        path of the catalog broker.  All columns must be present.
+        Every column is coerced (:meth:`ColumnType.coerce_column`) into
+        staged ``(data, valid)`` arrays before any BAT changes, so a bad
+        cell leaves the table as it was; then the arrays are appended
+        and the rows journaled as one record.
         """
         missing = set(self.column_names) - set(columns)
         extra = set(columns) - set(self.column_names)
@@ -125,47 +115,15 @@ class Table:
         n = lengths.pop() if lengths else 0
         if n == 0:
             return 0
-        prepared: Dict[str, Any] = {}
-        for col in self.columns:
-            values = columns[col.name]
-            dtype = col.ctype.dtype
-            if (
-                isinstance(values, np.ndarray)
-                and dtype != np.dtype(object)
-                and values.dtype == dtype
-            ):
-                data = values
-                valid = np.ones(n, dtype=bool)
-            else:
-                data = col.ctype.empty_array(n)
-                valid = np.empty(n, dtype=bool)
-                coerce = col.ctype.coerce
-                filler = None if dtype == np.dtype(object) else 0
-                for i, raw in enumerate(values):
-                    value = coerce(raw)
-                    if value is None:
-                        valid[i] = False
-                        data[i] = filler
-                    else:
-                        valid[i] = True
-                        data[i] = value
-            prepared[col.name] = (data, valid)
-        for name, (data, valid) in prepared.items():
-            self._bats[name].extend_arrays(data, valid)
+        staged = [
+            (self._bats[col.name], col.ctype.coerce_column(columns[col.name]))
+            for col in self.columns
+        ]
+        for bat, (data, valid) in staged:
+            bat.extend_arrays(data, valid)
         if self.journal is not None:
-            self.journal.log_insert_columns(self.name, prepared, n)
+            self.journal.log_insert(self.name, n)
         return n
-
-    def insert_mapping(self, mapping: Dict[str, Any]) -> None:
-        """Append a row given as a column→value dict; missing cols → NULL."""
-        unknown = set(mapping) - set(self.column_names)
-        if unknown:
-            raise CatalogError(
-                f"unknown columns {sorted(unknown)} for table {self.name!r}"
-            )
-        self.insert_row(
-            [mapping.get(c.name) for c in self.columns]
-        )
 
     def delete_positions(self, positions: np.ndarray) -> int:
         """Remove the rows at ``positions`` (rebuilds the columns)."""
@@ -181,15 +139,36 @@ class Table:
         return int(len(positions))
 
     def update_positions(
-        self, positions: np.ndarray, assignments: Dict[str, List[Any]]
+        self, positions: np.ndarray, assignments: Dict[str, Sequence[Any]]
     ) -> int:
-        """Set ``assignments[col][k]`` at row ``positions[k]`` per column."""
+        """Set ``assignments[col][k]`` at row ``positions[k]`` per column.
+
+        Every assignment is coerced before any BAT changes, so a bad
+        value leaves the table as it was; the coerced values are what
+        the journal records.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        staged: Dict[str, Tuple[BAT, np.ndarray, np.ndarray]] = {}
         for col_name, values in assignments.items():
             bat = self.column(col_name)
-            for pos, value in zip(positions, values):
-                bat.set(int(pos), value)
+            data, valid = bat.ctype.coerce_column(values)
+            if len(data) != len(positions):
+                raise ExecutionError(
+                    f"update of {self.name}.{col_name}: {len(data)} "
+                    f"values for {len(positions)} positions"
+                )
+            staged[col_name.lower()] = (bat, data, valid)
+        for bat, data, valid in staged.values():
+            bat.assign(positions, data, valid)
         if self.journal is not None and len(positions):
-            self.journal.log_update(self.name, positions, assignments)
+            self.journal.log_update(
+                self.name,
+                positions,
+                {
+                    name: column_values(data, valid)
+                    for name, (_, data, valid) in staged.items()
+                },
+            )
         return len(positions)
 
     def truncate(self) -> None:

@@ -8,11 +8,14 @@ the same idea without magic numbers).
 from __future__ import annotations
 
 from datetime import datetime
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.mdb.errors import SQLTypeError
+
+#: The range of an INT cell; a value outside it is a domain error.
+_INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
 
 
 class ColumnType:
@@ -22,6 +25,8 @@ class ColumnType:
         self.name = name
         self.dtype = np.dtype(dtype)
         self.py_type = py_type
+        # Value types a numpy pass stores exactly as coerce would.
+        self._exact = frozenset({py_type, self.dtype.type}) - {np.object_}
 
     def coerce(self, value: Any) -> Any:
         """Convert ``value`` to this type; raises :class:`SQLTypeError`."""
@@ -36,11 +41,44 @@ class ColumnType:
                 if isinstance(value, datetime):
                     return value
                 return datetime.fromisoformat(str(value))
-            return self.py_type(value)
-        except (TypeError, ValueError) as exc:
+            out = self.py_type(value)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SQLTypeError(
                 f"cannot convert {value!r} to {self.name}"
             ) from exc
+        if self.py_type is int and not _INT_MIN <= out <= _INT_MAX:
+            raise SQLTypeError(f"cannot convert {value!r} to {self.name}")
+        return out
+
+    def coerce_column(self, values: Any) -> Tuple[np.ndarray, np.ndarray]:
+        """A column of values as new ``(data, valid)`` arrays, ``data``
+        holding a filler (0 or None) where the value was None.
+
+        Data, mask and any :class:`SQLTypeError` equal :meth:`coerce` per
+        cell.  One numpy pass replaces that loop when ``values`` is a
+        numeric ndarray whose cast reproduces ``coerce``, or when every
+        non-None value already has an exact type of this column.
+        """
+        obj = self.dtype.kind == "O"
+        if isinstance(values, np.ndarray) and not obj and values.dtype.kind in (
+            "bi" if self.dtype.kind == "i" else "biuf"
+        ):
+            return values.astype(self.dtype), np.ones(len(values), dtype=bool)
+        cells = list(values)
+        data = self.empty_array(len(cells))
+        valid = np.fromiter((v is not None for v in cells), bool, len(cells))
+        if set(map(type, cells)) - {type(None)} <= self._exact:
+            try:
+                data[:] = cells if obj else [
+                    0 if v is None else v for v in cells
+                ]
+                return data, valid
+            except OverflowError:
+                pass  # an INT out of range: the loop below names it
+        for i, raw in enumerate(cells):
+            value = self.coerce(raw)
+            data[i] = (None if obj else 0) if value is None else value
+        return data, valid
 
     def empty_array(self, capacity: int) -> np.ndarray:
         return np.empty(capacity, dtype=self.dtype)
@@ -53,6 +91,16 @@ class ColumnType:
 
     def __hash__(self) -> int:
         return hash(self.name)
+
+
+def column_values(data: np.ndarray, valid: np.ndarray) -> List[Any]:
+    """A ``(data, valid)`` column as Python values, None where NULL."""
+    out = data.tolist()
+    if data.dtype.kind == "O":  # may hold numpy scalars
+        out = [v.item() if isinstance(v, np.generic) else v for v in out]
+    for i in np.flatnonzero(~np.asarray(valid)):
+        out[i] = None
+    return out
 
 
 INT = ColumnType("INT", np.dtype(np.int64), int)

@@ -29,7 +29,7 @@ from repro.geometry import Geometry, Polygon
 from repro.geometry.multi import MultiPolygon, collect, flatten
 from repro.geometry.overlay import union_all
 from repro.ingest.metadata import NOA_PREFIXES
-from repro.strabon import StrabonStore, geometry_literal, literal_geometry
+from repro.strabon import StrabonStore, geometry_literal
 from repro.strabon.strdf import is_geometry_literal
 
 
@@ -124,11 +124,12 @@ class Refiner:
             NOA_PREFIXES
             + "SELECT ?g WHERE { ?h a noa:Hotspot ; noa:hasGeometry ?g }"
         )
-        geoms = []
-        for (lit,) in result.rows():
-            if lit is not None and is_geometry_literal(lit):
-                geoms.append(literal_geometry(lit))
-        return geoms
+        geometry = self.store.geometries.geometry
+        return [
+            geometry(lit)
+            for (lit,) in result.rows()
+            if lit is not None and is_geometry_literal(lit)
+        ]
 
     def _hotspot_count(self) -> int:
         result = self.store.query(

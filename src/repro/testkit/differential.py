@@ -22,6 +22,7 @@ import numpy as np
 from repro import kernels, obs
 from repro.geometry import from_wkt
 from repro.mdb import Database
+from repro.mdb.errors import SQLTypeError
 from repro.server import decode_token, encode_token
 from repro.strabon import StrabonStore
 from repro.strabon.stsparql.iterators import (
@@ -32,6 +33,7 @@ from repro.strabon.stsparql.parser import parse_query
 from repro.testkit import oracles
 from repro.testkit.generators import (
     SPEC_DOMAINS,
+    STORAGE_TIMESTAMPS,
     case_seed,
     gen_spec,
     storage_bulk_cells,
@@ -778,6 +780,28 @@ def storage_apply(db: Database, op: Dict[str, Any]) -> None:
                 "at": list(ats),
             },
         )
+    elif kind == "typed":  # no cell has its column's own type
+        db.insert_rows(table, [
+            (np.int64(i), np.float32(0.1 * (i % 5)) if i % 2 else i,
+             np.float32(i % 64 * 0.25) if i % 3 else np.int64(i % 16),
+             np.str_(STORAGE_TIMESTAMPS[i % 4]) if i % 4 else None)
+            for i in range(op["base"], op["base"] + op["count"])
+        ])
+    elif kind == "reject":
+        rows = [[op["base"] + k, "r", 0.25, None] for k in range(op["count"])]
+        rows[-1][("v", "at").index(op["column"]) + 2] = "bad"
+        before = len(db.table(table))
+        try:
+            db.insert_rows(table, rows)
+        except SQLTypeError:
+            target = db.table(table)
+            lengths = {len(target.column(c)) for c in target.column_names}
+            if lengths != {before}:
+                raise AssertionError(
+                    f"a rejected insert left {table} with {lengths} rows"
+                ) from None
+        else:
+            raise AssertionError(f"{table} accepted a bad {op['column']}")
     elif kind == "update":
         db.execute(
             f"UPDATE {op['table']} SET v = v + {op['add']} "
@@ -809,8 +833,11 @@ def _check_storage(spec: Dict[str, Any]) -> Optional[str]:
                 elif op["op"] == "checkpoint":
                     engine.checkpoint()
                 else:
-                    storage_apply(oracle, op)
-                    storage_apply(engine.db, op)
+                    try:
+                        storage_apply(oracle, op)
+                        storage_apply(engine.db, op)
+                    except (AssertionError, IndexError) as exc:
+                        return f"op {k} ({op['op']}): {exc}"
                 if op["op"] == "reload":
                     diff = _storage_diff(oracle, engine.db)
                     if diff:

@@ -582,6 +582,32 @@ def storage_bulk_cells(i: int) -> tuple:
     return name, at
 
 
+def _with_typed_writes(
+    program: List[Dict[str, Any]], rng: random.Random
+) -> List[Dict[str, Any]]:
+    """``program`` with a ``typed`` or ``reject`` op after about one op
+    in four, on a live table: ``count`` rows with ids from ``base`` whose
+    cells are numpy scalars and ints into STRING, or whose last row has
+    a bad ``column`` cell (the insert must change nothing)."""
+    out: List[Dict[str, Any]] = []
+    live: List[str] = []
+    for op in program:
+        out.append(op)
+        if op["op"] == "create":
+            live.append(op["table"])
+        elif op["op"] == "drop":
+            live.remove(op["table"])
+        if live and rng.random() < 0.25:
+            out.append({
+                "op": rng.choice(["typed", "reject"]),
+                "table": rng.choice(live),
+                "base": 1_000_000 + 8 * len(out),
+                "count": rng.randint(2, 5),
+                "column": rng.choice(["v", "at"]),
+            })
+    return out
+
+
 def gen_storage_spec(seed: int) -> Dict[str, Any]:
     """A random mutation schedule over a few fixed-schema tables.
 
@@ -591,7 +617,8 @@ def gen_storage_spec(seed: int) -> Dict[str, Any]:
     ``bulk`` counts straddle the segment threshold so both the per-row
     WAL path and the binary segment path are exercised, each writing
     :data:`STORAGE_STRINGS` and :data:`STORAGE_TIMESTAMPS`; float
-    payloads are multiples of 0.25 so states compare exactly.
+    payloads are multiples of 0.25 so states compare exactly.  Typed and
+    rejected writes are added by :func:`_with_typed_writes`.
     """
     rng = random.Random(("storage", seed).__repr__())
     # Cell contents draw from their own stream, so a seed's schedule
@@ -676,8 +703,11 @@ def gen_storage_spec(seed: int) -> Dict[str, Any]:
                     "bound": rng.randint(0, 64),
                 }
             )
+    # Typed and rejected writes draw from a third stream, so adding them
+    # leaves the ops above as they were for every seed.
+    typed = random.Random(("storage-typed", seed).__repr__())
     return {
-        "program": program,
+        "program": _with_typed_writes(program, typed),
         "faults": (
             f"storage.*:p={rng.choice([0.02, 0.05])};"
             f"seed={rng.randint(0, 99_999)}"

@@ -24,9 +24,8 @@ class TestAppendGet:
         assert bat.to_list() == [5, 6]
 
     def test_coercion_failure(self):
-        bat = BAT(INT)
-        with pytest.raises(SQLTypeError):
-            bat.append("not-a-number")
+        with pytest.raises(SQLTypeError, match="not-a-number"):
+            BAT(INT, [1, "not-a-number"])
 
     def test_string_column(self):
         bat = BAT(STRING, ["a", None, "c"])
@@ -54,21 +53,32 @@ class TestAppendGet:
             bat.get(-1)
 
 
+def assign(bat, position, value):
+    """Overwrite one row the way ``Table.update_positions`` does."""
+    bat.assign(np.array([position]), *bat.ctype.coerce_column([value]))
+
+
 class TestMutation:
     def test_set(self):
         bat = BAT(INT, [1, 2, 3])
-        bat.set(1, 99)
+        assign(bat, 1, 99)
         assert bat.get(1) == 99
 
     def test_set_null(self):
         bat = BAT(INT, [1, 2])
-        bat.set(0, None)
+        assign(bat, 0, None)
         assert bat.get(0) is None
 
     def test_set_over_null(self):
         bat = BAT(INT, [None])
-        bat.set(0, 7)
+        assign(bat, 0, 7)
         assert bat.get(0) == 7
+
+    def test_assign_out_of_range(self):
+        bat = BAT(INT, [1, 2])
+        with pytest.raises(ExecutionError):
+            assign(bat, 2, 7)
+        assert bat.to_list() == [1, 2]
 
 
 class TestBulk:
@@ -95,7 +105,7 @@ class TestBulk:
     def test_copy_independent(self):
         bat = BAT(INT, [1, 2])
         clone = bat.copy()
-        bat.set(0, 99)
+        assign(bat, 0, 99)
         assert clone.get(0) == 1
 
     def test_iteration(self):

@@ -139,6 +139,23 @@ class TestRelationalView:
         ]
         assert db.scalar("SELECT sum(v) FROM img WHERE y > 0") == 18.0
 
+    def test_update_coerces_like_a_table_update(self):
+        # A DOUBLE result stored into a STRING plane is text, as the same
+        # UPDATE on a table gives, not a Python float.
+        db = Database()
+        db.execute(
+            "CREATE ARRAY a (x INT DIMENSION [0:2], v DOUBLE DEFAULT 1.5, "
+            "s STRING DEFAULT 'z')"
+        )
+        db.execute("CREATE TABLE t (v DOUBLE, s STRING)")
+        db.execute("INSERT INTO t VALUES (1.5, 'z'), (1.5, 'z')")
+        for relation in ("a", "t"):
+            db.execute(f"UPDATE {relation} SET s = v * 2")
+        plane = db.array("a").attribute("s")
+        assert [type(v) for v in plane] == [str, str]
+        assert db.query("SELECT s FROM a") == db.query("SELECT s FROM t")
+        assert db.query("SELECT s FROM a") == [("3.0",), ("3.0",)]
+
 
 class TestArrayOperators:
     def make(self, n=8):

@@ -44,17 +44,22 @@ class TestTable:
     def test_insert_wrong_width(self):
         t = make_table()
         with pytest.raises(ExecutionError):
-            t.insert_row((1, "x"))
+            t.insert_rows([(4, "x", 0.1), (5, "x")])
+        assert len(t) == 3
 
-    def test_insert_mapping_fills_nulls(self):
-        t = make_table()
-        t.insert_mapping({"id": 4})
-        assert t.row(3) == (4, None, None)
-
-    def test_insert_mapping_unknown_column(self):
+    def test_insert_columns_needs_every_column(self):
         t = make_table()
         with pytest.raises(CatalogError):
-            t.insert_mapping({"bogus": 1})
+            t.insert_columns({"id": [4], "name": [None]})
+        assert len(t) == 3
+
+    def test_insert_columns_unknown_column(self):
+        t = make_table()
+        with pytest.raises(CatalogError):
+            t.insert_columns(
+                {"id": [4], "name": [None], "cloud": [None], "bogus": [1]}
+            )
+        assert len(t) == 3
 
     def test_delete_positions(self):
         t = make_table()

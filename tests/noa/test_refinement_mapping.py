@@ -5,7 +5,9 @@ import pytest
 from repro.eo import GreeceLikeWorld, SceneSpec, generate_scene, write_scene
 from repro.ingest import Ingestor
 from repro.mdb import Database
-from repro.strabon import StrabonStore
+from repro.geometry import from_wkt, to_wkt
+from repro.ingest.metadata import NOA_PREFIXES
+from repro.strabon import StrabonStore, literal_geometry, strdf
 from repro.noa import (
     FireMapBuilder,
     ProcessingChain,
@@ -107,6 +109,54 @@ class TestRefinement:
         assert indexed.steps == plain.steps
         assert indexed.hotspots_after < indexed.hotspots_before
         assert stores[0] == stores[1]
+
+    def test_hotspot_geometries_read_the_store_interner(
+        self, tmp_path, monkeypatch
+    ):
+        """``apply`` reads hotspot geometries the store has parsed and
+        gives the survivors and areas a fresh parse of every literal
+        gives."""
+        spec = SceneSpec(
+            width=128, height=128, seed=12, n_fires=4, n_glints=4
+        )
+        scene = generate_scene(spec, WORLD.land, fire_seeds=FIRE_SEEDS)
+        path = str(tmp_path / "scene_001.nat")
+        write_scene(scene, path)
+        ingestor = Ingestor(Database(), StrabonStore())
+        ingestor.store.load_graph(WORLD.to_rdf())
+        ProcessingChain(ingestor).run(path)
+        refiner = Refiner(ingestor.store, WORLD)
+
+        def parsed():
+            result = ingestor.store.query(
+                NOA_PREFIXES + "SELECT ?g WHERE "
+                "{ ?h a noa:Hotspot ; noa:hasGeometry ?g }"
+            )
+            return [literal_geometry(lit) for (lit,) in result.rows()]
+
+        def interned():
+            parses = []
+            monkeypatch.setattr(
+                strdf, "from_wkt",
+                lambda *a, **k: parses.append(a) or from_wkt(*a, **k),
+            )
+            geoms = refiner.hotspot_geometries()
+            monkeypatch.undo()
+            assert parses == []  # the store parsed each one on add
+            return geoms
+
+        area_before = sum(g.area for g in parsed())
+        assert [to_wkt(g) for g in interned()] == [
+            to_wkt(g) for g in parsed()
+        ]
+        report = refiner.apply()
+        survivors = interned()
+        assert [to_wkt(g) for g in survivors] == [
+            to_wkt(g) for g in parsed()
+        ]
+        assert report.hotspots_after == len(survivors) > 0
+        assert report.area_before == area_before
+        assert report.area_after == sum(g.area for g in survivors)
 
     def test_step_count_unknown(self, pipeline):
         _, ingestor, _ = pipeline

@@ -79,6 +79,59 @@ class TestLane:
             assert candidate["program"]
 
 
+class TestTypedWrites:
+    """``typed`` ops write numpy scalars and ints into STRING; ``reject``
+    ops write a multi-row batch whose last row has a bad non-first cell."""
+
+    def spec(self, *extra):
+        return {
+            "program": [
+                {"op": "create", "table": "t_a"},
+                {"op": "insert", "table": "t_a", "rows": [[1, "x", 0.5, None]]},
+                *extra,
+                {"op": "reload"},
+            ],
+            "faults": None,
+        }
+
+    def test_generator_adds_both_kinds(self):
+        kinds = {
+            op["op"]
+            for seed in range(20)
+            for op in gen_spec("storage", seed)["program"]
+        }
+        assert {"typed", "reject"} <= kinds
+
+    def test_typed_and_rejected_writes_agree(self):
+        spec = self.spec(
+            {"op": "typed", "table": "t_a", "base": 10, "count": 5},
+            {"op": "reject", "table": "t_a", "base": 20, "count": 3,
+             "column": "at"},
+            {"op": "reject", "table": "t_a", "base": 20, "count": 2,
+             "column": "v"},
+        )
+        assert differential.run_case("storage", spec) is None
+
+    def test_lane_catches_a_partial_insert(self, monkeypatch):
+        """Appending each column as soon as it is coerced leaves the
+        table ragged when a later column fails; the lane says so."""
+        from repro.mdb.table import Table
+
+        def column_at_a_time(self, columns):
+            for col in self.columns:
+                self.column(col.name).extend_arrays(
+                    *col.ctype.coerce_column(columns[col.name])
+                )
+            return len(columns[self.columns[0].name])
+
+        monkeypatch.setattr(Table, "insert_columns", column_at_a_time)
+        spec = self.spec(
+            {"op": "reject", "table": "t_a", "base": 20, "count": 3,
+             "column": "at"},
+        )
+        detail = differential.run_case("storage", spec)
+        assert detail is not None and "reject" in detail
+
 class TestCrashSweep:
     def test_crash_at_every_wal_boundary(self, tmp_path):
         """For each K, crash the Kth WAL append; recovery must equal the
@@ -101,7 +154,11 @@ class TestCrashSweep:
             appends.append(probe.wal_records - before)
         probe.close()
         total = sum(appends)
-        assert total >= len(program)  # every op journals at least once
+        # Every op journals at least once, but a rejected insert never.
+        assert [
+            n == 0 if op["op"] == "reject" else n >= 1
+            for op, n in zip(program, appends)
+        ] == [True] * len(program)
 
         for k in range(1, total + 1):
             data_dir = str(tmp_path / f"crash-{k}")
