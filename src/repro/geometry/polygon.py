@@ -21,7 +21,9 @@ class Polygon(Geometry):
 
     geom_type = "Polygon"
 
-    __slots__ = ("shell", "holes")
+    # ``_edges`` caches the packed form the batched predicate kernel
+    # (:mod:`repro.geometry.batch`) builds at its first use.
+    __slots__ = ("shell", "holes", "_edges")
 
     def __init__(
         self,

@@ -15,8 +15,10 @@ module closes the gap on the stSPARQL side, where solutions are rows:
   fire map's spatial joins) into one
   :class:`~repro.geometry.envelope.PackedEnvelopes` pass:
   envelope-disjoint rows decide a predicate (or far rows a distance
-  comparison) vectorised, and only undecided rows take the exact
-  geometry test.
+  comparison) vectorised; the rows left undecided of an ``intersects`` /
+  ``within`` / ``contains`` plan go together through the batched exact
+  kernel (:func:`repro.geometry.batch.relate`), and only what neither
+  decides takes the scalar geometry test.
 
 Fallback contract: a compiler raises :class:`Unsupported` (internally)
 for any construct it does not lower, and the public ``compile_*``
@@ -414,11 +416,13 @@ def run_filter(
 class SpatialOperand(NamedTuple):
     """One argument of a compiled spatial call: a variable (a column of
     per-row geometries) or a constant geometry, parsed at compile time
-    to its SRID and envelope."""
+    (the plan keeps the parse, so the exact kernel packs its edges
+    once)."""
 
     variable: Optional[str] = None
     srid: int = 0
     envelope: Any = None
+    geometry: Any = None
 
 
 @dataclass
@@ -431,6 +435,7 @@ class SpatialFilterPlan:
     negated: bool = False  # ``!pred(...)``
     op: str = ""  # normalised: distance(a, b) OP bound
     bound: float = 0.0
+    exact: str = ""  # the batched exact predicate, if it has one
 
 
 #: Comparison flip for ``bound OP distance(...)`` → ``distance(...) OP'
@@ -495,7 +500,9 @@ def _spatial_operands(call: Any) -> Tuple[SpatialOperand, SpatialOperand]:
                 # Envelope reasoning says nothing about an empty
                 # constant; let the exact filter judge every solution.
                 raise Unsupported("empty constant envelope")
-            operands.append(SpatialOperand(None, geom.srid, geom.envelope))
+            operands.append(
+                SpatialOperand(None, geom.srid, geom.envelope, geom)
+            )
         else:
             raise Unsupported("spatial call argument")
     a, b = operands
@@ -517,7 +524,10 @@ def _lower_spatial(expr: alg.Expr) -> SpatialFilterPlan:
         and expr.name in functions.INDEXABLE_PREDICATES
     ):
         return SpatialFilterPlan(
-            _spatial_operands(expr), "predicate", negated
+            _spatial_operands(expr),
+            "predicate",
+            negated,
+            exact=functions.BATCHED_PREDICATES.get(expr.name, ""),
         )
     if (
         negated
@@ -550,11 +560,14 @@ def _lower_spatial(expr: alg.Expr) -> SpatialFilterPlan:
 class _Column(NamedTuple):
     """One operand over a batch: which rows it admits to the envelope
     lane, their SRIDs and their envelopes — per row for a variable, one
-    scalar each for a constant."""
+    scalar each for a constant — and each row's slot in the operand's
+    distinct geometries."""
 
     ok: Any
     srid: Any
     envelopes: Any  # PackedEnvelopes, or the constant's Envelope
+    geoms: List[Any]
+    slots: Any
 
 
 def _operand_column(
@@ -572,12 +585,19 @@ def _operand_column(
     from repro.geometry.envelope import Envelope, PackedEnvelopes
 
     if operand.variable is None:
-        return _Column(True, operand.srid, operand.envelope)
+        return _Column(
+            True,
+            operand.srid,
+            operand.envelope,
+            [operand.geometry],
+            np.zeros(len(solutions), dtype=np.intp),
+        )
     strdf = _strdf()
     slot_of: Dict[int, int] = {}
     ok: List[bool] = []
     srids: List[int] = []
     envelopes: List[Any] = []
+    geoms: List[Any] = []
     slots = np.empty(len(solutions), dtype=np.intp)
     for i, sol in enumerate(solutions):
         term = sol.get(operand.variable)
@@ -592,6 +612,7 @@ def _operand_column(
                     pass
             usable = env is not None and not env.is_empty
             ok.append(usable)
+            geoms.append(geom)
             srids.append(geom.srid if usable else -1)
             envelopes.append(env if usable else Envelope.empty())
         slots[i] = slot
@@ -600,6 +621,8 @@ def _operand_column(
         np.array(ok, dtype=bool)[slots],
         np.array(srids, dtype=np.int64)[slots],
         packed.take(slots),
+        geoms,
+        slots,
     )
 
 
@@ -622,11 +645,16 @@ def run_spatial_filter(
       the geometry distance) strictly exceeds the bound — True for
       ``>``/``>=`` plans, False for ``<``/``<=``.
 
-    Every other row — a missing or non-geometry binding, operands in
-    different SRIDs, a row the envelopes leave undecided — is judged
-    individually by ``fallback``, the exact per-row path; solution
-    order is preserved either way.
+    The lane rows an ``intersects`` / ``within`` / ``contains`` plan
+    leaves undecided go together through the batched exact kernel
+    (:func:`repro.geometry.batch.relate`), which returns the scalar
+    predicate's verdict for every row it can decide.  The rest — a
+    missing or non-geometry binding, operands in different SRIDs, a
+    line or point operand, a ``within`` row whose edges touch the
+    container's — is judged individually by ``fallback``, the
+    interpreter; solution order is preserved either way.
     """
+    from repro.geometry import batch
     from repro.geometry.envelope import PackedEnvelopes
 
     n = len(solutions)
@@ -635,32 +663,50 @@ def run_spatial_filter(
         for operand in plan.operands
     )
     lane = a.ok & b.ok & (a.srid == b.srid)
+    # Per row: 0 fails, 1 passes, 2 goes to the fallback.
+    verdict = np.full(n, 2, dtype=np.int8)
     # Both envelope tests are symmetric; put a per-row column first.
-    if not isinstance(a.envelopes, PackedEnvelopes):
-        a, b = b, a
+    first, second = (
+        (a, b) if isinstance(a.envelopes, PackedEnvelopes) else (b, a)
+    )
     if plan.kind == "predicate":
-        decided = lane & ~a.envelopes.intersects(b.envelopes)
+        decided = lane & ~first.envelopes.intersects(second.envelopes)
         passes = plan.negated
     else:
         # np.hypot can land an ulp above the correctly-rounded scalar
         # distance, so shave a relative margin off the lower bound
         # before deciding; rows inside the margin go to the exact
         # fallback instead of risking a mis-decided verdict.
-        far = a.envelopes.distance(b.envelopes) * (1.0 - 1e-12) > plan.bound
+        far = (
+            first.envelopes.distance(second.envelopes) * (1.0 - 1e-12)
+            > plan.bound
+        )
         decided = lane & far
         passes = plan.op in (">", ">=")
+    verdict[decided] = passes
+    kernel_rows = 0
+    if plan.exact:
+        rows = np.flatnonzero(lane & ~decided)
+        holds, known = batch.relate(
+            plan.exact, a.geoms, b.geoms, a.slots[rows], b.slots[rows]
+        )
+        verdict[rows[known]] = holds[known] != plan.negated
+        kernel_rows = int(known.sum())
     out: List[Dict[str, Any]] = []
     exact_rows = 0
-    for sol, is_decided in zip(solutions, decided.tolist()):
-        if is_decided:
-            if passes:
+    for sol, state in zip(solutions, verdict.tolist()):
+        if state == 2:
+            exact_rows += 1
+            if fallback(sol):
                 out.append(sol)
-            continue
-        exact_rows += 1
-        if fallback(sol):
+        elif state:
             out.append(sol)
     obs.counter("stsparql.spatial.batch_rows").inc(n)
-    obs.counter("stsparql.spatial.env_decided").inc(n - exact_rows)
+    obs.counter("stsparql.spatial.env_decided").inc(
+        n - kernel_rows - exact_rows
+    )
+    if kernel_rows:
+        obs.counter("stsparql.spatial.kernel_rows").inc(kernel_rows)
     if exact_rows:
         obs.counter("stsparql.spatial.exact_rows").inc(exact_rows)
     return out

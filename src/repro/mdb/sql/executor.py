@@ -252,7 +252,7 @@ class Evaluator:
 
     def _eval_cast(self, expr: ast.Cast) -> Vector:
         ctype = type_by_name(expr.type_name)
-        return ctype.coerce_column(column_values(*self.eval(expr.operand)))
+        return ctype.coerce_column(*self.eval(expr.operand))
 
     def _eval_case(self, expr: ast.Case) -> Vector:
         n = self.frame.nrows

@@ -217,6 +217,12 @@ def vec_arith(
                     out[i] = a % b
             except TypeError as exc:
                 raise SQLTypeError(str(exc)) from exc
+            except OverflowError as exc:
+                a, b = (
+                    v.item() if isinstance(v, np.generic) else v
+                    for v in (a, b)
+                )
+                raise SQLTypeError(f"{a!r} {op} {b!r} is out of range") from exc
     return out, valid
 
 

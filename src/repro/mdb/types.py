@@ -50,9 +50,13 @@ class ColumnType:
             raise SQLTypeError(f"cannot convert {value!r} to {self.name}")
         return out
 
-    def coerce_column(self, values: Any) -> Tuple[np.ndarray, np.ndarray]:
+    def coerce_column(
+        self, values: Any, valid: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """A column of values as new ``(data, valid)`` arrays, ``data``
-        holding a filler (0 or None) where the value was None.
+        holding a filler (0 or None) where the value was None.  A given
+        ``valid`` mask makes ``values`` an ndarray with NULLs where the
+        mask is False (an evaluated ``(data, valid)`` vector).
 
         Data, mask and any :class:`SQLTypeError` equal :meth:`coerce` per
         cell.  One numpy pass replaces that loop when ``values`` is a
@@ -63,8 +67,13 @@ class ColumnType:
         if isinstance(values, np.ndarray) and not obj and values.dtype.kind in (
             "bi" if self.dtype.kind == "i" else "biuf"
         ):
-            return values.astype(self.dtype), np.ones(len(values), dtype=bool)
-        cells = list(values)
+            data = values.astype(self.dtype)
+            if valid is None:
+                return data, np.ones(len(values), dtype=bool)
+            valid = np.array(valid, dtype=bool)
+            data[~valid] = 0
+            return data, valid
+        cells = list(values) if valid is None else column_values(values, valid)
         data = self.empty_array(len(cells))
         valid = np.fromiter((v is not None for v in cells), bool, len(cells))
         if set(map(type, cells)) - {type(None)} <= self._exact:

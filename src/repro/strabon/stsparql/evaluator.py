@@ -288,7 +288,9 @@ class Evaluator:
         variables — takes the batched spatial lane
         (:func:`repro.kernels.run_spatial_filter`): one
         ``PackedEnvelopes`` pass decides every row the envelopes soundly
-        can, and only the rest run the exact geometry test.  A numeric
+        can, and the rows an ``intersects`` / ``within`` / ``contains``
+        call leaves open go together through the exact edge kernel
+        (:func:`repro.geometry.batch.relate`).  A numeric
         expression runs as one compiled kernel call over packed binding
         columns instead of N interpreter walks.  Single rows, refused
         shapes and rows outside either lane's contract are judged one at

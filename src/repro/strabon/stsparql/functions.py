@@ -440,6 +440,16 @@ INDEXABLE_PREDICATES = {
 }
 
 
+#: The indexable predicates whose exact test also runs batched
+#: (:func:`repro.geometry.batch.relate`), by IRI.
+BATCHED_PREDICATES = {
+    str(STRDF) + name: name for name in ("intersects", "contains", "within")
+} | {
+    str(GEO) + "sf" + name.capitalize(): name
+    for name in ("intersects", "contains", "within")
+}
+
+
 #: Aggregate names (handled by the evaluator's grouping stage).
 AGGREGATES = {
     "count", "sum", "avg", "min", "max", "sample", "group_concat",

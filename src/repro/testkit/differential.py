@@ -41,7 +41,7 @@ from repro.testkit.generators import (
 
 #: Default sweep schedule.  The chain domain is an order of magnitude
 #: slower per case than the in-memory domains, so it runs once per
-#: ten cases.
+#: twelve cases.
 DOMAINS = (
     "spatial",
     "stsparql",
@@ -54,6 +54,7 @@ DOMAINS = (
     "storage",
     "mining",
     "chain",
+    "predicates",
 )
 
 #: Predicate of the spatial lane's geometry triples.
@@ -872,6 +873,38 @@ def _storage_diff(oracle: Database, durable: Database) -> Optional[str]:
     return "states differ"
 
 
+# -- predicates ----------------------------------------------------------------
+
+
+def _check_predicates(spec: Dict[str, Any]) -> Optional[str]:
+    """Every pair through the batched exact kernel in one call per
+    predicate, each verdict it decides against the scalar predicate;
+    ``intersects`` must decide every pair."""
+    from repro.geometry import batch, predicates
+
+    pairs = [(from_wkt(a), from_wkt(b)) for a, b in spec["pairs"]]
+    left = [a for a, _ in pairs]
+    right = [b for _, b in pairs]
+    index = np.arange(len(pairs))
+    for name in batch.PREDICATES:
+        verdict, decided = batch.relate(name, left, right, index, index)
+        for k, (a, b) in enumerate(pairs):
+            if name == "intersects":
+                expected = predicates.intersects(a, b)
+            elif name == "contains":
+                expected = predicates.contains(a, b)
+            else:
+                expected = predicates.contains(b, a)
+            if name == "intersects" and not decided[k]:
+                return f"intersects of pair {k} left undecided"
+            if decided[k] and bool(verdict[k]) != expected:
+                return (
+                    f"{name} of pair {k}: kernel {bool(verdict[k])}, "
+                    f"scalar {expected}"
+                )
+    return None
+
+
 _CHECKS = {
     "spatial": _check_spatial,
     "stsparql": _check_stsparql,
@@ -879,6 +912,7 @@ _CHECKS = {
     "chain": _check_chain,
     "storage": _check_storage,
     "mining": _check_mining,
+    "predicates": _check_predicates,
 }
 
 

@@ -38,6 +38,7 @@ SPEC_DOMAINS = (
     "chain",
     "storage",
     "mining",
+    "predicates",
 )
 
 _SEED_MIX = 0x9E3779B97F4A7C15
@@ -782,6 +783,94 @@ def gen_mining_spec(seed: int) -> Dict[str, Any]:
     }
 
 
+# -- predicates (batched exact kernel vs the scalar predicates) ----------------
+
+#: Vertex offsets straddling ``EPS`` (1e-9): the first three fall inside
+#: it, the last just outside.
+_NUDGES = (2.0**-31, -(2.0**-31), 2.0**-30, -(2.0**-29))
+
+
+def _nudge(rng: random.Random, value: float) -> float:
+    return value + rng.choice(_NUDGES) if rng.random() < 0.3 else value
+
+
+def _gen_nudged_polygon(rng: random.Random) -> Polygon:
+    """A grid polygon (rectangle, convex ring or donut) whose shell
+    vertices may sit about ``EPS`` off the grid."""
+    poly = _gen_polygon(rng)
+    shell = [(_nudge(rng, x), _nudge(rng, y)) for x, y in poly.shell.coords()]
+    holes = [list(h.coords()) for h in poly.holes]
+    try:
+        return Polygon(shell, holes=holes)
+    except GeometryError:
+        return poly
+
+
+def _gen_related_polygon(rng: random.Random, base: Polygon) -> Polygon:
+    """A polygon that meets ``base`` in a degenerate way: shifted along
+    the grid (shared edges and vertices), a rectangle around its hole, a
+    triangle on one of its edges, or a copy with nudged vertices."""
+    shell = list(base.shell.coords())
+    how = rng.choice(["shift", "hole", "fan", "nudge"])
+    if how == "hole" and base.holes:
+        env = base.holes[0].envelope
+        pad = rng.choice([0.0, 0.25, 0.5])
+        right = env.maxx + pad + rng.choice([0.0, 0.25, 0.5])
+        ring = [
+            (env.minx - pad, _nudge(rng, env.miny - pad)),
+            (right, env.miny - pad),
+            (right, env.maxy + pad),
+            (env.minx - pad, env.maxy + pad),
+        ]
+    elif how == "fan":
+        i = rng.randrange(len(shell))
+        (ax, ay), (bx, by) = shell[i], shell[(i + 1) % len(shell)]
+        out = rng.choice([-1.0, -0.5, 0.5, 1.0])
+        apex = (
+            (ax + bx) / 2 - (by - ay) * out,
+            (ay + by) / 2 + (bx - ax) * out,
+        )
+        ring = [(_nudge(rng, ax), ay), (bx, _nudge(rng, by)), apex]
+    elif how == "nudge":
+        ring = [(_nudge(rng, x), _nudge(rng, y)) for x, y in shell]
+    else:
+        dx, dy = _grid(rng, -4, 4), _grid(rng, -4, 4)
+        return Polygon(
+            [(x + dx, y + dy) for x, y in shell],
+            holes=[
+                [(x + dx, y + dy) for x, y in h.coords()]
+                for h in base.holes
+            ],
+        )
+    try:
+        return Polygon(ring)
+    except GeometryError:
+        return _gen_rect(rng)
+
+
+def gen_predicates_spec(seed: int) -> Dict[str, Any]:
+    """Pairs of polygons or multipolygons, as WKT, for the batched
+    exact predicates: about half of them built to touch, share edges or
+    vertices, nest around holes or sit ``EPS`` apart."""
+    rng = random.Random(("predicates", seed).__repr__())
+    pairs = []
+    for _ in range(rng.randint(1, 8)):
+        a = _gen_nudged_polygon(rng)
+        b = (
+            _gen_related_polygon(rng, a)
+            if rng.random() < 0.6
+            else _gen_nudged_polygon(rng)
+        )
+        if rng.random() < 0.5:
+            a, b = b, a
+        if rng.random() < 0.25:
+            a = MultiPolygon([a, _gen_nudged_polygon(rng)])
+        if rng.random() < 0.25:
+            b = MultiPolygon([_gen_related_polygon(rng, b), b])
+        pairs.append([to_wkt(a), to_wkt(b)])
+    return {"pairs": pairs}
+
+
 _GENERATORS = {
     "spatial": gen_spatial_spec,
     "stsparql": gen_stsparql_spec,
@@ -789,6 +878,7 @@ _GENERATORS = {
     "chain": gen_chain_spec,
     "storage": gen_storage_spec,
     "mining": gen_mining_spec,
+    "predicates": gen_predicates_spec,
 }
 
 

@@ -284,6 +284,51 @@ def _mining_candidates(
                     yield _with(spec, **{coll: blocks})
 
 
+def _predicates_candidates(
+    spec: Dict[str, Any],
+) -> Iterator[Dict[str, Any]]:
+    """Drop a pair; then simplify one geometry: a multipolygon to one of
+    its parts, a polygon without its holes or one shell vertex, a
+    coordinate snapped back to the quarter grid."""
+    from repro.geometry import MultiPolygon, Polygon, from_wkt
+    from repro.geometry.base import GeometryError
+
+    pairs = spec["pairs"]
+    for i in range(len(pairs)):
+        if len(pairs) > 1:
+            yield _with(spec, pairs=pairs[:i] + pairs[i + 1:])
+    for i, pair in enumerate(pairs):
+        for side, text in enumerate(pair):
+            geom = from_wkt(text)
+            if isinstance(geom, MultiPolygon):
+                simpler = [part.wkt for part in geom.geoms]
+            else:
+                shell = list(geom.shell.coords())
+                holes = [list(h.coords()) for h in geom.holes]
+                rings = [(shell, [])] if holes else []
+                if len(shell) > 3:
+                    rings += [
+                        (shell[:k] + shell[k + 1:], holes)
+                        for k in range(len(shell))
+                    ]
+                for k, (x, y) in enumerate(shell):
+                    snapped = (round(x * 4) / 4, round(y * 4) / 4)
+                    if snapped != (x, y):
+                        rings.append(
+                            (shell[:k] + [snapped] + shell[k + 1:], holes)
+                        )
+                simpler = []
+                for ring, ring_holes in rings:
+                    try:
+                        simpler.append(Polygon(ring, holes=ring_holes).wkt)
+                    except GeometryError:
+                        continue
+            for wkt in simpler:
+                changed = [list(p) for p in pairs]
+                changed[i][side] = wkt
+                yield _with(spec, pairs=changed)
+
+
 _CANDIDATES = {
     "spatial": _spatial_candidates,
     "stsparql": _stsparql_candidates,
@@ -291,6 +336,7 @@ _CANDIDATES = {
     "chain": _chain_candidates,
     "storage": _storage_candidates,
     "mining": _mining_candidates,
+    "predicates": _predicates_candidates,
 }
 
 _MAX_STEPS = 500

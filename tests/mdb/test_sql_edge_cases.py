@@ -103,6 +103,59 @@ class TestExpressionsEdge:
     def test_modulo_by_zero_null(self, db):
         assert db.scalar("SELECT 5 % 0") is None
 
+    @pytest.mark.parametrize("with_nulls", [False, True])
+    def test_numeric_cast_equals_per_cell_coerce(
+        self, monkeypatch, with_nulls
+    ):
+        from repro.mdb import types
+
+        cells = {
+            "i": [3, -7, 0, 2**53 + 1, None],
+            "d": [1.5, -0.0, 1e300, 2.0, None],
+            "b": [True, False, True, False, None],
+        }
+        if not with_nulls:
+            cells = {name: values[:-1] for name, values in cells.items()}
+        d = Database()
+        d.execute("CREATE TABLE n (i INT, d DOUBLE, b BOOL)")
+        for row in zip(*cells.values()):
+            d.execute(
+                "INSERT INTO n VALUES ("
+                + ", ".join("NULL" if v is None else str(v) for v in row)
+                + ")"
+            )
+        casts = [("i", "DOUBLE"), ("b", "INT"), ("b", "DOUBLE"),
+                 ("d", "BOOL"), ("i", "BOOL")]
+        want = {
+            (col, to): [types.type_by_name(to).coerce(v) for v in cells[col]]
+            for col, to in casts
+        }
+        calls = []
+        coerce = types.ColumnType.coerce
+        monkeypatch.setattr(
+            types.ColumnType,
+            "coerce",
+            lambda self, v: calls.append(v) or coerce(self, v),
+        )
+        got = {
+            (col, to): [
+                r[0] for r in d.query(f"SELECT CAST({col} AS {to}) FROM n")
+            ]
+            for col, to in casts
+        }
+        monkeypatch.undo()
+        for cast in casts:
+            assert got[cast] == want[cast]
+            assert list(map(type, got[cast])) == list(map(type, want[cast]))
+        # Numeric operands take the one numpy cast, not the cell loop.
+        assert calls == []
+
+    def test_arithmetic_overflow_is_a_domain_error(self, db):
+        with pytest.raises(SQLTypeError, match="out of range"):
+            db.query("SELECT 99999999999999999999 + 1")
+        with pytest.raises(SQLTypeError, match="out of range"):
+            db.query("SELECT 2 - 99999999999999999999")
+
 
 class TestGroupingEdge:
     def test_having_aggregate_not_in_select(self, db):

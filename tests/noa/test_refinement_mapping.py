@@ -34,6 +34,20 @@ def pipeline(tmp_path_factory):
     return scene, ingestor, result
 
 
+def _seeded_ingestor(tmp_path):
+    """An ingestor holding the linked-data world and one processed
+    scene with fires, coastal fires and sun glints."""
+    spec = SceneSpec(width=128, height=128, seed=12, n_fires=4, n_glints=4)
+    scene = generate_scene(spec, WORLD.land, fire_seeds=FIRE_SEEDS)
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    path = str(tmp_path / "scene_001.nat")
+    write_scene(scene, path)
+    ingestor = Ingestor(Database(), StrabonStore())
+    ingestor.store.load_graph(WORLD.to_rdf())
+    ProcessingChain(ingestor).run(path)
+    return ingestor
+
+
 class TestRefinement:
     def test_statements_are_stsparql(self, pipeline):
         _, ingestor, _ = pipeline
@@ -157,6 +171,96 @@ class TestRefinement:
         assert report.hotspots_after == len(survivors) > 0
         assert report.area_before == area_before
         assert report.area_after == sum(g.area for g in survivors)
+
+    def test_exact_predicates_run_batched(self, tmp_path, monkeypatch):
+        """The batched exact kernel decides every delete-in-sea row the
+        envelopes leave open; only ``!within`` rows whose edges touch
+        the coastline reach the per-row scalar predicate."""
+        from repro import obs
+        from repro.geometry import algorithms, linework
+        from repro.geometry.multi import flatten
+        from repro.strabon.stsparql.evaluator import Evaluator
+
+        ingestor = _seeded_ingestor(tmp_path)
+        store = ingestor.store
+        judged = []
+        passes = Evaluator._filter_passes
+        monkeypatch.setattr(
+            Evaluator,
+            "_filter_passes",
+            lambda self, expr, sol: judged.append((expr, sol))
+            or passes(self, expr, sol),
+        )
+        land_edges = [
+            seg for part in flatten(WORLD.land)
+            for seg in linework.polygon_boundary_segments(part)
+        ]
+
+        def touches_coast(literal):
+            geom = store.geometries.geometry(literal)
+            return any(
+                algorithms.segments_intersect(p, q, r, s)
+                for part in flatten(geom)
+                for p, q in linework.polygon_boundary_segments(part)
+                for r, s in land_edges
+            )
+
+        kernel_rows = {}
+        for name, statement in Refiner(store, WORLD).statements():
+            del judged[:]
+            before = obs.snapshot()["counters"]
+            store.update(statement)
+            after = obs.snapshot()["counters"]
+            delta = {
+                key: after.get(f"stsparql.spatial.{key}", 0)
+                - before.get(f"stsparql.spatial.{key}", 0)
+                for key in ("kernel_rows", "exact_rows")
+            }
+            kernel_rows[name] = delta["kernel_rows"]
+            if name == "delete-in-sea":
+                assert judged == []
+                assert delta["exact_rows"] == 0
+            elif name == "clip-to-coast":
+                assert delta["exact_rows"] == len(judged)
+                assert judged, "no hotspot straddles the coast"
+                for expr, sol in judged:
+                    assert "within" in str(expr)
+                    assert touches_coast(sol["g"])
+        assert kernel_rows["delete-in-sea"] > 0
+        assert kernel_rows["clip-to-coast"] > 0
+
+    def test_batched_and_per_row_filters_agree(self, tmp_path, monkeypatch):
+        """Survivors, report areas and the fire-map GeoJSON are the same
+        with the batched spatial lane and with per-row filters."""
+        import json
+        import sys
+
+        from repro import kernels
+
+        outcomes = []
+        for batch_min in (kernels.FILTER_BATCH_MIN_SOLUTIONS, sys.maxsize):
+            monkeypatch.setattr(
+                kernels, "FILTER_BATCH_MIN_SOLUTIONS", batch_min
+            )
+            kernels.clear_caches()
+            store = _seeded_ingestor(tmp_path / str(batch_min)).store
+            refiner = Refiner(store, WORLD)
+            report = refiner.apply()
+            geojson = FireMapBuilder(store, WORLD).build().to_geojson()
+            outcomes.append(
+                (
+                    sorted(to_wkt(g) for g in refiner.hotspot_geometries()),
+                    report.steps,
+                    (report.area_before, report.area_after),
+                    sorted(
+                        json.dumps(f, sort_keys=True)
+                        for f in geojson["features"]
+                    ),
+                )
+            )
+        batched, per_row = outcomes
+        assert batched[0]  # some hotspot survives
+        assert batched == per_row
 
     def test_step_count_unknown(self, pipeline):
         _, ingestor, _ = pipeline

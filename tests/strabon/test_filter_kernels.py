@@ -252,7 +252,7 @@ def spatial_counters(monkeypatch, store, query):
     deltas = {
         name: after.get(f"stsparql.spatial.{name}", 0)
         - before.get(f"stsparql.spatial.{name}", 0)
-        for name in ("batch_rows", "env_decided", "exact_rows")
+        for name in ("batch_rows", "env_decided", "kernel_rows", "exact_rows")
     }
     return rows, deltas
 
@@ -301,6 +301,25 @@ class TestSpatialBatch:
         assert (
             deltas["env_decided"] + deltas["exact_rows"]
             == deltas["batch_rows"]
+        )
+
+    def test_polygon_rows_take_the_exact_kernel(self, monkeypatch):
+        # Square features against zone rectangles: the kernel decides
+        # the envelope survivors; point features stay with the scalar
+        # predicate, which the batched kernel does not cover.
+        _, deltas = spatial_counters(
+            monkeypatch,
+            spatial_store(),
+            "SELECT ?s ?z WHERE { ?s ex:geom ?g . ?z ex:zone ?h . "
+            "FILTER(strdf:intersects(?g, ?h)) }",
+        )
+        assert deltas["kernel_rows"] > 0
+        assert deltas["exact_rows"] > 0
+        assert (
+            deltas["env_decided"] + deltas["kernel_rows"]
+            + deltas["exact_rows"]
+            == deltas["batch_rows"]
+            == 120 * 8
         )
 
     def test_envelope_decisions_match_all_pairs_oracle(self, monkeypatch):

@@ -7,7 +7,9 @@ Two classic bug shapes are injected:
   holds any slot, so the column goes stale after the first probe (the
   stale-snapshot bug class fixed in an earlier release);
 * ``StrabonStore.spatial_candidates_batch`` silently drops a candidate
-  (a broken prefilter must never shrink the answer set).
+  (a broken prefilter must never shrink the answer set);
+* the batched exact predicate kernel ignores holes of the container
+  (``within`` of a polygon that encloses the other's hole).
 """
 
 import pytest
@@ -127,3 +129,36 @@ class TestLossyPrefilterBugIsCaught:
             max_cases=60,
         )
         assert report.ok
+
+
+class TestHoleBlindKernelBugIsCaught:
+    def test_sweep_catches_and_shrinks(self, monkeypatch):
+        from repro.geometry import batch
+
+        def covers_without_holes(outer, inner, ka, kb):
+            holes = outer.hole_count
+            outer.hole_count = holes * 0  # BUG: no hole is ever checked
+            try:
+                return covers(outer, inner, ka, kb)
+            finally:
+                outer.hole_count = holes
+
+        covers = batch._covers
+        monkeypatch.setattr(batch, "_covers", covers_without_holes)
+        report = sweep(
+            base_seed=BASE_SEED,
+            budget_seconds=60.0,
+            domains=("predicates",),
+            max_cases=3000,
+            stop_on_first=True,
+        )
+        assert report.counterexamples, (
+            f"injected bug escaped {report.cases_run} cases"
+        )
+        counterexample = report.counterexamples[0]
+        shrunk = counterexample.shrunk_spec
+        assert len(shrunk["pairs"]) == 1
+        assert "), (" in shrunk["pairs"][0][0] + shrunk["pairs"][0][1]
+        assert run_case("predicates", shrunk) is not None
+        replayed_spec = gen_spec("predicates", counterexample.seed)
+        assert run_case("predicates", replayed_spec) is not None
