@@ -25,14 +25,16 @@ QUERY = (
 
 def build_store(n_points: int, use_spatial_index: bool) -> StrabonStore:
     """n geometry literals spread deterministically over a 100x100 extent."""
-    store = StrabonStore(use_spatial_index=use_spatial_index)
+    triples = []
     state = 12345
     for i in range(n_points):
         state = (state * 1103515245 + 12345) % (1 << 31)
         x = (state >> 8) % 10000 / 100.0
         state = (state * 1103515245 + 12345) % (1 << 31)
         y = (state >> 8) % 10000 / 100.0
-        store.add((EX[f"p{i}"], EX.geom, geometry_literal(Point(x, y))))
+        triples.append((EX[f"p{i}"], EX.geom, geometry_literal(Point(x, y))))
+    store = StrabonStore(use_spatial_index=use_spatial_index)
+    store.load_graph(triples)
     return store
 
 

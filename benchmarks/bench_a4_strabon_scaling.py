@@ -45,7 +45,7 @@ QUERIES = {
 
 
 def build_store(n_hotspots: int) -> StrabonStore:
-    store = StrabonStore()
+    triples = []
     type_iri = URIRef(str(RDF) + "type")
     state = 99
     for i in range(n_hotspots):
@@ -55,10 +55,14 @@ def build_store(n_hotspots: int) -> StrabonStore:
         state = (state * 1103515245 + 12345) % (1 << 31)
         y = (state >> 8) % 10000 / 100.0
         conf = ((i * 37) % 1000) / 1000.0
-        store.add((node, type_iri, EX.Hotspot))
-        store.add((node, EX.sensor, EX[f"seviri{i % 10}"]))
-        store.add((node, EX.conf, Literal(conf)))
-        store.add((node, EX.geom, geometry_literal(Point(x, y))))
+        triples += [
+            (node, type_iri, EX.Hotspot),
+            (node, EX.sensor, EX[f"seviri{i % 10}"]),
+            (node, EX.conf, Literal(conf)),
+            (node, EX.geom, geometry_literal(Point(x, y))),
+        ]
+    store = StrabonStore()
+    store.load_graph(triples)
     return store
 
 

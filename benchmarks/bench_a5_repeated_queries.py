@@ -75,16 +75,20 @@ def _metrics_off():
 
 
 def build_store(n_hotspots: int = 300) -> StrabonStore:
-    store = StrabonStore()
+    triples = []
     type_iri = URIRef(str(RDF) + "type")
     for i in range(n_hotspots):
         node = EX[f"h{i}"]
         x = (i * 37) % 100 + 0.5
         y = (i * 61) % 100 + 0.5
-        store.add((node, type_iri, EX.Hotspot))
-        store.add((node, EX.sensor, EX[f"seviri{i % 4}"]))
-        store.add((node, EX.conf, Literal(((i * 13) % 100) / 100.0)))
-        store.add((node, EX.geom, geometry_literal(Point(x, y))))
+        triples += [
+            (node, type_iri, EX.Hotspot),
+            (node, EX.sensor, EX[f"seviri{i % 4}"]),
+            (node, EX.conf, Literal(((i * 13) % 100) / 100.0)),
+            (node, EX.geom, geometry_literal(Point(x, y))),
+        ]
+    store = StrabonStore()
+    store.load_graph(triples)
     return store
 
 

@@ -192,7 +192,7 @@ class Ingestor:
         )
         if self.db.catalog.has_array(array_name):
             self.db.catalog.drop_array(array_name)
-        self.store.remove((product_uri(product), None, None))
+        self.store.apply(deletes=self.store.triples((product_uri(product), None, None)))
 
     def ingest_directory(
         self, directory: str, lazy: bool = True

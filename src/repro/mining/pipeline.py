@@ -13,14 +13,7 @@ store after the batch's last acquisition.  Failures degrade per acquisition to
 from __future__ import annotations
 
 from datetime import timedelta
-from typing import (
-    ContextManager,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import resilience
 from repro.eo.products import Product
@@ -90,10 +83,6 @@ class MiningPipeline(StageRunner):
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, path: str) -> MiningResult:
-        """Mine one archive file (annotations emitted immediately)."""
-        return self._execute(path)
-
     def run_batch(
         self,
         paths: Sequence[str],
@@ -107,13 +96,8 @@ class MiningPipeline(StageRunner):
         """
         return self._run_batch(paths)
 
-    def _execute(
-        self,
-        path: str,
-        emit: bool = True,
-        lock: Optional[ContextManager] = None,
-    ) -> MiningResult:
-        stage = Stages(self, lock)
+    def _execute(self, path: str) -> MiningResult:
+        stage = Stages(self)
 
         # (a) extraction — ingest + patch-grid features through SciQL.
         def extract() -> Tuple[Product, PatchGrid]:
@@ -137,13 +121,13 @@ class MiningPipeline(StageRunner):
             path=path,
         )
 
-        # (c) annotation — stRDF emit (valid time + footprints).
-        def annotate() -> Graph:
-            rdf = self.annotator.annotate(product, grid, result.labels)
-            if emit:
-                self.ingestor.store.load_graph(rdf)
-            return rdf
-
-        result.rdf = stage("annotate", annotate, locked=True, path=path)
+        # (c) annotation — stRDF (valid time + footprints) for the
+        # batch's one store write.  Runs unlocked: it reads only this
+        # acquisition's labels.
+        result.rdf = stage(
+            "annotate",
+            lambda: self.annotator.annotate(product, grid, result.labels),
+            path=path,
+        )
         result.timings = stage.timings
         return result

@@ -16,15 +16,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import (
-    Callable,
-    ContextManager,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -201,12 +193,6 @@ class ProcessingChain(StageRunner):
 
     # -- the chain ------------------------------------------------------------
 
-    def run(
-        self, path: str, output_dir: Optional[str] = None
-    ) -> ChainResult:
-        """Execute modules (a)–(e) on one archive file."""
-        return self._execute(path, output_dir)
-
     def run_batch(
         self,
         paths: Sequence[str],
@@ -215,11 +201,11 @@ class ProcessingChain(StageRunner):
         """Execute the chain over a whole acquisition series.
 
         The every-5-minutes batch shape of the NOA service: the
-        acquisitions in path order and one merged stRDF bulk emit (see :meth:`~repro.stages.StageRunner._run_batch`).
-        Results are in ``paths`` order and identical to sequential
-        :meth:`run` calls (hotspots, confidences, RDF), except that a
-        failing acquisition gets a :class:`ChainFailure` in its slot
-        instead of raising.
+        acquisitions in path order and one stRDF write to the store (see
+        :meth:`~repro.stages.StageRunner._run_batch`).  Results are in
+        ``paths`` order and identical to sequential :meth:`run` calls
+        (hotspots, confidences, RDF), except that a failing acquisition
+        gets a :class:`ChainFailure` in its slot instead of raising.
         """
         return self._run_batch(paths, output_dir=output_dir)
 
@@ -227,16 +213,14 @@ class ProcessingChain(StageRunner):
         self,
         path: str,
         output_dir: Optional[str] = None,
-        emit: bool = True,
-        lock: Optional[ContextManager] = None,
     ) -> ChainResult:
-        """One chain execution.  ``lock`` (batch mode) guards the stages
-        that mutate shared tiers; ``emit=False`` defers the stRDF load so
-        the batch caller can merge every result into one bulk emit.
-        Stage bodies are idempotent — ingestion upserts, cropping
-        re-registers the crop array, SciQL attribute writes are
-        write-then-swap — so a retried stage recomputes."""
-        stage = Stages(self, lock)
+        """One chain execution; its stRDF is left in ``result.rdf`` for
+        the batch's one store write.  The database lock guards the
+        stages that mutate shared tiers.  Stage bodies are idempotent —
+        ingestion upserts, cropping re-registers the crop array, SciQL
+        attribute writes are write-then-swap — so a retried stage
+        recomputes."""
+        stage = Stages(self)
 
         # (a) ingestion — vault cataloging + array materialisation.
         def ingest() -> Tuple[Product, SciArray]:
@@ -294,8 +278,6 @@ class ProcessingChain(StageRunner):
                 result.shapefile_path = base + ".shp"
                 derived.path = result.shapefile_path
             result.rdf = self._emit_rdf(derived, hotspots)
-            if emit:
-                self.ingestor.store.load_graph(result.rdf)
 
         stage("shapefile", shapefile, path=path)
 

@@ -22,15 +22,13 @@ def _index_add(index: _Index, a: RDFTerm, b: RDFTerm, c: RDFTerm) -> None:
 
 
 def _index_remove(index: _Index, a: RDFTerm, b: RDFTerm, c: RDFTerm) -> None:
-    try:
-        bucket = index[a][b]
-        bucket.discard(c)
-        if not bucket:
-            del index[a][b]
-            if not index[a]:
-                del index[a]
-    except KeyError:
-        pass
+    inner = index[a]
+    bucket = inner[b]
+    bucket.remove(c)
+    if not bucket:
+        del inner[b]
+        if not inner:
+            del index[a]
 
 
 class Graph:
@@ -70,28 +68,30 @@ class Graph:
         self._size += 1
         return True
 
+    def discard(self, triple: Triple) -> bool:
+        """Delete one ground triple; returns True when it was present."""
+        s, p, o = triple
+        if not self.__contains__(triple):
+            return False
+        _index_remove(self._spo, s, p, o)
+        _index_remove(self._pos, p, o, s)
+        _index_remove(self._osp, o, s, p)
+        for counts, term in (
+            (self._s_count, s), (self._p_count, p), (self._o_count, o)
+        ):
+            counts[term] -= 1
+            if not counts[term]:
+                del counts[term]
+        self._size -= 1
+        return True
+
     def remove(self, pattern: Tuple) -> int:
         """Delete every triple matching the (possibly wildcard) pattern;
         returns the number removed."""
         victims = list(self.triples(pattern))
-        for s, p, o in victims:
-            _index_remove(self._spo, s, p, o)
-            _index_remove(self._pos, p, o, s)
-            _index_remove(self._osp, o, s, p)
-            for counts, term in (
-                (self._s_count, s), (self._p_count, p), (self._o_count, o)
-            ):
-                left = counts.get(term, 0) - 1
-                if left > 0:
-                    counts[term] = left
-                else:
-                    counts.pop(term, None)
-        self._size -= len(victims)
+        for triple in victims:
+            self.discard(triple)
         return len(victims)
-
-    def update(self, triples: Iterable[Triple]) -> int:
-        """Bulk-add triples; returns how many were new."""
-        return sum(1 for t in triples if self.add(t))
 
     def clear(self) -> None:
         self._spo.clear()

@@ -9,12 +9,13 @@ fault-site prefix (:attr:`StageRunner.site`) and a metric prefix
 
 * :class:`Stages` — the per-stage resilience envelope: deadline check
   at the boundary, the ``<site>.<stage>`` fault point per attempt,
-  retry with the guard re-acquired per attempt, the
+  retry with the database lock re-acquired per attempt, the
   ``<metric>.stage.<stage>`` span and the stage timing;
 * :meth:`StageRunner._run_batch` — the batch loop: acquisitions run in
   path order, each failure isolated as a :class:`ChainFailure`, the
-  survivors' RDF loaded in path order after the last acquisition, and
-  ``<metric>.batch.ok``/``.failed`` counted.
+  survivors' RDF written as one store delta after the last acquisition,
+  and ``<metric>.errors`` and ``<metric>.batch.ok``/``.failed`` counted
+  (a chain's ``run(path)`` is a one-path batch, so single runs count).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import nullcontext
-from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import faults, obs, resilience
 
@@ -55,12 +56,15 @@ class ChainFailure:
 
 
 class Stages:
-    """One acquisition's pass through a runner: its deadline, its shared
-    state lock and its per-stage timings."""
+    """One acquisition's pass through a runner: its deadline, the
+    database lock its ``locked`` stages take, and its per-stage
+    timings."""
 
-    def __init__(self, runner: "StageRunner", lock: Optional[ContextManager]):
+    def __init__(self, runner: "StageRunner"):
         self.runner = runner
-        self.lock = lock
+        # An RLock: a locked stage may call Database.execute, which
+        # takes it again.
+        self.lock = runner.ingestor.db.lock
         self.timings: Dict[str, float] = {}
         self.deadline = (
             resilience.Deadline(runner.deadline)
@@ -88,7 +92,7 @@ class Stages:
         site = f"{self.runner.site}.{name}"
         if self.deadline is not None:
             self.deadline.check(site)
-        guard = self.lock if locked and self.lock else nullcontext()
+        guard = self.lock if locked else nullcontext()
         t0 = time.perf_counter()
 
         def attempt() -> Any:
@@ -108,10 +112,10 @@ class Stages:
 class StageRunner:
     """Resilience envelope and batch loop shared by every chain.
 
-    Subclasses implement ``_execute(path, ..., emit=True, lock=None)``:
-    build a :class:`Stages` from ``lock``, run each stage body through
-    it, load the result's ``rdf`` into the store only when ``emit``, and
-    return a result whose ``ok`` is true.
+    Subclasses implement ``_execute(path, ...)``: build a
+    :class:`Stages`, run each stage body through it, and return a result
+    whose ``ok`` is true and whose ``rdf`` the batch loop writes to the
+    store.  ``_execute`` itself never writes to the store.
     """
 
     #: Fault-site prefix: stage ``x`` fires ``<site>.x``.
@@ -133,38 +137,42 @@ class StageRunner:
         self.retry = retry or resilience.DEFAULT_RETRY
         self.deadline = deadline
 
+    def run(self, path: str, **options: Any) -> Any:
+        """Process one acquisition: a one-path :meth:`_run_batch` that
+        raises the acquisition's original exception."""
+        (result,) = self._run_batch([path], **options)
+        if not result.ok:
+            raise result.error
+        return result
+
     def _run_batch(
         self,
         paths: Sequence[str],
         **options: Any,
     ) -> List[Any]:
-        """Run ``_execute`` over every path with one merged RDF emit.
+        """Run ``_execute`` over every path with one store write.
 
         Acquisitions run one after another on the calling thread; their
         locked stages hold the database lock, so batches that callers
         run on their own threads against one database serialise there.
-        The survivors' stRDF is loaded after the last acquisition, so the
-        store's spatial index packs the batch's geometries in one fold at
-        the next probe.  Results come back in ``paths`` order; a failing acquisition
-        occupies its slot as a :class:`ChainFailure` and contributes no
-        RDF.
+        The survivors' triples go to the store in path order as one
+        :meth:`~repro.strabon.StrabonStore.load_graph` after the last
+        acquisition.  Results come back in ``paths`` order; a failing
+        acquisition occupies its slot as a :class:`ChainFailure` and
+        contributes no RDF.
         """
         paths = list(paths)
-        store = self.ingestor.store
-        lock = self.ingestor.db.lock
 
         def guarded(path: str) -> Any:
             try:
-                return self._execute(path, emit=False, lock=lock, **options)
+                return self._execute(path, **options)
             except Exception as exc:  # noqa: BLE001 — isolated per acquisition
                 obs.counter(f"{self.metric}.errors").inc()
                 return ChainFailure(path, exc)
 
         with obs.span(f"{self.metric}.run_batch", acquisitions=len(paths)):
             results = [guarded(p) for p in paths]
-            for result in results:
-                if result.ok:
-                    store.load_graph(result.rdf)
+            self.ingestor.store.load_graph(t for r in results if r.ok for t in r.rdf)
             ok = sum(1 for r in results if r.ok)
             obs.counter(f"{self.metric}.batch.ok").inc(ok)
             obs.counter(f"{self.metric}.batch.failed").inc(len(results) - ok)

@@ -10,7 +10,7 @@ dictionary-encoded id columns as the store itself are ROADMAP item 2(b).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -43,8 +43,9 @@ class StrabonStore:
 
     The spatial index is a packed envelope column: one slot per distinct
     indexed geometry literal, a live bit per slot, and an unpacked tail
-    of literals added since the last probe.  An add appends to the tail
-    and a remove clears the literal's live bit, both O(1).  A probe first
+    of literals added since the last probe.  :meth:`apply` appends an
+    inserted literal to the tail and clears a deleted literal's live
+    bit, both O(1) per triple.  A probe first
     folds the index: it packs the tail onto the column, and compacts the
     column once dead slots pass half of it.  Each probe envelope is then
     one vectorised ``intersects & live`` pass over the column.
@@ -53,13 +54,14 @@ class StrabonStore:
     def __init__(self, use_spatial_index: bool = True):
         self.use_spatial_index = use_spatial_index
         self._graph = Graph()
-        # Monotonic data version, bumped on every mutation.  Continuation
-        # tokens (repro.server) embed it so a suspended query can never
-        # resume its scan cursors against a store that changed under it.
+        # Monotonic data version, bumped once per applied delta.
+        # Continuation tokens (repro.server) embed it so a suspended query
+        # can never resume its scan cursors against a store that changed
+        # under it.
         self.version = 0
         # Spatial index (see the class docstring).  The store lock
         # serialises writes (graph, version, refcounts, index) and folds,
-        # so callers may add and remove from several threads.
+        # so callers may apply deltas from several threads.
         self._lock = threading.Lock()
         self._reset_index()
         # Performance layer: prepared-plan cache (query text → parsed
@@ -84,29 +86,41 @@ class StrabonStore:
         if floor > self.version:
             self.version = int(floor)
 
-    def add(self, triple: Triple) -> bool:
-        """Insert a triple; returns True when new."""
-        with self._lock:
-            if not self._graph.add(triple):
-                return False
-            self.version += 1
-            o = triple[2]
-            if strdf.is_geometry_literal(o):
-                self._index_geometry(o)
-            return True
+    def apply(
+        self,
+        deletes: Iterable[Triple] = (),
+        inserts: Iterable[Triple] = (),
+    ) -> Tuple[int, int]:
+        """The store's one write unit: remove ``deletes``, then add
+        ``inserts``; returns ``(removed, added)``, each triple counted by
+        its effect.
 
-    def remove(self, pattern: Tuple) -> int:
-        """Remove triples matching the (wildcardable) pattern."""
+        Both iterables are read under one hold of the lock, so
+        ``apply(deletes=store.triples(pattern))`` is an atomic pattern
+        delete.  An ill-formed insert raises ``TermError`` before
+        anything changes.  :attr:`version` is bumped once, if anything
+        changed.
+        """
         with self._lock:
-            victims = list(self._graph.triples(pattern))
-            if victims:
+            # Materialised first: a pattern delete reads the graph it
+            # changes.
+            deletes = list(deletes)
+            inserts = [Graph._validate(t) for t in inserts]
+            graph = self._graph
+            removed = added = 0
+            for triple in deletes:
+                if graph.discard(triple):
+                    removed += 1
+                    if strdf.is_geometry_literal(triple[2]):
+                        self._unindex_geometry(triple[2])
+            for triple in inserts:
+                if graph.add(triple):
+                    added += 1
+                    if strdf.is_geometry_literal(triple[2]):
+                        self._index_geometry(triple[2])
+            if removed or added:
                 self.version += 1
-            for triple in victims:
-                self._graph.remove(triple)
-                o = triple[2]
-                if strdf.is_geometry_literal(o):
-                    self._unindex_geometry(o)
-            return len(victims)
+            return removed, added
 
     def _reset_index(self) -> None:
         self._column = PackedEnvelopes.pack([])
@@ -238,13 +252,14 @@ class StrabonStore:
         """The underlying in-memory graph (read-mostly)."""
         return self._graph
 
-    def load_graph(self, graph: Graph) -> int:
-        """Add every triple of ``graph``; returns count added.
+    def load_graph(self, triples: Iterable[Triple]) -> int:
+        """Add ``triples`` (a :class:`Graph` or any iterable) as one
+        :meth:`apply`; returns the count added.
 
         New geometry literals wait in the spatial index's tail until the
         next probe packs them in one fold.
         """
-        return sum(1 for t in graph if self.add(t))
+        return self.apply(inserts=triples)[1]
 
     def clear(self) -> None:
         """Remove every triple, resetting all indexes and caches.
@@ -271,14 +286,9 @@ class StrabonStore:
         """
         from repro.rdf.rdfs import RDFSReasoner
 
-        reasoner = RDFSReasoner(schema)
         inferred = self._graph.copy()
-        reasoner.materialize(inferred)
-        added = 0
-        for triple in inferred:
-            if triple not in self._graph and self.add(triple):
-                added += 1
-        return added
+        RDFSReasoner(schema).materialize(inferred)
+        return self.load_graph(inferred)
 
     def load_ntriples(self, text: str) -> int:
         return self.load_graph(parse_ntriples(text))

@@ -160,35 +160,28 @@ class Evaluator:
         return graph
 
     def update(self, op: alg.UpdateOp) -> int:
+        """Apply one update operation as one store delta; returns the
+        number of triples removed plus added."""
         if isinstance(op, alg.InsertData):
-            return sum(1 for t in op.triples if self.store.add(t))
+            return sum(self.store.apply(inserts=op.triples))
         if isinstance(op, alg.DeleteData):
-            return sum(self.store.remove(t) for t in op.triples)
+            return sum(self.store.apply(deletes=op.triples))
         if isinstance(op, alg.Modify):
-            solutions = self._pattern(op.where, [dict()])
+            # Both sides are instantiated before the one write.
             counter = [0]
-            removed = added = 0
-            to_remove: List[Tuple] = []
-            to_add: List[Tuple] = []
-            for sol in solutions:
+            deletes: List[Tuple] = []
+            inserts: List[Tuple] = []
+            for sol in self._pattern(op.where, [dict()]):
                 bnode_map: Dict[str, BNode] = {}
-                for pattern in op.delete_template:
-                    triple = _instantiate_all(
-                        pattern, sol, bnode_map, counter
-                    )
-                    if triple is not None:
-                        to_remove.append(triple)
-                for pattern in op.insert_template:
-                    triple = _instantiate_all(
-                        pattern, sol, bnode_map, counter
-                    )
-                    if triple is not None:
-                        to_add.append(triple)
-            for triple in to_remove:
-                removed += self.store.remove(triple)
-            for triple in to_add:
-                added += 1 if self.store.add(triple) else 0
-            return removed + added
+                for template, out in (
+                    (op.delete_template, deletes),
+                    (op.insert_template, inserts),
+                ):
+                    for pattern in template:
+                        triple = _instantiate_all(pattern, sol, bnode_map, counter)
+                        if triple is not None:
+                            out.append(triple)
+            return sum(self.store.apply(deletes, inserts))
         raise StSPARQLError(f"unknown update operation {op!r}")
 
     # -- graph pattern evaluation ---------------------------------------------------
@@ -809,12 +802,14 @@ def _instantiate(term, sol: Solution, bnode_map, counter):
 
 
 def _instantiate_all(pattern, sol, bnode_map, counter):
+    """The template triple under ``sol``, or None when a variable is
+    unbound or the instance is no RDF triple (a literal subject, a
+    non-IRI predicate), which SPARQL 1.1 Update §3.1.3 drops."""
     s = _instantiate(pattern.s, sol, bnode_map, counter)
     p = _instantiate(pattern.p, sol, bnode_map, counter)
     o = _instantiate(pattern.o, sol, bnode_map, counter)
-    if s is None or p is None or o is None:
-        return None
-    return (s, p, o)
+    well_formed = isinstance(s, (URIRef, BNode)) and isinstance(p, URIRef)
+    return (s, p, o) if well_formed and o is not None else None
 
 
 def _as_term(value: Any) -> RDFTerm:

@@ -314,11 +314,12 @@ class _Parser:
     def _ground_triples(self):
         triples = self._triples_template()
         for t in triples:
-            for term in (t.s, t.p, t.o):
-                if isinstance(term, Variable):
-                    raise StSPARQLSyntaxError(
-                        "variables are not allowed in INSERT/DELETE DATA"
-                    )
+            if any(isinstance(term, Variable) for term in (t.s, t.p, t.o)):
+                raise StSPARQLSyntaxError(
+                    "variables are not allowed in INSERT/DELETE DATA"
+                )
+            if not isinstance(t.s, (URIRef, BNode)) or not isinstance(t.p, URIRef):
+                raise StSPARQLSyntaxError(f"not an RDF triple in DATA: {t!r}")
         return [(t.s, t.p, t.o) for t in triples]
 
     def _triples_template(self) -> List[alg.TriplePattern]:

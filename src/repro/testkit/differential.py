@@ -150,8 +150,13 @@ def _check_spatial(spec: Dict[str, Any]) -> Optional[str]:
     live = set()
     for phase, ops in phases:
         for i, add in ops:
-            (store.add if add else store.remove)(triples[i])
-            (live.add if add else live.discard)(i)
+            delta = [triples[i]]
+            if add:
+                store.apply(inserts=delta)
+                live.add(i)
+            else:
+                store.apply(deletes=delta)
+                live.discard(i)
         entries = [(envelopes[i], literals[i]) for i in sorted(live)]
         for j, got in enumerate(store.spatial_candidates_batch(probes)):
             expected = set(oracles.naive_spatial_query(entries, probes[j]))
@@ -333,11 +338,22 @@ def _check_stsparql(spec: Dict[str, Any]) -> Optional[str]:
         use_spatial_index=True, fold_per_add=False, triple_set=triples
     ):
         store = StrabonStore(use_spatial_index=use_spatial_index)
-        for triple in triple_set:
-            store.add(triple)
-            if fold_per_add:
+        if not fold_per_add:
+            store.load_graph(triple_set)
+        else:
+            for triple in triple_set:
+                store.load_graph([triple])
                 # An empty probe batch still folds the spatial index.
                 store.spatial_candidates_batch([])
+        return store
+
+    def updated_store(triple_set, text, count):
+        """A fresh store over ``triple_set`` after the stSPARQL update
+        ``text``, which must report ``count`` triples changed."""
+        store = fresh_store(triple_set=triple_set)
+        changed = store.update(PREFIXES + text)
+        if changed != count:
+            raise AssertionError(f"{text!r} changed {changed} != {count}")
         return store
 
     store = fresh_store()
@@ -400,12 +416,23 @@ def _check_stsparql(spec: Dict[str, Any]) -> Optional[str]:
 
     if extra:
         # Incremental maintenance: same store after more adds must match
-        # both the oracle and a store freshly loaded with everything.
-        for triple in extra:
-            store.add(triple)
+        # the oracle, a store freshly loaded with everything, and the
+        # same adds made as stSPARQL INSERT DATA.
+        store.load_graph(extra)
         expected = oracle(triples + extra)
+        insert_data = "INSERT DATA { %s }" % " . ".join(
+            " ".join(term.n3() for term in triple) for triple in extra
+        )
         for label, variant in [
             ("incremental", lambda: _store_rows(store, query, variables)),
+            (
+                "insert-data",
+                lambda: _store_rows(
+                    updated_store(triples, insert_data, len(extra)),
+                    query,
+                    variables,
+                ),
+            ),
             (
                 "fresh-full",
                 lambda: _store_rows(
@@ -426,11 +453,24 @@ def _check_stsparql(spec: Dict[str, Any]) -> Optional[str]:
     everything = triples + extra
     if everything:
         victim = everything[0][0]
-        store.remove((victim, None, None))
+        store.apply(deletes=store.triples((victim, None, None)))
         remaining = [t for t in everything if t[0] != victim]
         expected = oracle(remaining)
+        delete_where = f"DELETE WHERE {{ {victim.n3()} ?p ?o }}"
         for label, variant in [
             ("incremental", lambda: _store_rows(store, query, variables)),
+            (
+                "delete-where",
+                lambda: _store_rows(
+                    updated_store(
+                        everything,
+                        delete_where,
+                        len(everything) - len(remaining),
+                    ),
+                    query,
+                    variables,
+                ),
+            ),
             (
                 "fresh-remaining",
                 lambda: _store_rows(

@@ -30,8 +30,7 @@ def build_store(n=400, seed=17):
     rng = random.Random(seed)
     store = StrabonStore()
     triples = [box_triple(rng, k) for k in range(n)]
-    for triple in triples:
-        store.add(triple)
+    store.load_graph(triples)
     return store, triples
 
 
@@ -86,7 +85,7 @@ class TestQueryBatchEquality:
             EX.fresh, EX.geom,
             geometry_literal(Polygon.from_envelope(Envelope(10, 10, 11, 11))),
         )
-        store.add(fresh)
+        store.apply(inserts=[fresh])
         after = store.spatial_candidates_batch([probe])[0]
         assert fresh[2] in after
         assert after == brute_force(triples + [fresh], probe)
@@ -96,7 +95,7 @@ class TestQueryBatchEquality:
         store, triples = build_store(n=100)
         probe = Envelope(0, 0, 100, 100)
         store.spatial_candidates_batch([probe])  # fold the column
-        assert store.remove(triples[0]) == 1
+        assert store.apply(deletes=[triples[0]]) == (1, 0)
         after = store.spatial_candidates_batch([probe])[0]
         assert triples[0][2] not in after
         assert after == brute_force(triples[1:], probe)
@@ -108,10 +107,8 @@ class TestQueryBatchEquality:
         first = folds()
         store.spatial_candidates_batch(probe)
         assert folds() == first  # nothing changed: no fold
-        store.add(
-            (EX.new, EX.geom,
-             geometry_literal(Polygon.from_envelope(Envelope(1, 1, 2, 2))))
-        )
+        square = Polygon.from_envelope(Envelope(1, 1, 2, 2))
+        store.load_graph([(EX.new, EX.geom, geometry_literal(square))])
         store.spatial_candidates_batch(probe)
         assert folds() == first + 1
 
@@ -150,7 +147,7 @@ class TestSnapshotConcurrencyRegression:
 
         def insert():
             for triple in triples:
-                store.add(triple)
+                store.apply(inserts=[triple])
 
         found = self.probe_while(store, insert)
         assert found == brute_force(triples, Envelope(0, 0, 200, 200))
@@ -161,7 +158,7 @@ class TestSnapshotConcurrencyRegression:
 
         def remove():
             for triple in removed:
-                store.remove(triple)
+                store.apply(deletes=[triple])
 
         found = self.probe_while(store, remove)
         assert found == brute_force(triples[1::2], Envelope(0, 0, 200, 200))

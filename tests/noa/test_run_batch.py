@@ -191,3 +191,40 @@ class TestRunBatchFailureIsolation:
         assert len(results) == 3
         assert all(isinstance(r, ChainFailure) for r in results)
         assert [r.path for r in results] == bads
+
+    def test_single_run_is_a_one_path_batch(self, tmp_path):
+        from repro import obs
+
+        bad = str(tmp_path / "missing.nat")
+        (failure,) = fresh_chain().run_batch([bad])
+        registry = obs.get_registry()
+        was_enabled = registry.enabled
+        registry.set_enabled(True)
+        try:
+            errors0 = obs.counter("noa.errors").value
+            failed0 = obs.counter("noa.batch.failed").value
+            with pytest.raises(type(failure.error)):
+                fresh_chain().run(bad)
+            errors = obs.counter("noa.errors").value - errors0
+            failed = obs.counter("noa.batch.failed").value - failed0
+        finally:
+            registry.set_enabled(was_enabled)
+        assert (errors, failed) == (1, 1)
+
+    def test_batch_writes_its_rdf_as_one_delta(self, tmp_path):
+        paths = scene_paths(tmp_path, count=3)
+        chain = fresh_chain()
+        store = chain.ingestor.store
+        writes = []
+        apply = store.apply
+
+        def spy(deletes=(), inserts=()):
+            counts = apply(deletes, inserts)
+            writes.append(counts)
+            return counts
+
+        store.apply = spy
+        results = chain.run_batch(paths)
+        # Three ingest transactions, then the batch's one emit.
+        assert len(writes) == 4
+        assert writes[-1][1] == sum(len(r.rdf) for r in results)

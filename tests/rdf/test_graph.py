@@ -64,10 +64,13 @@ class TestMutation:
         g = sample_graph()
         assert g.remove((EX.nope, None, None)) == 0
 
-    def test_update_bulk(self):
-        g = Graph()
-        added = g.update([(EX.a, EX.p, EX.b), (EX.a, EX.p, EX.b)])
-        assert added == 1
+    def test_discard_one_ground_triple(self):
+        g = sample_graph()
+        assert g.discard((EX.s1, EX.p1, EX.o1))
+        assert not g.discard((EX.s1, EX.p1, EX.o1))
+        assert len(g) == 4
+        assert g.count_estimate((EX.s1, None, None)) == 2
+        assert (EX.s1, EX.p1, EX.o1) not in g
 
     def test_clear(self):
         g = sample_graph()

@@ -46,7 +46,7 @@ class TestBulkLoad:
         graph = catalog_graph()
         incremental = StrabonStore()
         for triple in graph:
-            incremental.add(triple)
+            incremental.apply(inserts=[triple])
         bulk = StrabonStore()
         bulk.load_graph(graph)
 
@@ -61,9 +61,7 @@ class TestBulkLoad:
     def test_incremental_adds_after_bulk_load_are_indexed(self):
         bulk = StrabonStore()
         bulk.load_graph(catalog_graph())
-        bulk.add(
-            (EX.extra, EX.geom, geometry_literal(Point(40.5, 40.5)))
-        )
+        bulk.apply(inserts=[(EX.extra, EX.geom, geometry_literal(Point(40.5, 40.5)))])
         assert (EX.extra,) in set(bulk.query(SPATIAL_QUERY).rows())
 
     def test_backend_rows_match_after_bulk(self):
@@ -100,8 +98,8 @@ class TestClear:
 
     def test_clear_preserves_term_id_freshness(self):
         store = StrabonStore()
-        store.add((EX.a, EX.p, EX.b))
+        store.load_graph([(EX.a, EX.p, EX.b)])
         store.clear()
-        store.add((EX.a, EX.p, EX.b))
+        store.load_graph([(EX.a, EX.p, EX.b)])
         assert len(store) == 1
         assert list(store.triples()) == [(EX.a, EX.p, EX.b)]

@@ -35,10 +35,14 @@ def names(store, query):
 
 def seeded_store() -> StrabonStore:
     store = StrabonStore()
-    store.add((EX.a, EX.sensor, EX.seviri1))
-    store.add((EX.a, EX.geom, geometry_literal(Point(10, 10))))
-    store.add((EX.b, EX.sensor, EX.seviri2))
-    store.add((EX.b, EX.geom, geometry_literal(Point(80, 80))))
+    store.load_graph(
+        [
+            (EX.a, EX.sensor, EX.seviri1),
+            (EX.a, EX.geom, geometry_literal(Point(10, 10))),
+            (EX.b, EX.sensor, EX.seviri2),
+            (EX.b, EX.geom, geometry_literal(Point(80, 80))),
+        ]
+    )
     return store
 
 
@@ -71,7 +75,7 @@ class TestPlanCacheFreshness:
         store = seeded_store()
         assert names(store, PLAIN_QUERY) == {EX.a}
         assert names(store, SPATIAL_QUERY) == {EX.a}
-        store.remove((EX.a, None, None))
+        store.apply(deletes=store.triples((EX.a, None, None)))
         assert names(store, PLAIN_QUERY) == set()
         assert names(store, SPATIAL_QUERY) == set()
 
@@ -81,7 +85,7 @@ class TestPlanCacheFreshness:
             PREFIXES + "INSERT DATA { ex:x ex:sensor ex:seviri1 . }"
         )
         store.update(insert)
-        store.remove((EX.x, None, None))
+        store.apply(deletes=store.triples((EX.x, None, None)))
         before = store.plan_cache.stats.hits
         store.update(insert)  # identical text → cached ops, same effect
         assert store.plan_cache.stats.hits == before + 1
@@ -92,7 +96,7 @@ class TestPlanCacheFreshness:
         assert names(store, PLAIN_QUERY) == {EX.a}
         store.clear()
         assert names(store, PLAIN_QUERY) == set()
-        store.add((EX.d, EX.sensor, EX.seviri1))
+        store.apply(inserts=[(EX.d, EX.sensor, EX.seviri1)])
         assert names(store, PLAIN_QUERY) == {EX.d}
 
 
@@ -100,23 +104,23 @@ class TestGeometryInternerLifecycle:
     def test_interner_drops_entry_with_last_reference(self):
         store = StrabonStore()
         lit = geometry_literal(Point(10, 10))
-        store.add((EX.a, EX.geom, lit))
-        store.add((EX.b, EX.geom, lit))
+        store.apply(inserts=[(EX.a, EX.geom, lit)])
+        store.apply(inserts=[(EX.b, EX.geom, lit)])
         names(store, SPATIAL_QUERY)  # force interning via evaluation
         assert lit in store.geometries._cache
-        store.remove((EX.a, EX.geom, lit))
+        store.apply(deletes=[(EX.a, EX.geom, lit)])
         assert lit in store.geometries._cache  # ex:b still refers to it
-        store.remove((EX.b, EX.geom, lit))
+        store.apply(deletes=[(EX.b, EX.geom, lit)])
         assert lit not in store.geometries._cache
 
     def test_reinserted_geometry_still_matches_spatially(self):
         store = StrabonStore()
         lit = geometry_literal(Point(10, 10))
-        store.add((EX.a, EX.geom, lit))
+        store.apply(inserts=[(EX.a, EX.geom, lit)])
         assert names(store, SPATIAL_QUERY) == {EX.a}
-        store.remove((EX.a, EX.geom, lit))
+        store.apply(deletes=[(EX.a, EX.geom, lit)])
         assert names(store, SPATIAL_QUERY) == set()
-        store.add((EX.a, EX.geom, lit))
+        store.apply(inserts=[(EX.a, EX.geom, lit)])
         assert names(store, SPATIAL_QUERY) == {EX.a}
 
 

@@ -219,7 +219,7 @@ def spatial_store(seed=11, n=120, zones=8):
     from repro.geometry import Point, Polygon
     from repro.strabon import geometry_literal
 
-    store = StrabonStore()
+    triples = []
     rng = _random.Random(seed)
     for i in range(n):
         x, y = rng.uniform(-10, 20), rng.uniform(-10, 20)
@@ -229,13 +229,15 @@ def spatial_store(seed=11, n=120, zones=8):
             )
         else:
             geom = Point(x, y)
-        store.add((EX[f"f{i}"], EX.geom, geometry_literal(geom)))
+        triples.append((EX[f"f{i}"], EX.geom, geometry_literal(geom)))
     rng = _random.Random(seed + 1)
     for j in range(zones):
         x, y = rng.uniform(-10, 15), rng.uniform(-10, 15)
         w, h = rng.uniform(1, 5), rng.uniform(1, 5)
         zone = Polygon([(x, y), (x + w, y), (x + w, y + h), (x, y + h)])
-        store.add((EX[f"z{j}"], EX.zone, geometry_literal(zone)))
+        triples.append((EX[f"z{j}"], EX.zone, geometry_literal(zone)))
+    store = StrabonStore()
+    store.load_graph(triples)
     return store
 
 
@@ -408,13 +410,12 @@ class TestSpatialBatch:
 
         def make_store():
             store = spatial_store(n=40)
-            store.add(
-                (
-                    EX.odd,
-                    EX.geom,
-                    geometry_literal(Point(5.1, 5.1, srid=3857)),
-                )
+            triple = (
+                EX.odd,
+                EX.geom,
+                geometry_literal(Point(5.1, 5.1, srid=3857)),
             )
+            store.load_graph([triple])
             return store
 
         query = (
@@ -433,13 +434,12 @@ class TestSpatialBatch:
         def make_store():
             store = spatial_store(n=40, zones=4)
             square = [(0, 0), (9e5, 0), (9e5, 9e5), (0, 9e5)]
-            store.add(
-                (
-                    EX.far,
-                    EX.zone,
-                    geometry_literal(Polygon(square, srid=3857)),
-                )
+            triple = (
+                EX.far,
+                EX.zone,
+                geometry_literal(Polygon(square, srid=3857)),
             )
+            store.load_graph([triple])
             return store
 
         query = (
@@ -461,15 +461,12 @@ class TestSpatialBatch:
         def make_store():
             store = spatial_store(n=40)
             for k in range(0, 40, 8):
-                store.add(
-                    (
-                        EX[f"f{k}"],
-                        EX.near,
-                        geometry_literal(
-                            Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
-                        ),
-                    )
+                triple = (
+                    EX[f"f{k}"],
+                    EX.near,
+                    geometry_literal(Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])),
                 )
+                store.load_graph([triple])
             return store
 
         query = (
@@ -491,13 +488,12 @@ class TestSpatialBatch:
 
         def make_store():
             store = spatial_store(n=40, zones=3)
-            store.add(
-                (
-                    EX.broken,
-                    EX.geom,
-                    Literal("POLYGON oops", datatype=strdf.WKT_DATATYPE),
-                )
+            triple = (
+                EX.broken,
+                EX.geom,
+                Literal("POLYGON oops", datatype=strdf.WKT_DATATYPE),
             )
+            store.load_graph([triple])
             return store
 
         query = (

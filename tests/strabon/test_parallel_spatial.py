@@ -21,27 +21,27 @@ REGION = '"POLYGON ((10 10, 40 10, 40 40, 10 40, 10 10))"^^strdf:WKT'
 def build_store(n=120, seed=23, use_spatial_index=True):
     """Many point sites, with two bindings no geometry test can use."""
     rng = random.Random(seed)
-    store = StrabonStore(use_spatial_index=use_spatial_index)
+    triples = []
     for k in range(n):
         x, y = rng.uniform(0, 100), rng.uniform(0, 100)
-        store.add(
-            (EX[f"site{k}"], EX.geom, geometry_literal(Point(x, y)))
-        )
+        triples.append((EX[f"site{k}"], EX.geom, geometry_literal(Point(x, y))))
     # A non-geometry binding and a malformed geometry literal: both
     # must reach the exact filter untouched.
     from repro.rdf.term import Literal
     from repro.strabon import strdf
 
-    store.add((EX.odd, EX.geom, Literal("not a geometry")))
+    triples.append((EX.odd, EX.geom, Literal("not a geometry")))
     for k in range(0, n, 10):
-        store.add((EX[f"site{k}"], EX.kind, EX.Marked))
-    store.add(
+        triples.append((EX[f"site{k}"], EX.kind, EX.Marked))
+    triples.append(
         (
             EX.broken,
             EX.geom,
             Literal("POLYGON oops", datatype=strdf.WKT_DATATYPE),
         )
     )
+    store = StrabonStore(use_spatial_index=use_spatial_index)
+    store.load_graph(triples)
     return store
 
 
@@ -144,21 +144,11 @@ class TestGeometryLiteralsStillExact:
     def test_boundary_point_semantics_preserved(self):
         # Envelope decisions must not change OGC boundary semantics.
         store = StrabonStore()
-        for k in range(20):
-            store.add(
-                (
-                    EX[f"p{k}"],
-                    EX.geom,
-                    geometry_literal(Point(float(k), 2.5)),
-                )
-            )
-        store.add(
-            (
-                EX.edge,
-                EX.geom,
-                geometry_literal(Point(5.0, 5.0)),
-            )
+        store.load_graph(
+            (EX[f"p{k}"], EX.geom, geometry_literal(Point(float(k), 2.5)))
+            for k in range(20)
         )
+        store.load_graph([(EX.edge, EX.geom, geometry_literal(Point(5.0, 5.0)))])
         query = (
             PREFIXES
             + "SELECT ?s WHERE { ?s ex:geom ?g . "

@@ -27,8 +27,7 @@ triples = st.lists(
 
 def store_of(ts):
     store = StrabonStore()
-    for t in ts:
-        store.add(t)
+    store.load_graph(ts)
     return store, set(store.triples())
 
 

@@ -21,8 +21,7 @@ SEEDS = [11, 23, 47, 95, 191, 383, 767, 1535]
 def _store_and_query(seed):
     spec = gen_spec("stsparql", seed)
     store = StrabonStore()
-    for triple in triples_from_json(spec["triples"]):
-        store.add(triple)
+    store.load_graph(triples_from_json(spec["triples"]))
     query, variables = render_query(spec)
     return store, query, variables
 

@@ -20,10 +20,14 @@ P = (
 def store():
     s = StrabonStore()
     type_iri = URIRef(str(RDF) + "type")
-    s.add((EX.fire1, type_iri, URIRef(str(EM) + "ForestFire")))
-    s.add((EX.fire2, type_iri, URIRef(str(EM) + "AgriculturalFire")))
-    s.add((EX.flood1, type_iri, URIRef(str(EM) + "Flood")))
-    s.add((EX.fire1, EX.geom, geometry_literal(Point(22, 38))))
+    s.load_graph(
+        [
+            (EX.fire1, type_iri, URIRef(str(EM) + "ForestFire")),
+            (EX.fire2, type_iri, URIRef(str(EM) + "AgriculturalFire")),
+            (EX.flood1, type_iri, URIRef(str(EM) + "Flood")),
+            (EX.fire1, EX.geom, geometry_literal(Point(22, 38))),
+        ]
+    )
     return s
 
 

@@ -25,15 +25,18 @@ def build_store(use_spatial_index=True):
         "far": Point(50.0, 50.0),
     }
     for name, geom in points.items():
-        store.add((EX[name], EX.geom, geometry_literal(geom)))
-        store.add((EX[name], EX.kind, EX.Site))
-    store.add(
-        (
-            EX.region,
-            EX.geom,
-            geometry_literal(Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])),
+        store.load_graph(
+            [
+                (EX[name], EX.geom, geometry_literal(geom)),
+                (EX[name], EX.kind, EX.Site),
+            ]
         )
+    triple = (
+        EX.region,
+        EX.geom,
+        geometry_literal(Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])),
     )
+    store.load_graph([triple])
     return store
 
 
@@ -205,8 +208,12 @@ class TestSpatialAggregates:
         store = StrabonStore()
         a = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
         b = Polygon([(1, 1), (3, 1), (3, 3), (1, 3)])
-        store.add((EX.p1, EX.geom, geometry_literal(a)))
-        store.add((EX.p2, EX.geom, geometry_literal(b)))
+        store.load_graph(
+            [
+                (EX.p1, EX.geom, geometry_literal(a)),
+                (EX.p2, EX.geom, geometry_literal(b)),
+            ]
+        )
         r = store.query(
             PREFIXES
             + "SELECT (strdf:union(?g) AS ?u) WHERE { ?s ex:geom ?g }"
@@ -230,7 +237,7 @@ class TestSpatialIndexEquivalence:
 
     def test_index_updates_on_remove(self):
         store = build_store()
-        store.remove((EX.inside_a, None, None))
+        store.apply(deletes=store.triples((EX.inside_a, None, None)))
         r = store.query(
             PREFIXES
             + "SELECT ?s WHERE { ?s ex:geom ?g . "

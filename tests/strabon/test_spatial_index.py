@@ -1,9 +1,10 @@
 """The store's spatial index: a packed envelope column with tombstones.
 
-An add appends to an unpacked tail, a remove clears a live bit, and a
-probe folds the tail onto the column (compacting it once more than half
-of it is dead) before one ``intersects & live`` pass per probe.  Every
-probe here is checked against a brute-force ``Envelope.intersects`` scan.
+An inserted literal joins an unpacked tail, a deleted one loses its
+live bit, and a probe folds the tail onto the column (compacting it
+once more than half of it is dead) before one ``intersects & live``
+pass per probe.  Every probe here is checked against a brute-force
+``Envelope.intersects`` scan.
 """
 
 import sys
@@ -40,7 +41,7 @@ class TestFold:
     def test_adds_wait_in_the_tail_until_a_probe(self):
         store = StrabonStore()
         for k in range(5):
-            store.add(point(k))
+            store.apply(inserts=[point(k)])
         assert len(store._tail) == 5 and store._literals == []
         assert probe(store) == {point(k)[2] for k in range(5)}
         assert store._tail == [] and len(store._literals) == 5
@@ -49,17 +50,17 @@ class TestFold:
     def test_fold_appends_the_tail_to_a_packed_column(self):
         store = StrabonStore()
         for k in range(4):
-            store.add(point(k))
+            store.apply(inserts=[point(k)])
         probe(store)
         column = store._column
-        store.add(point(10))
+        store.apply(inserts=[point(10)])
         assert probe(store, Envelope(9, 9, 11, 11)) == {point(10)[2]}
         assert len(store._column) == 5
         assert store._column.unpack()[:4] == column.unpack()
 
     def test_no_geometry_no_slot(self):
         store = StrabonStore()
-        store.add((EX.a, EX.label, EX.b))
+        store.apply(inserts=[(EX.a, EX.label, EX.b)])
         assert probe(store) == set()
         assert store._literals == []
 
@@ -68,9 +69,9 @@ class TestTombstones:
     def test_remove_clears_the_live_bit(self):
         store = StrabonStore()
         for k in range(4):
-            store.add(point(k))
+            store.apply(inserts=[point(k)])
         probe(store)
-        store.remove(point(2))
+        store.apply(deletes=[point(2)])
         assert len(store._literals) == 4  # still a slot, now dead
         assert store._live.tolist() == [True, True, False, True]
         assert probe(store) == brute_force(store, EVERYWHERE)
@@ -79,38 +80,38 @@ class TestTombstones:
     def test_remove_from_the_tail_before_any_fold(self):
         store = StrabonStore()
         for k in range(4):
-            store.add(point(k))
-        store.remove(point(0))
+            store.apply(inserts=[point(k)])
+        store.apply(deletes=[point(0)])
         assert probe(store) == {point(k)[2] for k in (1, 2, 3)}
 
     def test_remove_then_re_add(self):
         store = StrabonStore()
         for k in range(4):
-            store.add(point(k))
+            store.apply(inserts=[point(k)])
         probe(store)
-        store.remove(point(1))
-        store.add(point(1))
+        store.apply(deletes=[point(1)])
+        store.apply(inserts=[point(1)])
         assert point(1)[2] in probe(store, Envelope(1, 1, 1, 1))
         # In the tail: removed and re-added before the fold.
-        store.add(point(7))
-        store.remove(point(7))
-        store.add(point(7))
+        store.apply(inserts=[point(7)])
+        store.apply(deletes=[point(7)])
+        store.apply(inserts=[point(7)])
         assert probe(store) == {point(k)[2] for k in (0, 1, 2, 3, 7)}
-        store.remove(point(7))
+        store.apply(deletes=[point(7)])
         assert probe(store) == {point(k)[2] for k in (0, 1, 2, 3)}
 
     def test_two_triples_sharing_one_literal(self):
         store = StrabonStore()
         shared = geometry_literal(Point(3, 3))
-        store.add((EX.a, EX.geom, shared))
-        store.add((EX.b, EX.geom, shared))
+        store.apply(inserts=[(EX.a, EX.geom, shared)])
+        store.apply(inserts=[(EX.b, EX.geom, shared)])
         assert probe(store) == {shared}
         assert len(store._literals) == 1  # one slot per distinct literal
-        store.remove((EX.a, EX.geom, shared))
+        store.apply(deletes=[(EX.a, EX.geom, shared)])
         assert probe(store) == {shared}
-        store.remove((EX.b, EX.geom, shared))
+        store.apply(deletes=[(EX.b, EX.geom, shared)])
         assert probe(store) == set()
-        store.add((EX.c, EX.geom, shared))
+        store.apply(inserts=[(EX.c, EX.geom, shared)])
         assert probe(store) == {shared}
 
 
@@ -118,14 +119,14 @@ class TestCompaction:
     def test_compacts_only_past_half_dead(self):
         store = StrabonStore()
         for k in range(10):
-            store.add(point(k))
+            store.apply(inserts=[point(k)])
         probe(store)
         for k in range(5):
-            store.remove(point(k))
+            store.apply(deletes=[point(k)])
         probe(store)
         assert len(store._literals) == 10  # exactly half dead: kept
         assert store._dead == 5
-        store.remove(point(5))
+        store.apply(deletes=[point(5)])
         assert probe(store) == {point(k)[2] for k in range(6, 10)}
         assert store._literals == [point(k)[2] for k in range(6, 10)]
         assert store._live.all() and store._dead == 0
@@ -136,15 +137,15 @@ class TestCompaction:
     def test_slots_stay_right_after_compaction(self):
         store = StrabonStore()
         for k in range(12):
-            store.add(point(k))
+            store.apply(inserts=[point(k)])
         probe(store)
         for k in range(0, 12, 2):
-            store.remove(point(k))
-        store.remove(point(1))
+            store.apply(deletes=[point(k)])
+        store.apply(deletes=[point(1)])
         probe(store)  # 7 of 12 dead: compacts
         assert len(store._literals) == 5
-        store.remove(point(9))
-        store.add(point(0))
+        store.apply(deletes=[point(9)])
+        store.apply(inserts=[point(0)])
         assert probe(store) == brute_force(store, EVERYWHERE)
         assert probe(store, Envelope(8.5, 8.5, 9.5, 9.5)) == set()
 
@@ -152,15 +153,15 @@ class TestCompaction:
 def test_clear_resets_the_index():
     store = StrabonStore()
     for k in range(6):
-        store.add(point(k))
+        store.apply(inserts=[point(k)])
     probe(store)
-    store.remove(point(0))
-    store.add(point(9))
+    store.apply(deletes=[point(0)])
+    store.apply(inserts=[point(9)])
     store.clear()
     assert probe(store) == set()
     assert (store._literals, store._tail, store._slots) == ([], [], {})
     assert store._dead == 0 and len(store._column) == 0
-    store.add(point(2))
+    store.apply(inserts=[point(2)])
     assert probe(store) == {point(2)[2]}
 
 
@@ -175,12 +176,16 @@ class TestConcurrentWriters:
 
         def write(k):
             try:
-                for i, literal in enumerate(literals):
-                    store.add((EX[f"s{k}_{i}"], EX.geom, literal))
+                triples = [
+                    (EX[f"s{k}_{i}"], EX.geom, literal)
+                    for i, literal in enumerate(literals)
+                ]
+                for i, triple in enumerate(triples):
+                    store.apply(inserts=[triple])
                     if i % 4 == 0:
                         probe(store)  # folds race the other writers
-                for i in range(0, 40, 2):
-                    store.remove((EX[f"s{k}_{i}"], EX.geom, literals[i]))
+                for triple in triples[::2]:
+                    store.apply(deletes=[triple])
             except Exception as exc:  # noqa: BLE001 — asserted below
                 errors.append(exc)
 
@@ -238,9 +243,9 @@ class TestAgainstBruteForce:
         for op, k in ops:
             triple = (EX[f"s{k}"], EX.geom, literals[k % len(literals)])
             if op == "add":
-                store.add(triple)
+                store.apply(inserts=[triple])
             elif op == "remove":
-                store.remove(triple)
+                store.apply(deletes=[triple])
             else:
                 assert probe(store, window) == brute_force(store, window)
         assert probe(store, window) == brute_force(store, window)

@@ -35,10 +35,10 @@ class TestStoreInvariants:
         reference = set()
         for is_add, s, p, o in ops:
             if is_add:
-                store.add((s, p, o))
+                store.apply(inserts=[(s, p, o)])
                 reference.add((s, p, o))
             else:
-                store.remove((s, p, o))
+                store.apply(deletes=[(s, p, o)])
                 reference.discard((s, p, o))
         assert set(store.triples()) == reference
         assert len(store) == len(reference)
@@ -51,9 +51,9 @@ class TestStoreInvariants:
         store = StrabonStore()
         for is_add, s, p, o in ops:
             if is_add:
-                store.add((s, p, o))
+                store.apply(inserts=[(s, p, o)])
             else:
-                store.remove((s, p, o))
+                store.apply(deletes=[(s, p, o)])
         live_geoms = {
             o for _, _, o in store.triples() if is_geometry_literal(o)
         }
@@ -69,9 +69,9 @@ class TestStoreInvariants:
         store = StrabonStore()
         for is_add, s, p, o in ops:
             if is_add:
-                store.add((s, p, o))
+                store.apply(inserts=[(s, p, o)])
             else:
-                store.remove((s, p, o))
+                store.apply(deletes=[(s, p, o)])
         query = (
             "PREFIX ex: <http://example.org/>\n"
             "PREFIX strdf: <http://strdf.di.uoa.gr/ontology#>\n"

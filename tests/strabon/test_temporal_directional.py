@@ -26,8 +26,12 @@ def temporal_store():
         "nextday": (datetime(2007, 8, 26, 8), datetime(2007, 8, 26, 12)),
     }
     for name, (start, end) in periods.items():
-        store.add((EX[name], EX.validFor, period_literal(start, end)))
-        store.add((EX[name], EX.kind, EX.Observation))
+        store.load_graph(
+            [
+                (EX[name], EX.validFor, period_literal(start, end)),
+                (EX[name], EX.kind, EX.Observation),
+            ]
+        )
     return store
 
 
@@ -102,7 +106,7 @@ class TestTemporalFunctions:
         assert len(r) == 0
 
     def test_bad_period_filters_out(self, temporal_store):
-        temporal_store.add((EX.broken, EX.validFor, Literal("garbage")))
+        temporal_store.load_graph([(EX.broken, EX.validFor, Literal("garbage"))])
         r = temporal_store.query(
             PREFIXES
             + "SELECT ?o WHERE { ?o ex:validFor ?p . "
@@ -111,16 +115,15 @@ class TestTemporalFunctions:
         assert "broken" not in {t.local_name for t in r.column("o")}
 
     def test_datetime_comparison_still_works(self, temporal_store):
-        temporal_store.add(
-            (
-                EX.obs,
-                EX.at,
-                Literal(
-                    "2007-08-25T10:00:00",
-                    datatype="http://www.w3.org/2001/XMLSchema#dateTime",
-                ),
-            )
+        triple = (
+            EX.obs,
+            EX.at,
+            Literal(
+                "2007-08-25T10:00:00",
+                datatype="http://www.w3.org/2001/XMLSchema#dateTime",
+            ),
         )
+        temporal_store.load_graph([triple])
         r = temporal_store.query(
             PREFIXES
             + "SELECT ?o WHERE { ?o ex:at ?t . "
@@ -140,7 +143,7 @@ def directional_store():
         "south": Point(10, 5),
     }
     for name, geom in layout.items():
-        store.add((EX[name], EX.geom, geometry_literal(geom)))
+        store.load_graph([(EX[name], EX.geom, geometry_literal(geom))])
     return store
 
 
@@ -172,15 +175,14 @@ class TestDirectionalFunctions:
         assert opposite not in names
 
     def test_polygon_directional(self, directional_store):
-        directional_store.add(
-            (
-                EX.region,
-                EX.geom,
-                geometry_literal(
-                    Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
-                ),
-            )
+        triple = (
+            EX.region,
+            EX.geom,
+            geometry_literal(
+                Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
+            ),
         )
+        directional_store.load_graph([triple])
         r = directional_store.query(
             PREFIXES
             + "SELECT ?s WHERE { ?s ex:geom ?g . "

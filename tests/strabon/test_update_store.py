@@ -46,6 +46,22 @@ class TestInsertDeleteData:
         with pytest.raises(StSPARQLSyntaxError):
             store.update(PREFIXES + "INSERT DATA { ?x a ex:Hotspot }")
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            'ex:s ex:p ex:o . "x" ex:p ex:o',
+            "ex:s ex:p ex:o . 7 ex:p ex:o",
+            'ex:s ex:p ex:o . ex:s "p" ex:o',
+            "ex:s ex:p ex:o . ex:s _:b ex:o",
+        ],
+    )
+    @pytest.mark.parametrize("verb", ["INSERT", "DELETE"])
+    def test_ill_formed_data_rejected_before_any_write(self, store, verb, data):
+        before = (len(store), store.version, set(store.triples()))
+        with pytest.raises(StSPARQLSyntaxError):
+            store.update(PREFIXES + f"{verb} DATA {{ {data} }}")
+        assert (len(store), store.version, set(store.triples())) == before
+
     def test_multiple_operations(self, store):
         n = store.update(
             PREFIXES
@@ -83,6 +99,27 @@ class TestModify:
         r = store.query(PREFIXES + "SELECT ?h WHERE { ?h ex:conf ?c }")
         assert len(r) == 0
 
+    def test_ill_formed_instances_are_dropped(self):
+        # SPARQL 1.1 Update §3.1.3: a template instance that is not a
+        # valid RDF triple (here a literal subject) is not inserted.
+        store = StrabonStore()
+        store.load_turtle(
+            "@prefix ex: <http://example.org/> .\n"
+            'ex:a ex:p ex:b . ex:c ex:p "lit" . ex:d ex:p ex:e .'
+        )
+        version = store.version
+        n = store.update(
+            PREFIXES
+            + "DELETE { ?s ex:p ?o } INSERT { ?o ex:r ?s } "
+            "WHERE { ?s ex:p ?o }"
+        )
+        assert n == 3 + 2
+        assert set(store.triples()) == {
+            (EX.b, EX.r, EX.a),
+            (EX.e, EX.r, EX.d),
+        }
+        assert store.version == version + 1
+
     def test_modify_with_no_matches_is_noop(self, store):
         n = store.update(
             PREFIXES
@@ -110,7 +147,7 @@ class TestBackend:
     def test_terms_dictionary_grows(self, store):
         before = len(store)
         triple = (EX.new_subject, EX.new_pred, Literal("new"))
-        assert store.add(triple)
+        assert store.apply(inserts=[triple]) == (0, 1)
         assert len(store) == before + 1
         assert list(store.triples((EX.new_subject, None, None))) == [triple]
 
@@ -119,8 +156,8 @@ class TestBackend:
 
     def test_remove_updates_backend(self, store):
         before = len(store)
-        removed = store.remove((EX.h1, None, None))
-        assert removed > 0
+        removed, added = store.apply(deletes=store.triples((EX.h1, None, None)))
+        assert removed > 0 and added == 0
         assert len(store) == before - removed
         assert list(store.triples((EX.h1, None, None))) == []
 
