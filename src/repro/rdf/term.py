@@ -9,6 +9,14 @@ from typing import Any, Optional
 
 _XSD = "http://www.w3.org/2001/XMLSchema#"
 
+_INTEGER_TYPES = frozenset(
+    _XSD + name for name in ("integer", "int", "long", "short", "nonNegativeInteger")
+)
+_DECIMAL_TYPES = frozenset(_XSD + name for name in ("double", "float", "decimal"))
+_NUMERIC_TYPES = _INTEGER_TYPES | _DECIMAL_TYPES
+_TEMPORAL_TYPES = frozenset((_XSD + "dateTime", _XSD + "date"))
+_BOOLEAN_TYPE = _XSD + "boolean"
+
 _IRI_FORBIDDEN = re.compile(r'[<>"{}|^`\\\x00-\x20]')
 
 
@@ -109,7 +117,7 @@ class Literal(RDFTerm):
     ``xsd:boolean``, ``datetime`` → ``xsd:dateTime``).
     """
 
-    __slots__ = ("lexical", "datatype", "language")
+    __slots__ = ("lexical", "datatype", "language", "_value")
 
     def __init__(
         self,
@@ -136,45 +144,22 @@ class Literal(RDFTerm):
         self.lexical = lexical
         self.datatype = URIRef(datatype) if datatype else None
         self.language = language.lower() if language else None
+        self._value = None
 
     def to_python(self) -> Any:
-        """Best-effort conversion to a native Python value."""
-        if self.datatype is None:
-            return self.lexical
-        # Compare as a plain string: URIRef equality is strictly typed.
-        dt = str(self.datatype)
-        if dt == _XSD + "integer" or dt in (
-            _XSD + "int",
-            _XSD + "long",
-            _XSD + "short",
-            _XSD + "nonNegativeInteger",
-        ):
-            return int(self.lexical)
-        if dt in (_XSD + "double", _XSD + "float", _XSD + "decimal"):
-            return float(self.lexical)
-        if dt == _XSD + "boolean":
-            return self.lexical.strip().lower() in ("true", "1")
-        if dt in (_XSD + "dateTime", _XSD + "date"):
-            try:
-                return datetime.fromisoformat(self.lexical)
-            except ValueError:
-                return self.lexical
-        return self.lexical
+        """Best-effort conversion to a native Python value, decoded on
+        the first call and kept.  An ill-typed numeric lexical form
+        (``"hello"^^xsd:integer``) raises ``ValueError`` on every call
+        and caches nothing."""
+        value = self._value
+        if value is None:  # no lexical form decodes to None
+            value = self._value = _decode(self)
+        return value
 
     @property
     def is_numeric(self) -> bool:
-        if self.datatype is None:
-            return False
-        return str(self.datatype) in (
-            _XSD + "integer",
-            _XSD + "int",
-            _XSD + "long",
-            _XSD + "short",
-            _XSD + "nonNegativeInteger",
-            _XSD + "double",
-            _XSD + "float",
-            _XSD + "decimal",
-        )
+        # Compare as a plain string: URIRef equality is strictly typed.
+        return self.datatype is not None and str(self.datatype) in _NUMERIC_TYPES
 
     def n3(self) -> str:
         escaped = (
@@ -227,6 +212,25 @@ class Literal(RDFTerm):
 
     def __str__(self) -> str:
         return self.lexical
+
+
+def _decode(literal: Literal) -> Any:
+    """The native value of ``literal``'s lexical form under its datatype."""
+    if literal.datatype is None:
+        return literal.lexical
+    dt = str(literal.datatype)
+    if dt in _INTEGER_TYPES:
+        return int(literal.lexical)
+    if dt in _DECIMAL_TYPES:
+        return float(literal.lexical)
+    if dt == _BOOLEAN_TYPE:
+        return literal.lexical.strip().lower() in ("true", "1")
+    if dt in _TEMPORAL_TYPES:
+        try:
+            return datetime.fromisoformat(literal.lexical)
+        except ValueError:
+            return literal.lexical
+    return literal.lexical
 
 
 class Variable(RDFTerm, str):

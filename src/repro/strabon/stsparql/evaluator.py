@@ -7,10 +7,9 @@ binds its last variable and narrows indexable spatial FILTERs to
 spatial-index candidates — seeded with the solutions of the group so far.  This module
 evaluates what has no streaming form around it: OPTIONAL, UNION, BIND,
 VALUES, property paths, aggregates, ORDER BY, CONSTRUCT/ASK/DESCRIBE and
-update templates, and every expression.  A FILTER over many solutions
-runs through :mod:`repro.kernels` — the batched envelope lane for
-spatial predicates and distance comparisons, compiled numeric kernels
-for the rest.
+update templates, and every expression.  A spatial FILTER over many
+solutions runs through the batched envelope lane of
+:mod:`repro.kernels`; every other FILTER is judged row by row here.
 """
 
 from __future__ import annotations
@@ -110,23 +109,12 @@ class Evaluator:
     def construct(self, query: alg.ConstructQuery) -> ConstructResult:
         solutions = self._pattern(query.where, [dict()])
         graph = ConstructResult()
-        counter = [0]
         for sol in solutions:
             bnode_map: Dict[str, BNode] = {}
             for pattern in query.template:
-                triple = []
-                ok = True
-                for term in (pattern.s, pattern.p, pattern.o):
-                    value = _instantiate(term, sol, bnode_map, counter)
-                    if value is None:
-                        ok = False
-                        break
-                    triple.append(value)
-                if ok:
-                    try:
-                        graph.add(tuple(triple))
-                    except Exception:
-                        continue
+                triple = _instantiate_all(pattern, sol, bnode_map)
+                if triple is not None:
+                    graph.add(triple)
         return graph
 
     def describe(self, query: alg.DescribeQuery) -> ConstructResult:
@@ -150,9 +138,7 @@ class Evaluator:
         for resource in resources:
             for triple in self.store.triples((resource, None, None)):
                 graph.add(triple)
-            from repro.rdf.term import Literal as _Literal
-
-            if not isinstance(resource, _Literal):
+            if not isinstance(resource, Literal):
                 for triple in self.store.triples(
                     (None, None, resource)
                 ):
@@ -168,7 +154,6 @@ class Evaluator:
             return sum(self.store.apply(deletes=op.triples))
         if isinstance(op, alg.Modify):
             # Both sides are instantiated before the one write.
-            counter = [0]
             deletes: List[Tuple] = []
             inserts: List[Tuple] = []
             for sol in self._pattern(op.where, [dict()]):
@@ -178,7 +163,7 @@ class Evaluator:
                     (op.insert_template, inserts),
                 ):
                     for pattern in template:
-                        triple = _instantiate_all(pattern, sol, bnode_map, counter)
+                        triple = _instantiate_all(pattern, sol, bnode_map)
                         if triple is not None:
                             out.append(triple)
             return sum(self.store.apply(deletes, inserts))
@@ -283,11 +268,10 @@ class Evaluator:
         ``PackedEnvelopes`` pass decides every row the envelopes soundly
         can, and the rows an ``intersects`` / ``within`` / ``contains``
         call leaves open go together through the exact edge kernel
-        (:func:`repro.geometry.batch.relate`).  A numeric
-        expression runs as one compiled kernel call over packed binding
-        columns instead of N interpreter walks.  Single rows, refused
-        shapes and rows outside either lane's contract are judged one at
-        a time by the interpreter."""
+        (:func:`repro.geometry.batch.relate`).  Every other expression,
+        single rows and the lane's undecided rows are judged one at a
+        time by the interpreter; a numeric comparison costs little
+        there, as each literal decodes its lexical form once."""
         with obs.span("stsparql.filter"):
             if len(solutions) >= kernels.FILTER_BATCH_MIN_SOLUTIONS:
                 splan = kernels.compile_spatial_filter(expr)
@@ -296,13 +280,6 @@ class Evaluator:
                         splan,
                         solutions,
                         self.store.geometries.entry,
-                        lambda sol: self._filter_passes(expr, sol),
-                    )
-                plan = kernels.compile_filter(expr)
-                if plan is not None:
-                    return kernels.run_filter(
-                        plan,
-                        solutions,
                         lambda sol: self._filter_passes(expr, sol),
                     )
             return [
@@ -339,9 +316,7 @@ class Evaluator:
                 yield pair
 
     def _path_pairs(self, path, s, o):
-        from repro.rdf.term import URIRef as _URIRef
-
-        if isinstance(path, _URIRef):
+        if isinstance(path, URIRef):
             for ts, _, to in self.store.triples((s, path, o)):
                 yield (ts, to)
             return
@@ -705,10 +680,8 @@ class Evaluator:
                 Polygon.from_envelope(env, srid=geoms[0].srid)
             )
         polys = [g for atom in geoms for g in flatten(atom)]
-        from repro.geometry.polygon import Polygon as P
-
-        poly_parts = [g for g in polys if isinstance(g, P)]
-        other_parts = [g for g in polys if not isinstance(g, P)]
+        poly_parts = [g for g in polys if isinstance(g, Polygon)]
+        other_parts = [g for g in polys if not isinstance(g, Polygon)]
         merged = union_all(poly_parts) if poly_parts else []
         return strdf.geometry_literal(
             collect(
@@ -790,24 +763,27 @@ def _bind(sol: Solution, pattern_term, value) -> bool:
     return True
 
 
-def _instantiate(term, sol: Solution, bnode_map, counter):
+def _instantiate(term, sol: Solution, bnode_map):
+    """A template term under ``sol``.  Each template blank node becomes
+    one fresh ``BNode()`` per solution (``bnode_map``), labelled from
+    the process-wide counter, so no two executions share one."""
     if isinstance(term, Variable):
         return sol.get(str(term))
     if isinstance(term, BNode):
         if term not in bnode_map:
-            counter[0] += 1
-            bnode_map[term] = BNode(f"c{counter[0]}")
+            bnode_map[term] = BNode()
         return bnode_map[term]
     return term
 
 
-def _instantiate_all(pattern, sol, bnode_map, counter):
+def _instantiate_all(pattern, sol, bnode_map):
     """The template triple under ``sol``, or None when a variable is
     unbound or the instance is no RDF triple (a literal subject, a
-    non-IRI predicate), which SPARQL 1.1 Update §3.1.3 drops."""
-    s = _instantiate(pattern.s, sol, bnode_map, counter)
-    p = _instantiate(pattern.p, sol, bnode_map, counter)
-    o = _instantiate(pattern.o, sol, bnode_map, counter)
+    non-IRI predicate), which SPARQL 1.1 drops (Update §3.1.3,
+    CONSTRUCT §16.2)."""
+    s = _instantiate(pattern.s, sol, bnode_map)
+    p = _instantiate(pattern.p, sol, bnode_map)
+    o = _instantiate(pattern.o, sol, bnode_map)
     well_formed = isinstance(s, (URIRef, BNode)) and isinstance(p, URIRef)
     return (s, p, o) if well_formed and o is not None else None
 
@@ -822,9 +798,18 @@ def _as_term(value: Any) -> RDFTerm:
     raise StSPARQLError(f"cannot convert {value!r} to an RDF term")
 
 
+def _decoded(term: Literal) -> Any:
+    """``term.to_python()``; an ill-typed lexical form (``"hello"^^
+    xsd:integer``) is an expression error, which excludes the row."""
+    try:
+        return term.to_python()
+    except ValueError:
+        raise _ExprError(f"ill-typed literal {term!r}") from None
+
+
 def _num(value: Any) -> float:
     if isinstance(value, Literal):
-        py = value.to_python()
+        py = _decoded(value)
         if isinstance(py, bool):
             raise _ExprError("boolean in numeric context")
         if isinstance(py, (int, float)):
@@ -841,7 +826,7 @@ def _num(value: Any) -> float:
 def _terms_equal(left: Any, right: Any) -> bool:
     if isinstance(left, Literal) and isinstance(right, Literal):
         if left.is_numeric and right.is_numeric:
-            return left.to_python() == right.to_python()
+            return _decoded(left) == _decoded(right)
         return left == right
     if isinstance(left, bool) or isinstance(right, bool):
         return ebv(left) == ebv(right)
@@ -850,7 +835,7 @@ def _terms_equal(left: Any, right: Any) -> bool:
 
 def _comparable(value: Any) -> Any:
     if isinstance(value, Literal):
-        return value.to_python()
+        return _decoded(value)
     if isinstance(value, (int, float, bool, str)):
         return value
     return str(value)

@@ -58,7 +58,10 @@ def ebv(value: Any) -> bool:
             isinstance(value, float) and math.isnan(value)
         )
     if isinstance(value, Literal):
-        py = value.to_python()
+        try:
+            py = value.to_python()
+        except ValueError:  # an ill-typed numeric lexical form
+            return False
         if isinstance(py, bool):
             return py
         if isinstance(py, (int, float)):

@@ -35,8 +35,8 @@ Design points:
   solutions — enough parents for their matches to reach one row target,
   :data:`BLOCK_ROWS` — binds every match, and judges the whole block
   with each placed FILTER in one :meth:`Evaluator._filter_solutions`
-  call, so the compiled numeric kernels and the batched spatial lane of
-  :mod:`repro.kernels` see full blocks.
+  call, so the batched spatial lane of :mod:`repro.kernels` sees full
+  blocks.
 * **A suspension point costs two integers per open frame.**  A frame
   saves its block's start in its parent's rows and its cursor in its
   own; on restore each frame re-derives its block from its parent's
@@ -88,11 +88,11 @@ __all__ = [
 Solution = Dict[str, RDFTerm]
 
 #: Rows a join frame's block aims at: parents are added to a block until
-#: their matches reach it.  Large enough that the compiled kernel lane
-#: and the batched spatial lane amortise; small enough that re-deriving
-#: the open blocks on restore, and the block a page finishes past its
-#: quantum, stay a small share of a page (on ``serve_mixed`` 1 024 rows
-#: lengthened each 25 ms page by about a millisecond).
+#: their matches reach it.  Large enough that the batched spatial lane
+#: amortises; small enough that re-deriving the open blocks on restore,
+#: and the block a page finishes past its quantum, stay a small share of
+#: a page (on ``serve_mixed`` 1 024 rows lengthened each 25 ms page by
+#: about a millisecond).
 BLOCK_ROWS = 512
 
 

@@ -54,6 +54,21 @@ class TestConstruct:
         # Only ex:a has a label; the others produce no triple.
         assert len(g) == 1
 
+    def test_ill_formed_instances_are_dropped(self):
+        # SPARQL 1.1 §16.2: an instance with a literal subject is no RDF
+        # triple; only the well-formed triples are returned.
+        store = StrabonStore()
+        store.load_turtle(
+            '@prefix ex: <http://example.org/> . ex:a ex:p ex:b . ex:c ex:p "lit" .'
+        )
+        query = "CONSTRUCT { ?o ex:r ?s . ?s ex:seen true } WHERE { ?s ex:p ?o }"
+        g = store.query(P + query)
+        assert set(g) == {
+            (EX.b, EX.r, EX.a),
+            (EX.a, EX.seen, Literal(True)),
+            (EX.c, EX.seen, Literal(True)),
+        }
+
     def test_multi_pattern_template(self, store):
         g = store.query(
             P

@@ -120,6 +120,25 @@ class TestModify:
         }
         assert store.version == version + 1
 
+    def test_template_blank_nodes_are_fresh_per_update(self):
+        # Each execution mints its own template blank nodes: three runs
+        # of one update text give three note nodes, one value each.
+        store = StrabonStore()
+        for name, value in (("a", 1), ("b", 2), ("c", 3)):
+            store.update(PREFIXES + f"INSERT DATA {{ ex:{name} ex:val {value} }}")
+            store.update(
+                PREFIXES
+                + "INSERT { ?s ex:note _:n . _:n ex:v ?o } "
+                "WHERE { ?s ex:val ?o . OPTIONAL { ?s ex:note ?m } "
+                "FILTER(!bound(?m)) }"
+            )
+        notes = {s: o for s, _, o in store.triples((None, EX.note, None))}
+        assert set(notes) == {EX.a, EX.b, EX.c}
+        assert len(set(notes.values())) == 3
+        for subject, value in ((EX.a, 1), (EX.b, 2), (EX.c, 3)):
+            values = [o for _, _, o in store.triples((notes[subject], EX.v, None))]
+            assert values == [Literal(value)]
+
     def test_modify_with_no_matches_is_noop(self, store):
         n = store.update(
             PREFIXES
