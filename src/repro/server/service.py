@@ -150,7 +150,6 @@ class QueryServer:
         max_pending: Optional[int] = None,
         max_total: Optional[int] = None,
         quotas: Optional[Dict[str, float]] = None,
-        use_spatial_index: Optional[bool] = None,
     ):
         self.store = store
         # -1 (the default) means "consult the environment"; an explicit
@@ -160,11 +159,6 @@ class QueryServer:
         )
         self.scheduler = scheduler or DeficitScheduler(
             max_pending=max_pending, max_total=max_total, quotas=quotas
-        )
-        self.use_spatial_index = (
-            store.use_spatial_index
-            if use_spatial_index is None
-            else use_spatial_index
         )
         self.retry_policy = getattr(
             store, "retry_policy", resilience.DEFAULT_RETRY
@@ -324,17 +318,12 @@ class QueryServer:
                         f"{version}, store is now at {self.store.version}"
                     )
                 parsed = self._parse(query_text)
-                pipeline = restore_pipeline(
-                    parsed, self.store, state,
-                    use_spatial_index=self.use_spatial_index,
-                )
+                pipeline = restore_pipeline(parsed, self.store, state)
             request.query = query_text
             return self._run_pipeline(request, parsed, pipeline, started)
 
         parsed = self._parse(request.query)
-        pipeline = build_select_pipeline(
-            parsed, self.store, use_spatial_index=self.use_spatial_index
-        )
+        pipeline = build_select_pipeline(parsed, self.store)
         if pipeline is not None:
             return self._run_pipeline(request, parsed, pipeline, started)
         # Non-streamable: one-shot evaluation, complete in this slice.

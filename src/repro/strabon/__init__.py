@@ -5,9 +5,8 @@ store for *stRDF* (RDF extended with geospatial geometries and valid time)
 queried with *stSPARQL* (SPARQL 1.1 extended with spatial filter functions,
 spatial aggregates and updates).  The store keeps its triples in
 in-memory permutation indexes and accelerates spatial selections with a
-packed envelope column over geometry literals; storing them in MonetDB-style
-dictionary-encoded id columns, as the paper's Strabon does, is ROADMAP
-item 2(b).
+packed envelope column over geometry literals; they are not yet
+MonetDB-style dictionary-encoded id columns, as in the paper's Strabon.
 
 Quick example::
 

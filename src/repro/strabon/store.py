@@ -3,8 +3,8 @@
 Triples live once, in in-memory permutation indexes
 (:class:`repro.rdf.Graph`), and a packed column of geometry literals'
 envelopes, with tombstones for removed literals, accelerates spatial
-selections.  The paper's Strabon keeps its triples in MonetDB;
-dictionary-encoded id columns as the store itself are ROADMAP item 2(b).
+selections.  The paper's Strabon keeps its triples in MonetDB; here
+they are not yet dictionary-encoded id columns.
 """
 
 from __future__ import annotations
@@ -311,9 +311,7 @@ class StrabonStore:
             parsed = self.plan_cache.get_or_compute(
                 ("query", text), lambda: parse_query(text)
             )
-        evaluator = Evaluator(
-            self, use_spatial_index=self.use_spatial_index
-        )
+        evaluator = Evaluator(self)
         obs.counter("stsparql.queries").inc()
         with obs.span("stsparql.query"):
             if isinstance(parsed, alg.SelectQuery):
@@ -349,9 +347,7 @@ class StrabonStore:
             ops = self.plan_cache.get_or_compute(
                 ("update", text), lambda: parse_update(text)
             )
-        evaluator = Evaluator(
-            self, use_spatial_index=self.use_spatial_index
-        )
+        evaluator = Evaluator(self)
         obs.counter("stsparql.updates").inc()
         with obs.span("stsparql.update"):
             return sum(evaluator.update(op) for op in ops)

@@ -7,3 +7,9 @@ class StSPARQLError(Exception):
 
 class StSPARQLSyntaxError(StSPARQLError):
     """The query text could not be parsed."""
+
+
+class ExprError(StSPARQLError):
+    """An expression has no value for one solution (an unbound variable,
+    a type error, an ill-typed literal): the FILTER rejects the row, the
+    BIND or projection leaves its variable unbound."""

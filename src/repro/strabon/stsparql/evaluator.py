@@ -10,24 +10,31 @@ VALUES, property paths, aggregates, ORDER BY, CONSTRUCT/ASK/DESCRIBE and
 update templates, and every expression.  A spatial FILTER over many
 solutions runs through the batched envelope lane of
 :mod:`repro.kernels`; every other FILTER is judged row by row here.
+
+Expressions have one walk, :meth:`Evaluator._expr`, for rows and, given
+a group's members, for aggregates.  Between operators a value is an RDF
+term or a plain Python number or bool; :func:`_as_term` makes it a term
+only where it leaves the walk.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
+import operator
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import kernels, obs
 from repro.geometry import Geometry
 from repro.rdf.term import BNode, Literal, RDFTerm, URIRef, Variable
 from repro.strabon import strdf
 from repro.strabon.stsparql import algebra as alg
-from repro.strabon.stsparql.errors import StSPARQLError
+from repro.strabon.stsparql.errors import ExprError, StSPARQLError
 from repro.strabon.stsparql.functions import (
     BUILTINS,
     EXTENSIONS,
+    decode,
     ebv,
     is_aggregate_name,
-    term_value,
+    numeric,
 )
 from repro.strabon.stsparql.iterators import (
     RowsIterator,
@@ -47,16 +54,11 @@ from repro.strabon.stsparql.results import (
 )
 
 
-class _ExprError(StSPARQLError):
-    """Expression evaluation error → the solution is filtered out."""
-
-
 class Evaluator:
     """Evaluates parsed queries/updates against a store."""
 
-    def __init__(self, store, use_spatial_index: bool = True):
+    def __init__(self, store):
         self.store = store
-        self.use_spatial_index = use_spatial_index
         self.ctx = store.geometries
         self._count = store.graph.count_estimate
 
@@ -65,9 +67,7 @@ class Evaluator:
     def select(self, query: alg.SelectQuery) -> SelectResult:
         """A streamable SELECT runs on the serving tier's pipeline with
         no quantum; the rest through the operators here."""
-        pipe = build_select_pipeline(
-            query, self.store, self.use_spatial_index
-        )
+        pipe = build_select_pipeline(query, self.store)
         if pipe is not None:
             return SelectResult(pipeline_variables(query), pipe.run())
         solutions = self._pattern(query.where, [dict()])
@@ -79,14 +79,10 @@ class Evaluator:
             solutions, variables = self._aggregate(query, solutions)
         else:
             variables = None
-            for proj in query.projections:
-                if proj.expr is not None:
-                    for sol in solutions:
-                        try:
-                            value = self._expr(proj.expr, sol)
-                        except _ExprError:
-                            continue
-                        sol[proj.var] = _as_term(value)
+            for sol in solutions:
+                for proj in query.projections:
+                    if proj.expr is not None:
+                        self._extend(sol, proj.var, proj.expr)
         if variables is None:
             if query.projections:
                 variables = [p.var for p in query.projections]
@@ -198,13 +194,8 @@ class Evaluator:
                     raise StSPARQLError(
                         f"BIND would rebind ?{pattern.var}"
                     )
-                try:
-                    value = self._expr(pattern.expr, sol)
-                except _ExprError:
-                    out.append(sol)
-                    continue
                 new = dict(sol)
-                new[pattern.var] = _as_term(value)
+                self._extend(new, pattern.var, pattern.expr)
                 out.append(new)
             return out
         if isinstance(pattern, alg.ValuesPattern):
@@ -254,7 +245,7 @@ class Evaluator:
     def _filter_passes(self, expr: alg.Expr, sol: Solution) -> bool:
         try:
             return ebv(self._expr(expr, sol))
-        except (_ExprError, StSPARQLError):
+        except StSPARQLError:
             return False
 
     def _filter_solutions(
@@ -403,103 +394,134 @@ class Evaluator:
 
     # -- expressions -------------------------------------------------------------
 
-    def _expr(self, expr: alg.Expr, sol: Solution) -> Any:
-        if isinstance(expr, alg.EVar):
-            if expr.name not in sol:
-                raise _ExprError(f"unbound variable ?{expr.name}")
-            return sol[expr.name]
-        if isinstance(expr, alg.ETerm):
+    def _expr(
+        self,
+        expr: alg.Expr,
+        sol: Solution,
+        group: Optional[List[Solution]] = None,
+    ) -> Any:
+        """The value of ``expr`` under ``sol``: an RDF term, or a Python
+        ``int``/``float``/``bool`` between operators.  With ``group``
+        (a group's member solutions) an aggregate call evaluates over
+        the members and ``sol`` is the group-key solution."""
+        kind = type(expr)
+        if kind is alg.EVar:
+            try:
+                return sol[expr.name]
+            except KeyError:
+                raise ExprError(f"unbound variable ?{expr.name}") from None
+        if kind is alg.ETerm:
             return expr.term
-        if isinstance(expr, alg.EUnary):
-            if expr.op == "!":
-                return not ebv(self._expr(expr.operand, sol))
-            value = self._expr(expr.operand, sol)
-            return Literal(-_num(value))
-        if isinstance(expr, alg.EBinary):
-            return self._binary(expr, sol)
-        if isinstance(expr, alg.ECall):
-            return self._call(expr, sol)
+        if kind is alg.EBinary:
+            op = expr.op
+            if op == "||" or op == "&&":
+                return self._logical(expr, sol, group)
+            left = self._expr(expr.left, sol, group)
+            right = self._expr(expr.right, sol, group)
+            arith = _ARITHMETIC.get(op)
+            if arith is not None:
+                divisor = numeric(right)
+                if divisor == 0 and op == "/":
+                    raise ExprError("division by zero")
+                return arith(numeric(left), divisor)
+            compare = _COMPARISONS.get(op)
+            if compare is not None:
+                try:
+                    return compare(decode(left), decode(right))
+                except TypeError:
+                    raise ExprError(
+                        f"cannot compare {left!r} with {right!r}"
+                    ) from None
+            if op in ("=", "!="):
+                return _terms_equal(left, right) == (op == "=")
+            raise StSPARQLError(f"unknown operator {op!r}")
+        if kind is alg.ECall:
+            return self._call(expr, sol, group)
+        if kind is alg.EUnary:
+            value = self._expr(expr.operand, sol, group)
+            return not ebv(value) if expr.op == "!" else -numeric(value)
         raise StSPARQLError(f"unknown expression {type(expr).__name__}")
 
-    def _binary(self, expr: alg.EBinary, sol: Solution) -> Any:
-        op = expr.op
-        if op == "||":
+    def _logical(
+        self,
+        expr: alg.EBinary,
+        sol: Solution,
+        group: Optional[List[Solution]],
+    ) -> bool:
+        """``||`` forgives an error on either side; ``&&`` stops at the
+        first false operand."""
+        if expr.op == "||":
             try:
-                if ebv(self._expr(expr.left, sol)):
+                if ebv(self._expr(expr.left, sol, group)):
                     return True
-            except _ExprError:
+            except ExprError:
                 pass
-            return ebv(self._expr(expr.right, sol))
-        if op == "&&":
-            return ebv(self._expr(expr.left, sol)) and ebv(
-                self._expr(expr.right, sol)
-            )
-        left = self._expr(expr.left, sol)
-        right = self._expr(expr.right, sol)
-        if op in ("=", "!="):
-            equal = _terms_equal(left, right)
-            return equal if op == "=" else not equal
-        if op in ("<", "<=", ">", ">="):
-            lv, rv = _comparable(left), _comparable(right)
-            try:
-                if op == "<":
-                    return lv < rv
-                if op == "<=":
-                    return lv <= rv
-                if op == ">":
-                    return lv > rv
-                return lv >= rv
-            except TypeError:
-                raise _ExprError(
-                    f"cannot compare {left!r} with {right!r}"
-                ) from None
-        if op in ("+", "-", "*", "/"):
-            a, b = _num(left), _num(right)
-            if op == "+":
-                return Literal(a + b)
-            if op == "-":
-                return Literal(a - b)
-            if op == "*":
-                return Literal(a * b)
-            if b == 0:
-                raise _ExprError("division by zero")
-            return Literal(a / b)
-        raise StSPARQLError(f"unknown operator {op!r}")
+            return ebv(self._expr(expr.right, sol, group))
+        return ebv(self._expr(expr.left, sol, group)) and ebv(
+            self._expr(expr.right, sol, group)
+        )
 
-    def _call(self, expr: alg.ECall, sol: Solution) -> Any:
+    def _call(
+        self,
+        expr: alg.ECall,
+        sol: Solution,
+        group: Optional[List[Solution]],
+    ) -> Any:
         name = expr.name
         if name == "bound":
             arg = expr.args[0]
             return isinstance(arg, alg.EVar) and arg.name in sol
+        if name == "if":
+            if len(expr.args) != 3:
+                raise StSPARQLError("IF takes three arguments")
+            test, then, otherwise = expr.args
+            chosen = then if ebv(self._expr(test, sol, group)) else otherwise
+            return self._expr(chosen, sol, group)
         if name == "in":
-            target = self._expr(expr.args[0], sol)
+            target = self._expr(expr.args[0], sol, group)
             return any(
-                _terms_equal(target, self._expr(item, sol))
+                _terms_equal(target, self._expr(item, sol, group))
                 for item in expr.args[1:]
             )
         if name == "coalesce":
             for arg in expr.args:
                 try:
-                    return self._expr(arg, sol)
-                except _ExprError:
+                    return self._expr(arg, sol, group)
+                except ExprError:
                     continue
-            raise _ExprError("COALESCE exhausted its arguments")
+            raise ExprError("COALESCE exhausted its arguments")
         if is_aggregate_name(name):
-            raise StSPARQLError(
-                f"aggregate {name} outside a grouping context"
-            )
-        args = [self._expr(a, sol) for a in expr.args]
+            if group is None:
+                raise StSPARQLError(
+                    f"aggregate {name} outside a grouping context"
+                )
+            return self._aggregate_call(expr, group)
+        args = [_as_term(self._expr(a, sol, group)) for a in expr.args]
         if name in BUILTINS:
             try:
                 return BUILTINS[name](self.ctx, args)
             except (ValueError, IndexError, StSPARQLError) as exc:
-                raise _ExprError(str(exc)) from exc
+                raise ExprError(str(exc)) from exc
         if name in EXTENSIONS:
             try:
                 return EXTENSIONS[name](self.ctx, args)
             except (strdf.StRDFError, StSPARQLError, ValueError) as exc:
-                raise _ExprError(str(exc)) from exc
+                raise ExprError(str(exc)) from exc
         raise StSPARQLError(f"unknown function {name!r}")
+
+    def _extend(
+        self,
+        sol: Solution,
+        var: str,
+        expr: alg.Expr,
+        group: Optional[List[Solution]] = None,
+    ) -> None:
+        """Bind ``var`` to the value of ``expr`` in ``sol``; an
+        expression error leaves it unbound (SPARQL 1.1 §18.2.4.1)."""
+        try:
+            sol[var] = _as_term(self._expr(expr, sol, group))
+        except ExprError:
+            pass
 
     # -- solution modifiers --------------------------------------------------------
 
@@ -514,10 +536,9 @@ class Evaluator:
         for cond in reversed(conditions):
             def key(sol, c=cond):
                 try:
-                    value = self._expr(c.expr, sol)
-                except _ExprError:
-                    return (0, 0)  # unbound sorts first (SPARQL)
-                return (1, _SortKey(term_value(value)))
+                    return (1, _SortKey(decode(self._expr(c.expr, sol))))
+                except ExprError:
+                    return (0, 0)  # errors sort as unbound: first (SPARQL)
 
             out.sort(key=key, reverse=cond.descending)
         return out
@@ -528,113 +549,67 @@ class Evaluator:
         self, query: alg.SelectQuery, solutions: List[Solution]
     ) -> Tuple[List[Solution], List[str]]:
         groups: Dict[Tuple, List[Solution]] = {}
-        order: List[Tuple] = []
         for sol in solutions:
             key_parts = []
             for gexpr in query.group_by:
                 try:
-                    key_parts.append(self._expr(gexpr, sol))
-                except _ExprError:
+                    key_parts.append(_as_term(self._expr(gexpr, sol)))
+                except ExprError:
                     key_parts.append(None)
-            key = tuple(key_parts)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(sol)
+            groups.setdefault(tuple(key_parts), []).append(sol)
         if not query.group_by and not groups:
             groups[()] = []
-            order.append(())
         out: List[Solution] = []
-        variables = [p.var for p in query.projections]
-        for key in order:
-            members = groups[key]
+        for key, members in groups.items():
             result: Solution = {}
             # Bind group-by variables from the key.
             for gexpr, part in zip(query.group_by, key):
                 if isinstance(gexpr, alg.EVar) and part is not None:
                     result[gexpr.name] = part
-            keep = True
-            for having in query.having:
-                try:
-                    if not ebv(self._agg_expr(having, members, result)):
-                        keep = False
-                        break
-                except (_ExprError, StSPARQLError):
-                    keep = False
-                    break
+            try:
+                keep = all(
+                    ebv(self._expr(having, result, members))
+                    for having in query.having
+                )
+            except StSPARQLError:
+                keep = False
             if not keep:
                 continue
-            ok = True
             for proj in query.projections:
-                if proj.expr is None:
-                    if proj.var not in result:
-                        # Plain variable must be a group key.
-                        raise StSPARQLError(
-                            f"?{proj.var} must be aggregated or grouped"
-                        )
-                    continue
-                try:
-                    value = self._agg_expr(proj.expr, members, result)
-                except _ExprError:
-                    ok = False
-                    break
-                result[proj.var] = _as_term(value)
-            if ok:
-                out.append(result)
-        return out, variables
+                if proj.expr is not None:
+                    self._extend(result, proj.var, proj.expr, members)
+                elif proj.var not in result:
+                    raise StSPARQLError(
+                        f"?{proj.var} must be aggregated or grouped"
+                    )
+            out.append(result)
+        return out, [p.var for p in query.projections]
 
-    def _agg_expr(
-        self, expr: alg.Expr, members: List[Solution], keys: Solution
-    ) -> Any:
-        if isinstance(expr, alg.ECall) and is_aggregate_name(expr.name):
-            return self._run_aggregate(expr, members)
-        if isinstance(expr, alg.EVar):
-            if expr.name in keys:
-                return keys[expr.name]
-            raise _ExprError(f"?{expr.name} not a group key")
-        if isinstance(expr, alg.ETerm):
-            return expr.term
-        if isinstance(expr, alg.EUnary):
-            inner = self._agg_expr(expr.operand, members, keys)
-            if expr.op == "!":
-                return not ebv(inner)
-            return Literal(-_num(inner))
-        if isinstance(expr, alg.EBinary):
-            shim = _AggShim(self, members, keys)
-            return shim.binary(expr)
-        raise StSPARQLError(
-            f"unsupported expression in aggregate context: "
-            f"{type(expr).__name__}"
-        )
-
-    def _run_aggregate(
+    def _aggregate_call(
         self, expr: alg.ECall, members: List[Solution]
     ) -> Any:
         name = expr.name
         distinct = name.endswith("#distinct")
         base = name.split("#distinct")[0]
         if base == "count" and not expr.args:
-            return Literal(len(members))
+            return len(members)
         values: List[Any] = []
         for sol in members:
             try:
                 values.append(self._expr(expr.args[0], sol))
-            except _ExprError:
+            except ExprError:
                 continue
         if distinct:
-            unique: List[Any] = []
-            for v in values:
-                if v not in unique:
-                    unique.append(v)
-            values = unique
+            # Keyed by term, so 2 and 2.0 stay apart; first seen first.
+            values = list(dict.fromkeys(map(_as_term, values)))
         if base == "count":
-            return Literal(len(values))
+            return len(values)
         if base == "sample":
             if not values:
-                raise _ExprError("empty group")
+                raise ExprError("empty group")
             return values[0]
         if base == "group_concat":
-            return Literal(
+            return _as_term(
                 " ".join(
                     v.lexical if isinstance(v, Literal) else str(v)
                     for v in values
@@ -643,16 +618,14 @@ class Evaluator:
         if base in ("sum", "avg", "min", "max"):
             if not values:
                 if base == "sum":
-                    return Literal(0)
-                raise _ExprError("empty group")
-            numbers = [_num(v) for v in values]
+                    return 0
+                raise ExprError("empty group")
+            numbers = [numeric(v) for v in values]
             if base == "sum":
-                return Literal(sum(numbers))
+                return sum(numbers)
             if base == "avg":
-                return Literal(sum(numbers) / len(numbers))
-            if base == "min":
-                return Literal(min(numbers))
-            return Literal(max(numbers))
+                return sum(numbers) / len(numbers)
+            return min(numbers) if base == "min" else max(numbers)
         if base == str(strdf.STRDF) + "union" or base.endswith("#union"):
             return self._spatial_aggregate(values, mode="union")
         if base == str(strdf.STRDF) + "extent" or base.endswith("#extent"):
@@ -671,7 +644,7 @@ class Evaluator:
             except strdf.StRDFError:
                 continue
         if not geoms:
-            raise _ExprError("no geometries in group")
+            raise ExprError("no geometries in group")
         if mode == "extent":
             env = Envelope.empty()
             for g in geoms:
@@ -689,23 +662,6 @@ class Evaluator:
                 srid=geoms[0].srid,
             )
         )
-
-
-class _AggShim:
-    """Evaluates binary expressions whose leaves are aggregates/keys."""
-
-    def __init__(self, evaluator: Evaluator, members, keys):
-        self.evaluator = evaluator
-        self.members = members
-        self.keys = keys
-
-    def binary(self, expr: alg.EBinary) -> Any:
-        left = self.evaluator._agg_expr(expr.left, self.members, self.keys)
-        right = self.evaluator._agg_expr(expr.right, self.members, self.keys)
-        fake = alg.EBinary(
-            expr.op, alg.ETerm(_as_term(left)), alg.ETerm(_as_term(right))
-        )
-        return self.evaluator._binary(fake, {})
 
 
 # ---------------------------------------------------------------------------
@@ -788,57 +744,40 @@ def _instantiate_all(pattern, sol, bnode_map):
     return (s, p, o) if well_formed and o is not None else None
 
 
+_ARITHMETIC = {
+    "+": operator.add, "-": operator.sub,
+    "*": operator.mul, "/": operator.truediv,
+}
+_COMPARISONS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
 def _as_term(value: Any) -> RDFTerm:
+    """The RDF term of an interpreter value, built only where the value
+    leaves the interpreter: ``Literal(float)`` writes ``repr``, so the
+    literal decodes back to the same number."""
     if isinstance(value, (URIRef, BNode, Literal)):
         return value
-    if isinstance(value, bool):
-        return Literal(value)
-    if isinstance(value, (int, float, str)):
+    if isinstance(value, (bool, int, float, str)):
         return Literal(value)
     raise StSPARQLError(f"cannot convert {value!r} to an RDF term")
 
 
-def _decoded(term: Literal) -> Any:
-    """``term.to_python()``; an ill-typed lexical form (``"hello"^^
-    xsd:integer``) is an expression error, which excludes the row."""
-    try:
-        return term.to_python()
-    except ValueError:
-        raise _ExprError(f"ill-typed literal {term!r}") from None
-
-
-def _num(value: Any) -> float:
-    if isinstance(value, Literal):
-        py = _decoded(value)
-        if isinstance(py, bool):
-            raise _ExprError("boolean in numeric context")
-        if isinstance(py, (int, float)):
-            return py
-        try:
-            return float(py)
-        except (TypeError, ValueError):
-            raise _ExprError(f"not numeric: {value!r}") from None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return value
-    raise _ExprError(f"not numeric: {value!r}")
-
-
 def _terms_equal(left: Any, right: Any) -> bool:
-    if isinstance(left, Literal) and isinstance(right, Literal):
-        if left.is_numeric and right.is_numeric:
-            return _decoded(left) == _decoded(right)
-        return left == right
+    """SPARQL ``=``: booleans by effective boolean value, numbers (plain
+    or numeric literals) by value, every other term by term equality."""
     if isinstance(left, bool) or isinstance(right, bool):
         return ebv(left) == ebv(right)
+    if _is_number(left) and _is_number(right):
+        return numeric(left) == numeric(right)
     return left == right
 
 
-def _comparable(value: Any) -> Any:
+def _is_number(value: Any) -> bool:
     if isinstance(value, Literal):
-        return _decoded(value)
-    if isinstance(value, (int, float, bool, str)):
-        return value
-    return str(value)
+        return value.is_numeric
+    return isinstance(value, (int, float))
 
 
 class _SortKey:

@@ -8,10 +8,13 @@ Two registries:
   (``strdf:intersects``, ``strdf:distance``, ``strdf:buffer``…) and their
   GeoSPARQL ``geof:*`` aliases.
 
-Functions operate on RDF terms and return RDF terms (or Python bool/num
-which the evaluator wraps).  Their ``ctx`` argument is the store's
+Functions take RDF terms — the evaluator turns its plain Python numbers
+and booleans into literals at the call — and return an RDF term or a
+Python bool.  Their ``ctx`` argument is the store's
 :class:`repro.strabon.strdf.GeometryInterner`, so a geometry literal is
-parsed once per store.
+parsed once per store.  :func:`decode` and :func:`numeric` are the one
+coercion layer of the interpreter's comparisons, arithmetic, aggregates
+and ORDER BY.
 """
 
 from __future__ import annotations
@@ -25,28 +28,40 @@ from repro.geometry.srs import geodesic_distance_m
 from repro.rdf.namespace import GEO, STRDF, XSD
 from repro.rdf.term import BNode, Literal, URIRef
 from repro.strabon import strdf
-from repro.strabon.stsparql.errors import StSPARQLError
+from repro.strabon.stsparql.errors import ExprError, StSPARQLError
 
 
-def term_value(term) -> Any:
-    """RDF term → comparable Python value."""
-    if isinstance(term, Literal):
-        return term.to_python()
-    return term
-
-
-def numeric(term) -> float:
-    if isinstance(term, Literal):
-        value = term.to_python()
-        if isinstance(value, bool):
-            raise StSPARQLError("boolean where a number is required")
-        if isinstance(value, (int, float)):
-            return value
+def decode(value) -> Any:
+    """The Python value an operator works on: a literal's decoded
+    lexical form, any other value as it is.  An ill-typed literal
+    (``"hello"^^xsd:integer``) is an expression error."""
+    if isinstance(value, Literal):
         try:
-            return float(value)
+            return value.to_python()
+        except ValueError:
+            raise ExprError(f"ill-typed literal {value!r}") from None
+    return value
+
+
+def numeric(value) -> Any:
+    """The ``int``/``float`` an arithmetic operator or aggregate works
+    on; a literal whose value is no number converts with ``float()``.
+    A boolean, an IRI or anything unconvertible is an expression
+    error."""
+    kind = type(value)
+    if kind is float or kind is int:
+        return value
+    py = decode(value)
+    if isinstance(py, bool):
+        raise ExprError(f"boolean where a number is required: {value!r}")
+    if isinstance(py, (int, float)):
+        return py
+    if isinstance(value, Literal):
+        try:
+            return float(py)
         except (TypeError, ValueError):
             pass
-    raise StSPARQLError(f"not a numeric value: {term!r}")
+    raise ExprError(f"not numeric: {value!r}")
 
 
 def ebv(value: Any) -> bool:
@@ -92,17 +107,6 @@ def _bi_regex(ctx, args):
     return re.search(pattern, text, flags) is not None
 
 
-def _bi_if(ctx, args):
-    return args[1] if ebv(args[0]) else args[2]
-
-
-def _bi_coalesce(ctx, args):
-    for a in args:
-        if a is not None:
-            return a
-    raise StSPARQLError("COALESCE exhausted its arguments")
-
-
 BUILTINS: Dict[str, Callable] = {
     "str": lambda ctx, a: Literal(_str_of(a[0])),
     "lang": lambda ctx, a: Literal(
@@ -144,8 +148,6 @@ BUILTINS: Dict[str, Callable] = {
     "floor": lambda ctx, a: Literal(math.floor(numeric(a[0]))),
     "round": lambda ctx, a: Literal(round(numeric(a[0]))),
     "sameterm": lambda ctx, a: a[0] == a[1],
-    "if": _bi_if,
-    "coalesce": _bi_coalesce,
 }
 
 

@@ -30,7 +30,7 @@ Design points:
   variable's value.  Each FILTER is attached to the scan that binds the
   last of its variables, where its verdict can no longer change.  The
   plan is cached in ``store.plan_cache`` per (patterns, FILTERs,
-  seed-bound variables, store version, index flag).
+  seed-bound variables, store version).
 * **Block frames.**  A frame opens over a block of consecutive parent
   solutions — enough parents for their matches to reach one row target,
   :data:`BLOCK_ROWS` — binds every match, and judges the whole block
@@ -722,7 +722,7 @@ def _plan(
     with obs.span("stsparql.plan"):
         hints = (
             _spatial_hints(evaluator, filters)
-            if evaluator.use_spatial_index
+            if evaluator.store.use_spatial_index
             else {}
         )
         probe = dict(probe)
@@ -785,10 +785,7 @@ def plan_join(
     maybe = frozenset(seeds[0]).union(*seeds[1:]) - bound
     store = evaluator.store
     return store.plan_cache.get_or_compute(
-        (
-            "join", triples, filters, bound, maybe,
-            store.version, evaluator.use_spatial_index,
-        ),
+        ("join", triples, filters, bound, maybe, store.version),
         lambda: _plan(evaluator, triples, filters, seeds[0], bound, maybe),
     )
 
@@ -872,7 +869,6 @@ def pipeline_variables(query: alg.SelectQuery) -> List[str]:
 def build_select_pipeline(
     query: alg.SelectQuery,
     store,
-    use_spatial_index: bool = True,
     batch_rows: int = BLOCK_ROWS,
 ) -> Optional[PipelineIterator]:
     """Build the preemptable pipeline for a SELECT query.
@@ -889,7 +885,7 @@ def build_select_pipeline(
 
     if not supports_query(query):
         return None
-    evaluator = Evaluator(store, use_spatial_index=use_spatial_index)
+    evaluator = Evaluator(store)
     triples, filters = _collect_conjunction(query.where)
     triples, filters = tuple(triples), tuple(filters)
     plan = plan_join(evaluator, triples, filters, [{}])
@@ -914,7 +910,6 @@ def restore_pipeline(
     query: alg.SelectQuery,
     store,
     state: Dict[str, Any],
-    use_spatial_index: bool = True,
     batch_rows: int = BLOCK_ROWS,
 ) -> PipelineIterator:
     """Rebuild a pipeline for ``query`` and restore ``state`` into it.
@@ -922,10 +917,7 @@ def restore_pipeline(
     Raises :class:`ContinuationError` when the query is not streamable
     or the state does not fit the (re)built operator tree.
     """
-    pipe = build_select_pipeline(
-        query, store, use_spatial_index=use_spatial_index,
-        batch_rows=batch_rows,
-    )
+    pipe = build_select_pipeline(query, store, batch_rows=batch_rows)
     if pipe is None:
         raise ContinuationError(
             "continuation refers to a query the pipeline cannot stream"

@@ -185,12 +185,18 @@ def _render_term(term: Sequence[Any]) -> str:
 
 
 def _render_condition(filter_spec: Dict[str, Any]) -> str:
-    """One FILTER condition: a comparison, a spatial predicate call
-    (possibly negated) or a distance comparison; the second spatial
-    operand is a constant (``wkt``) or a variable (``other``)."""
+    """One FILTER condition: a comparison, an arithmetic comparison
+    (``?n * k - c OP v``), a spatial predicate call (possibly negated) or
+    a distance comparison; the second spatial operand is a constant
+    (``wkt``) or a variable (``other``)."""
     var = f"?{filter_spec['var']}"
     if filter_spec["kind"] == "cmp":
         return f"{var} {filter_spec['op']} {filter_spec['value']}"
+    if filter_spec["kind"] == "arith":
+        return (
+            f"{var} * {filter_spec['k']} - {filter_spec['c']} "
+            f"{filter_spec['op']} {filter_spec['value']}"
+        )
     if "other" in filter_spec:
         other = f"?{filter_spec['other']}"
     else:

@@ -295,7 +295,18 @@ def gen_stsparql_spec(seed: int) -> Dict[str, Any]:
             "op": rng.choice(_CMP_OPS),
             "value": rng.randint(0, 20),
         }
-    if filter_spec is not None and filter_spec["kind"] != "cmp":
+    elif roll < 0.75 and "n" in pattern_vars:
+        # ``?n * k - c OP v``: arithmetic inside a FILTER, its
+        # intermediate values plain numbers.
+        filter_spec = {
+            "kind": "arith",
+            "var": "n",
+            "k": rng.choice((2, 3, -1, 0.5, 1.25)),
+            "c": rng.choice((0, 1, 4, 2.5)),
+            "op": rng.choice(_CMP_OPS),
+            "value": rng.randint(-10, 40),
+        }
+    if filter_spec is not None and filter_spec["kind"] in ("spatial", "dist"):
         _vary_spatial_filter(rng, filter_spec, patterns)
     distinct = rng.random() < 0.3
     # An OPTIONAL tail joins one pattern onto each solution with the

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.geometry import Envelope, from_wkt
@@ -87,9 +88,15 @@ def _unify(
     return out
 
 
+_ORDER = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
 def _cmp_value(term: Any) -> Any:
-    # Mirror of the evaluator's _comparable: literals compare by python
-    # value, URIRefs (str subclass) lexically, everything else by str().
+    # Mirror of the evaluator's comparison operands: literals compare by
+    # python value, URIRefs (str subclass) lexically, everything else by
+    # str().
     if isinstance(term, Literal):
         return term.to_python()
     if isinstance(term, (int, float, bool, str)):
@@ -127,16 +134,19 @@ def _condition_passes(
                 equal = term == Literal(value)
             return equal if op == "=" else not equal
         try:
-            left = _cmp_value(term)
-            if op == "<":
-                return left < value
-            if op == "<=":
-                return left <= value
-            if op == ">":
-                return left > value
-            return left >= value
+            return _ORDER[op](_cmp_value(term), value)
         except TypeError:
             return False
+    if filter_spec["kind"] == "arith":
+        # ``?n * k - c OP v`` with Python numbers between the operators;
+        # a term that is no number makes the row an error, excluded.
+        if not (isinstance(term, Literal) and term.is_numeric):
+            return False
+        number = term.to_python() * filter_spec["k"] - filter_spec["c"]
+        op, value = filter_spec["op"], filter_spec["value"]
+        if op in ("=", "!="):
+            return (number == value) == (op == "=")
+        return _ORDER[op](number, value)
     # Spatial predicate / distance comparison.  Unbound operands, parse
     # failures and ValueErrors exclude the row (the evaluator's
     # extension-call wrapper turns StRDFError / ValueError into a failed
@@ -162,15 +172,7 @@ def _condition_passes(
             d = geom.distance(other)
         except ValueError:
             return False
-        op = filter_spec["op"]
-        bound = filter_spec["bound"]
-        if op == "<":
-            return d < bound
-        if op == "<=":
-            return d <= bound
-        if op == ">":
-            return d > bound
-        return d >= bound
+        return _ORDER[filter_spec["op"]](d, filter_spec["bound"])
     a, b = (other, geom) if filter_spec.get("flip") else (geom, other)
     try:
         verdict = bool(getattr(a, filter_spec["pred"])(b))

@@ -24,6 +24,12 @@ ex:rex a ex:Dog .
 
 PREFIXES = "PREFIX ex: <http://example.org/>\n"
 
+ILL_TYPED = """
+@prefix ex: <http://example.org/> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+ex:a ex:v 1 . ex:b ex:v "hello"^^xsd:integer . ex:c ex:v 3 .
+"""
+
 
 @pytest.fixture
 def store():
@@ -86,6 +92,37 @@ class TestFilters:
         r = store.query(
             PREFIXES
             + "SELECT ?p WHERE { ?p ex:age ?a . FILTER(?a * 2 = 50) }"
+        )
+        assert r.column("p") == [EX.bob]
+
+    def test_arithmetic_result_equals_by_value(self, store):
+        # A computed number equals a numeric literal by value, never a
+        # plain literal with the same characters.
+        numeric = store.query(
+            PREFIXES + "PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\n"
+            "SELECT ?p WHERE { ?p ex:age ?a . "
+            'FILTER(?a * 1 = "25.0"^^xsd:double) }'
+        )
+        assert numeric.column("p") == [EX.bob]
+        plain = store.query(
+            PREFIXES
+            + 'SELECT ?p WHERE { ?p ex:age ?a . FILTER(?a + 0 = "25") }'
+        )
+        assert plain.column("p") == []
+
+    def test_if_evaluates_one_branch(self, store):
+        r = store.query(
+            PREFIXES
+            + "SELECT ?p ?x WHERE { ?p ex:age ?a . "
+            "BIND(IF(?a > 28, 1, 1/0) AS ?x) } ORDER BY ?a"
+        )
+        assert r.values() == [(EX.bob, None), (EX.alice, 1), (EX.carol, 1)]
+
+    def test_builtin_sees_computed_value_as_literal(self, store):
+        r = store.query(
+            PREFIXES
+            + "SELECT ?p WHERE { ex:bob ex:age ?a . ?p ex:age ?a . "
+            "FILTER(isLiteral(?a * 2) && isNumeric(?a - 1)) }"
         )
         assert r.column("p") == [EX.bob]
 
@@ -200,6 +237,14 @@ class TestModifiers:
         )
         assert r.column("p") == [EX.carol, EX.alice, EX.bob]
 
+    def test_order_by_ill_typed_sorts_as_unbound(self):
+        store = StrabonStore()
+        store.load_turtle(ILL_TYPED)
+        r = store.query(
+            PREFIXES + "SELECT ?s WHERE { ?s ex:v ?v } ORDER BY ?v"
+        )
+        assert r.column("s") == [EX.b, EX.a, EX.c]
+
     def test_limit_offset(self, store):
         r = store.query(
             PREFIXES
@@ -258,6 +303,25 @@ class TestAggregates:
             + "SELECT (count(DISTINCT ?c) AS ?n) WHERE { ?p ex:city ?c }"
         )
         assert r.values() == [(2,)]
+        store.load_turtle(
+            "@prefix ex: <http://example.org/> .\n"
+            "ex:dave ex:age 25 . ex:erin ex:age 25.0E0 .\n"
+        )
+        # DISTINCT keys are terms: 25 and 25.0E0 stay apart, the second
+        # 25 goes.
+        r = store.query(
+            PREFIXES
+            + "SELECT (count(DISTINCT ?a) AS ?n) (sum(DISTINCT ?a) AS ?s) "
+            "(count(?a) AS ?all) (count(DISTINCT (?a * 2)) AS ?twice) "
+            "WHERE { ?p ex:age ?a }"
+        )
+        assert r.values() == [(4, 115.0, 5, 4)]
+        r = store.query(
+            PREFIXES
+            + "SELECT (group_concat(DISTINCT str(?a)) AS ?all) "
+            "WHERE { ?p ex:age ?a FILTER(?a < 30) }"
+        )
+        assert sorted(r.values()[0][0].split()) == ["25", "25.0E0"]
 
     def test_group_concat(self, store):
         r = store.query(
@@ -272,6 +336,39 @@ class TestAggregates:
             PREFIXES + "SELECT (count(*) AS ?n) WHERE { ?x a ex:Cat }"
         )
         assert r.values() == [(0,)]
+
+    def test_aggregate_error_leaves_its_variable_unbound(self):
+        store = StrabonStore()
+        store.load_turtle(ILL_TYPED)
+        r = store.query(
+            PREFIXES
+            + "SELECT (SUM(?v) AS ?t) (COUNT(*) AS ?n) WHERE { ?s ex:v ?v }"
+        )
+        assert r.values() == [(None, 3)]
+        having = store.query(
+            PREFIXES
+            + "SELECT (COUNT(*) AS ?n) WHERE { ?s ex:v ?v } "
+            "HAVING (SUM(?v) > 0)"
+        )
+        assert having.values() == []
+
+    def test_group_by_expression_keeps_int_and_double_apart(self, store):
+        store.load_turtle(
+            "@prefix ex: <http://example.org/> .\n"
+            "ex:dave ex:age 25.0E0 .\n"
+        )
+        r = store.query(
+            PREFIXES
+            + "SELECT (COUNT(*) AS ?n) WHERE { ?p ex:age ?a } "
+            "GROUP BY (?a * 2) ORDER BY ?n"
+        )
+        assert r.values() == [(1,), (1,), (1,), (1,)]
+        r = store.query(
+            PREFIXES
+            + "SELECT ?a ((SUM(?a) * 2 - COUNT(*)) AS ?x) "
+            "WHERE { ?p ex:age ?a } GROUP BY ?a HAVING (?a > 28) ORDER BY ?a"
+        )
+        assert r.values() == [(30, 59), (35, 69)]
 
 
 class TestAskConstruct:

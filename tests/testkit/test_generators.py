@@ -76,7 +76,8 @@ class TestSpecShapes:
     def test_stsparql_emits_hint_sensitive_filter_shapes(self):
         # Negated and or-ed spatial FILTERs are where an R-tree hint
         # must not be taken; a second geometry variable makes a join; an
-        # OPTIONAL tail runs the join seeded with bound variables.
+        # OPTIONAL tail runs the join seeded with bound variables; an
+        # arithmetic FILTER exercises the interpreter's number values.
         from repro.strabon.stsparql.parser import parse_query
         from repro.testkit.differential import render_query
 
@@ -87,6 +88,8 @@ class TestSpecShapes:
             seen.update(
                 key for key in ("negate", "or", "other") if key in filter_spec
             )
+            if filter_spec.get("kind") == "arith":
+                seen.add("arith")
             if spec["optional"]:
                 seen.add("optional")
             if "other" in filter_spec:
@@ -95,7 +98,7 @@ class TestSpecShapes:
                 }
                 assert {filter_spec["var"], filter_spec["other"]} <= bound
             parse_query(render_query(spec)[0])
-        assert seen == {"negate", "or", "other", "optional"}
+        assert seen == {"negate", "or", "other", "optional", "arith"}
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sciql_spec_cells_match_shape(self, seed):

@@ -111,16 +111,20 @@ class TestBGPOracle:
             [["u", "b"], ["u", "p"], ["u", "c"]],
         )
         patterns = _patterns([["v", "s"], ["u", "p"], ["v", "n"]])
-        rows = oracles.naive_bgp_rows(
-            triples,
-            patterns,
+        # The URIRef binding cannot compare with an int, nor take part
+        # in arithmetic: excluded, not an error — the evaluator does the
+        # same.
+        for filter_spec in (
             {"kind": "cmp", "var": "n", "op": ">", "value": 1},
-            ["n", "s"],
-            False,
-        )
-        # The URIRef binding cannot compare with an int: excluded, not
-        # an error — the evaluator does the same.
-        assert len(rows) == 1
+            {
+                "kind": "arith", "var": "n", "k": 0.5, "c": 1,
+                "op": ">", "value": 1,
+            },
+        ):
+            rows = oracles.naive_bgp_rows(
+                triples, patterns, filter_spec, ["n", "s"], False
+            )
+            assert len(rows) == 1
 
     def test_spatial_filter(self):
         triples = _triples(
